@@ -41,7 +41,7 @@ from .protocol import (
 )
 from .feasibility import FeasibilityReport, constraint_check
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CONSTANTS",

@@ -9,17 +9,18 @@ digits so they round-trip through the text format without loss.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from . import classical, protocol, verify
+from . import classical, protocol
 from .feasibility import FeasibilityReport, constraint_check
 from .params import ConfigError, ParameterError, PhysicalScenario, \
     load_scenario, scenario_from_dict
@@ -105,65 +106,41 @@ def cmd_feasibility(args) -> int:
 
 # --- protocol -----------------------------------------------------------------
 
-def _summary_row(res: protocol.ProtocolResult) -> list[str]:
-    return [_fmt(res.phi_grav), _fmt(res.p_down), _fmt(res.visibility),
-            _fmt(res.residual)]
+def _parse_alpha(text: str) -> complex:
+    try:
+        alpha = complex(text)
+    except ValueError:
+        alpha = None
+    if alpha is None or not cmath.isfinite(alpha):
+        raise ConfigError(f"--alpha {text!r} is not a finite complex number")
+    return alpha
 
 
 def cmd_protocol(args) -> int:
     scenario = _load_config(args.config)
+    thermal = args.thermal is not None
+    initial = (protocol.ThermalSample(args.thermal, args.seed, args.samples)
+               if thermal else protocol.Coherent(_parse_alpha(args.alpha)))
+    run = protocol.run_protocol(scenario, initial, exact_phase=args.exact_phase,
+                                force=args.force, beta=args.beta)
     out = _out_dir(args)
-    beta = args.beta
-    if args.thermal is not None:
-        initial = protocol.ThermalSample(args.thermal, args.seed, args.samples)
-        if args.workers > 1:
-            results = _thermal_parallel(scenario, initial, args)
-        else:
-            results = protocol.run_protocol(
-                scenario, initial, exact_phase=args.exact_phase,
-                force=args.force, beta=beta).results
-    else:
-        res = protocol.run_protocol(
-            scenario, protocol.Coherent(complex(args.alpha)),
-            exact_phase=args.exact_phase, force=args.force, beta=beta)
-        results = (res,)
+    results = run.results if thermal else (run,)
+    if not thermal:
         with open(out / "steps.jsonl", "w", encoding="utf-8") as fh:
-            for record in res.log:
+            for record in run.log:
                 fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
                 fh.write("\n")
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["phi_grav_rad", "p_down", "visibility", "residual"])
-        for res in results:
-            w.writerow(_summary_row(res))
+        w.writerows([_fmt(r.phi_grav), _fmt(r.p_down), _fmt(r.visibility),
+                     _fmt(r.residual)] for r in results)
     first = results[0]
     sys.stdout.write(
         f"runs={len(results)} phi_grav={first.phi_grav:.6g} rad "
         f"p_down={first.p_down:.6g} visibility={first.visibility:.6g} "
         f"residual={first.residual:.3g}\n")
     return 0
-
-
-def _thermal_worker(job) -> protocol.ProtocolResult:
-    scenario, alpha, exact_phase, beta = job
-    return protocol._run_single(scenario, alpha, exact_phase, beta,
-                                include_cubic_correction=False,
-                                with_log=False)
-
-
-def _thermal_parallel(scenario, initial: protocol.ThermalSample, args):
-    import numpy as np
-    report = constraint_check(scenario)
-    failed = [v.name for v in report.verdicts if v.status == "fail"]
-    if failed and not args.force:
-        raise protocol.ConstraintViolation(
-            "feasibility constraints failed: " + ", ".join(failed))
-    rng = np.random.default_rng(initial.seed)
-    draws = rng.normal(size=(initial.count, 2)) * math.sqrt(initial.nbar / 2.0)
-    jobs = [(scenario, complex(re, im), args.exact_phase, args.beta)
-            for re, im in draws]
-    with ProcessPoolExecutor(max_workers=args.workers) as ex:
-        return tuple(ex.map(_thermal_worker, jobs))
 
 
 # --- transient ----------------------------------------------------------------
@@ -202,6 +179,7 @@ def cmd_transient(args) -> int:
 # --- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from . import verify    # pulls in scipy, which no other command needs
     results = verify.run_all(quick=args.quick)
     out = _out_dir(args)
     with open(out / "verify.csv", "w", newline="", encoding="utf-8") as fh:
@@ -222,54 +200,29 @@ def cmd_verify(args) -> int:
 
 # --- sweep --------------------------------------------------------------------
 
-def _sweep_row(job) -> tuple[int, float, float, float, str]:
-    index, scenario_doc, omega = job
-    from dataclasses import replace
-    scenario = scenario_from_dict(scenario_doc)
-    scenario = replace(scenario,
-                       trap=replace(scenario.trap,
-                                    paul_frequency_soft_radps=omega))
-    report = constraint_check(scenario)
-    return (index, omega, report.delta_x_m, report.phi_grav_rad,
-            report.status)
-
-
 def cmd_sweep(args) -> int:
-    scenario = _load_config(args.config)   # validate before sweeping
-    del scenario
-    doc = _config_doc(args.config)
-    # the swept scenarios recompute delta_x from the beam so the 1/omega
-    # scaling is visible
-    doc["protocol"].pop("superposition_size_m", None)
+    scenario = _load_config(args.config)
     if args.min <= 0 or args.max <= args.min:
         raise ConfigError("sweep needs 0 < --min < --max")
-    out = _out_dir(args)
+    # the swept scenarios recompute delta_x from the beam so the 1/omega
+    # scaling is visible
+    scenario = replace(scenario, protocol=replace(
+        scenario.protocol, superposition_size_m=None))
     n = args.points
     omegas = [args.min * (args.max / args.min) ** (i / (n - 1))
               for i in range(n)] if n > 1 else [args.min]
-    jobs = [(i, doc, w) for i, w in enumerate(omegas)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            rows = list(ex.map(_sweep_row, jobs))
-    else:
-        rows = [_sweep_row(j) for j in jobs]
+    reports = [constraint_check(replace(scenario, trap=replace(
+        scenario.trap, paul_frequency_soft_radps=omega))) for omega in omegas]
+    out = _out_dir(args)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "omega_soft_radps", "delta_x_m",
                     "phi_grav_rad", "status"])
-        for index, omega, dx, phi, status in rows:
-            w.writerow([index, _fmt(omega), _fmt(dx), _fmt(phi), status])
-    sys.stdout.write(f"wrote {len(rows)} sweep rows\n")
+        for index, (omega, report) in enumerate(zip(omegas, reports)):
+            w.writerow([index, _fmt(omega), _fmt(report.delta_x_m),
+                        _fmt(report.phi_grav_rad), report.status])
+    sys.stdout.write(f"wrote {len(reports)} sweep rows\n")
     return 0
-
-
-def _config_doc(name: str) -> dict:
-    path = Path(name)
-    if path.exists():
-        return json.loads(path.read_text(encoding="utf-8"))
-    stem = name.removesuffix(".json")
-    preset = resources.files("catsim") / "presets" / f"{stem}.json"
-    return json.loads(preset.read_text())
 
 
 # --- parser -------------------------------------------------------------------
@@ -302,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample initial states from a thermal P-function")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--exact-phase", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="reverse the evolved branch separation exactly")
@@ -325,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=float, required=True,
                    help="highest soft-trap frequency, rad/s")
     p.add_argument("--points", type=int, default=25)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -30,9 +30,11 @@ from .gaussian import (
     CoherentBranch,
     apply_displacement,
     branch_phase_difference,
+    displace_compose,
     evolve_quench,
+    quench_linear_map,
 )
-from .params import ParameterError, PhysicalScenario, derive, grav_coupling, \
+from .params import ParameterError, PhysicalScenario, grav_coupling, \
     zero_point_motion
 
 NORM_TOL = 1e-10
@@ -195,6 +197,13 @@ def pi_pulse(s: HybridState, laser_phase: float = 0.0) -> HybridState:
     return _apply_qubit_map(s, _with_laser_phase(_PI, laser_phase))
 
 
+def _warn_lamb_dicke(eta: float | None, stacklevel: int) -> None:
+    if eta is not None and eta > 0.3:
+        warnings.warn(
+            f"Lamb-Dicke parameter {eta:.3g} > 0.3; sideband displacement "
+            "beam is only marginally selective", stacklevel=stacklevel)
+
+
 def displacement_beam(s: HybridState, beta: complex,
                       target: HyperfineLevel,
                       eta: float | None = None) -> HybridState:
@@ -203,10 +212,7 @@ def displacement_beam(s: HybridState, beta: complex,
     The composition phase Im(beta alpha*) is carried on the displaced
     branch.  ``eta`` (if given) is checked against the sideband regime.
     """
-    if eta is not None and eta > 0.3:
-        warnings.warn(
-            f"Lamb-Dicke parameter {eta:.3g} > 0.3; sideband displacement "
-            "beam is only marginally selective", stacklevel=2)
+    _warn_lamb_dicke(eta, stacklevel=3)
     out = []
     for lvl, br in s.branches:
         out.append((lvl, apply_displacement(br, beta) if lvl is target else br))
@@ -221,16 +227,9 @@ class FreeFallResult:
     squeeze_magnitude: float
 
 
-def free_fall_segment(s: HybridState, scenario: PhysicalScenario,
-                      omega2: float, dt: float,
-                      include_cubic_correction: bool = False) -> FreeFallResult:
-    """Quench to the soft trap and fall for ``dt``.
-
-    Requires the residual radiation pressure to be far below gravity.
-    Each branch evolves by the second-order quench map; the physically
-    accumulated branch phase (including the part released later by the
-    closing displacement) is exposed.
-    """
+def _fall_couplings(scenario: PhysicalScenario, omega2: float, dt: float,
+                    stacklevel: int) -> tuple[float, float, float]:
+    """(omega1, g2, g1) of the quench to ``omega2``, in the free-fall regime."""
     m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     weight_force = m_total * scenario.constants.g_E
     force = scenario.protocol.freefall_force_N
@@ -241,9 +240,22 @@ def free_fall_segment(s: HybridState, scenario: PhysicalScenario,
     omega1 = scenario.trap.paul_frequency_stiff_radps
     if omega2 * dt > 0.1:
         warnings.warn(f"omega2*dt = {omega2 * dt:.3g} not << 1; transient "
-                      "free-fall approximation degrades", stacklevel=2)
+                      "free-fall approximation degrades", stacklevel=stacklevel)
     g2 = grav_coupling(m_total, omega2, scenario.constants)
-    g1 = math.sqrt(omega2 / omega1) * g2
+    return omega1, g2, math.sqrt(omega2 / omega1) * g2
+
+
+def free_fall_segment(s: HybridState, scenario: PhysicalScenario,
+                      omega2: float, dt: float,
+                      include_cubic_correction: bool = False) -> FreeFallResult:
+    """Quench to the soft trap and fall for ``dt``.
+
+    Requires the residual radiation pressure to be far below gravity.
+    Each branch evolves by the second-order quench map; the physically
+    accumulated branch phase (including the part released later by the
+    closing displacement) is exposed.
+    """
+    omega1, g2, g1 = _fall_couplings(scenario, omega2, dt, stacklevel=3)
     evolved = []
     lin = None
     z_mag = 0.0
@@ -264,17 +276,11 @@ def free_fall_segment(s: HybridState, scenario: PhysicalScenario,
             _, phi3 = branch_phase_difference(
                 2.0 * separation.real, g2, dt, omega2)
             rel += phi3
-            state = _phase_on_level(state, HyperfineLevel.DOWN, -phi3)
+            state = HybridState(tuple(
+                (lvl, br.rotated(-phi3) if lvl is HyperfineLevel.DOWN else br)
+                for lvl, br in state.branches))
     return FreeFallResult(state=state, relative_phase=rel,
                           linear_map=lin, squeeze_magnitude=z_mag)
-
-
-def _phase_on_level(s: HybridState, level: HyperfineLevel,
-                    phase: float) -> HybridState:
-    out = []
-    for lvl, br in s.branches:
-        out.append((lvl, br.rotated(phase) if lvl is level else br))
-    return HybridState(tuple(out))
 
 
 # --- Readout ------------------------------------------------------------------
@@ -316,8 +322,8 @@ def readout(s: HybridState, mismatch_tol: float = RECOMBINE_TOL) -> ReadoutResul
     )
 
 
-def _coherent_overlap(a: complex, b: complex) -> complex:
-    """<a|b> = exp(-|a-b|^2/2 + i Im(a* b)).
+def _coherent_overlap(a: complex, b: complex, exp=cmath.exp) -> complex:
+    """<a|b> = exp(-|a-b|^2/2 + i Im(a* b)); over arrays with exp=np.exp.
 
     The difference form avoids catastrophic cancellation between the
     |a|^2 and a* b terms when the amplitudes are large and nearly equal,
@@ -325,8 +331,8 @@ def _coherent_overlap(a: complex, b: complex) -> complex:
     """
     d = b - a
     # Im(a* b) = Im(a* (b - a)) since Im(|a|^2) = 0
-    return cmath.exp(complex(-0.5 * (d.real * d.real + d.imag * d.imag),
-                             (a.conjugate() * d).imag))
+    return exp(-0.5 * (d.real * d.real + d.imag * d.imag)
+               + 1j * (a.conjugate() * d).imag)
 
 
 # --- Full protocol ------------------------------------------------------------
@@ -341,6 +347,13 @@ class ThermalSample:
     nbar: float
     seed: int
     count: int
+
+    def __post_init__(self):
+        if not self.count >= 1:
+            raise ParameterError(f"thermal count must be >= 1, got {self.count}")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
+            raise ParameterError(
+                f"thermal nbar must be finite and non-negative, got {self.nbar}")
 
 
 @dataclass(frozen=True)
@@ -375,14 +388,8 @@ class ProtocolResult:
 @dataclass(frozen=True)
 class ProtocolDistribution:
     results: tuple[ProtocolResult, ...]
-
-    @property
-    def p_down_values(self) -> np.ndarray:
-        return np.array([r.p_down for r in self.results])
-
-    @property
-    def phi_grav_values(self) -> np.ndarray:
-        return np.array([r.phi_grav for r in self.results])
+    p_down_values: np.ndarray = field(repr=False, compare=False)
+    phi_grav_values: np.ndarray = field(repr=False, compare=False)
 
 
 def beam_amplitude(scenario: PhysicalScenario,
@@ -424,65 +431,107 @@ def run_protocol(scenario: PhysicalScenario,
         raise ConstraintViolation(
             "feasibility constraints failed: " + ", ".join(failed)
             + " (pass force=True to override)")
+    _warn_lamb_dicke(report.eta, stacklevel=3)
+    args = (beta, exact_phase, include_cubic_correction)
     if isinstance(initial, ThermalSample):
         rng = np.random.default_rng(initial.seed)
-        draws = (rng.normal(size=(initial.count, 2))
-                 * math.sqrt(initial.nbar / 2.0))
+        draws = rng.normal(size=(initial.count, 2)) * math.sqrt(initial.nbar / 2)
+        observed, final = _kernel(scenario, draws[:, 0] + 1j * draws[:, 1],
+                                  _ARRAY_OPS, *args)
         results = tuple(
-            _run_single(scenario, complex(re, im), exact_phase, beta,
-                        include_cubic_correction, with_log=False)
-            for re, im in draws)
-        return ProtocolDistribution(results)
-    return _run_single(scenario, complex(initial.alpha), exact_phase, beta,
-                       include_cubic_correction, with_log=True)
+            ProtocolResult(_state(*state), *values)
+            for values, state in zip(zip(*(x.tolist() for x in observed)),
+                                     zip(*(x.tolist() for x in final))))
+        return ProtocolDistribution(results, observed[1], observed[0])
+    alpha = complex(initial.alpha)
+    log = [StepRecord(1, "prepare", HybridState.pure(HyperfineLevel.DOWN,
+                                                     alpha))]
+    observed, _ = _kernel(scenario, alpha, _SCALAR_OPS, *args, log)
+    return ProtocolResult(log[-1].state, *observed, log=tuple(log))
 
 
-def _run_single(scenario: PhysicalScenario, alpha: complex,
-                exact_phase: bool, beta: float | None,
-                include_cubic_correction: bool,
-                with_log: bool) -> ProtocolResult:
+# (exp, phase, worst) for one complex amplitude or a 1-D array of them
+_SCALAR_OPS = (cmath.exp, cmath.phase, float)
+_ARRAY_OPS = (np.exp, np.angle, np.max)
+_C = float(_PI_HALF[1, 0])      # 1/sqrt2, every beam-splitter amplitude
+
+
+def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
+            exact_phase: bool, cubic: bool, log: list | None = None):
+    """Steps 2-8 in closed form on the branch amplitudes and weights.
+
+    ``alpha`` is a complex number or a 1-D array, told apart only by
+    ``ops``.  Each step repeats its step function's arithmetic in order, so
+    a scalar run reproduces them bit for bit.  Returns the observables and
+    the ``_state`` arguments after step 8; ``log`` collects StepRecords.
+    """
+    exp, phase, worst = ops
     if beta is None:
         beta = beam_amplitude(scenario)
     omega2 = scenario.trap.paul_frequency_soft_radps
     dt = scenario.protocol.free_fall_duration_s
-    eta = derive(scenario, omega2).lamb_dicke
+    omega1, g2, g1 = _fall_couplings(scenario, omega2, dt, stacklevel=4)
+    c1, c2 = quench_linear_map(omega1, omega2, dt)
+    beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
+    drift = -1j * g1 * dt - 0.5 * omega1 * g1 * dt * dt
 
-    log: list[StepRecord] = []
+    def check_norm(label, w_d, w_u):
+        dev = worst(abs(abs(w_d) ** 2 + abs(w_u) ** 2 - 1.0))
+        if dev > NORM_TOL:
+            raise ProtocolError(f"state norm drifted by {dev:.3g} beyond "
+                                f"{NORM_TOL:g} at step {label}")
 
-    def record(step: int, label: str, state: HybridState):
-        state.check_norm()
-        if with_log:
-            log.append(StepRecord(step, label, state))
+    def step(number, label, *state):
+        check_norm(label, state[1], state[3])
+        if log is not None:
+            log.append(StepRecord(number, label, _state(*state)))
 
-    s = HybridState.pure(HyperfineLevel.DOWN, alpha)
-    record(1, "prepare", s)
-    s = pi_half_pulse(s)
-    record(2, "pi_half", s)
-    s = displacement_beam(s, beta, HyperfineLevel.DOWN, eta=eta)
-    record(4, "displace", s)
-    fall = free_fall_segment(
-        s, scenario, omega2, dt,
-        include_cubic_correction=include_cubic_correction)
-    s = fall.state
-    record(6, "free_fall", s)
-    if exact_phase:
-        c1, c2 = fall.linear_map
-        beta_back = -(c1 * beta + c2 * beta)
-    else:
-        beta_back = -beta
-    s = displacement_beam(s, beta_back, HyperfineLevel.DOWN, eta=eta)
-    record(7, "undisplace", s)
-    down = s.get(HyperfineLevel.DOWN)
-    up = s.get(HyperfineLevel.UP)
-    residual = abs(down.alpha - up.alpha)
-    result = readout(s)
-    s_final = pi_half_pulse(s, inverse=True) if residual <= RECOMBINE_TOL else s
-    record(8, "pi_half_close", s_final)
-    return ProtocolResult(
-        final_state=s_final,
-        phi_grav=result.phi_grav,
-        p_down=result.p_down,
-        visibility=result.visibility,
-        residual=residual,
-        log=tuple(log),
-    )
+    def fall(a, w):                 # evolve_quench
+        boost = -a.real * g1 * dt
+        translation = -a.imag * omega1 * g1 * dt * dt / 2.0
+        return (c1 * a + c2 * a.conjugate() + drift,
+                w * exp(1j * (boost + translation)))
+
+    # pi_half_pulse sets each level's amplitude to alpha |w| / |w|, which
+    # may differ from alpha in the last bit; g1 t |alpha| ~ 1e4 rad of
+    # branch phase magnify it, so divide as reals, as Python does
+    w_d = w_u = complex(_C)
+    a_d = a_u = alpha.real * _C / _C + 1j * (alpha.imag * _C / _C)
+    step(2, "pi_half", a_d, w_d, a_u, w_u)
+    comp = displace_compose(beta, a_d)                    # apply_displacement
+    a_d, w_d = comp.gamma, w_d * exp(1j * comp.phase)
+    step(4, "displace", a_d, w_d, a_u, w_u)
+    if cubic:
+        _, phi3 = branch_phase_difference(2 * (a_d - a_u).real, g2, dt, omega2)
+    a_d, w_d = fall(a_d, w_d)
+    a_u, w_u = fall(a_u, w_u)
+    if cubic:
+        w_d = w_d * exp(1j * -phi3)
+    step(6, "free_fall", a_d, w_d, a_u, w_u)
+    comp = displace_compose(beta_back, a_d)
+    a_d, w_d = comp.gamma, w_d * exp(1j * comp.phase)
+    step(7, "undisplace", a_d, w_d, a_u, w_u)
+    # readout; the closing pi/2 recombines at the weighted mean amplitude
+    residual = abs(a_d - a_u)
+    ov = _coherent_overlap(a_u, a_d, exp)
+    p_down = (0.5 * (abs(w_d) ** 2 + abs(w_u) ** 2)
+              + (w_d * w_u.conjugate() * ov).real)
+    cw_d, cw_u = _C * w_d, _C * w_u
+    m_d, m_u = abs(cw_d), abs(cw_u)
+    wc_d, wc_u = cw_d + cw_u, cw_u - cw_d
+    check_norm("pi_half_close", wc_d, wc_u)
+    final = (a_d, w_d, a_u, w_u, residual <= RECOMBINE_TOL,
+             (a_d * m_d + a_u * m_u) / (m_d + m_u), wc_d, wc_u)
+    step(8, "pi_half_close", *final)
+    return (phase(w_u * w_d.conjugate()), p_down, abs(ov), residual), final
+
+
+def _state(a_d, w_d, a_u, w_u, closed=False, a_c=None, wc_d=None,
+           wc_u=None) -> HybridState:
+    """Two branches, or if ``closed`` the recombined non-empty levels."""
+    if closed:
+        return HybridState(tuple(
+            (lvl, CoherentBranch(a_c, w))
+            for lvl, w in zip(_LEVELS, (wc_d, wc_u)) if abs(w) ** 2 >= 1e-24))
+    return HybridState(((HyperfineLevel.DOWN, CoherentBranch(a_d, w_d)),
+                        (HyperfineLevel.UP, CoherentBranch(a_u, w_u))))

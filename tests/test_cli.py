@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catsim
 from catsim.cli import main
 
 
@@ -75,14 +80,45 @@ def test_protocol_deterministic(tmp_path):
         (out2 / "summary.csv").read_bytes()
 
 
-def test_protocol_thermal_workers_match_serial(tmp_path):
-    _, serial = run(tmp_path / "s", "protocol", "--config", "discussion",
-                    "--thermal", "10", "--samples", "8", "--seed", "1")
-    _, par = run(tmp_path / "p", "protocol", "--config", "discussion",
-                 "--thermal", "10", "--samples", "8", "--seed", "1",
-                 "--workers", "2")
-    assert (serial / "summary.csv").read_bytes() == \
-        (par / "summary.csv").read_bytes()
+def test_protocol_thermal_rows_independent_of_sample_count(tmp_path):
+    _, short = run(tmp_path / "s", "protocol", "--config", "discussion",
+                   "--thermal", "10", "--samples", "8", "--seed", "1")
+    _, long = run(tmp_path / "l", "protocol", "--config", "discussion",
+                  "--thermal", "10", "--samples", "50", "--seed", "1")
+    short_rows = (short / "summary.csv").read_bytes().splitlines()
+    long_rows = (long / "summary.csv").read_bytes().splitlines()
+    assert len(short_rows) == 9 and len(long_rows) == 51
+    assert short_rows == long_rows[:9]
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_protocol_rejects_zero_samples(tmp_path, capsys):
+    code, out = run(tmp_path, "protocol", "--config", "discussion",
+                    "--thermal", "10", "--samples", "0")
+    assert code == 2
+    assert "count" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nbar", ["-1", "nan", "inf"])
+def test_protocol_rejects_bad_nbar(tmp_path, capsys, nbar):
+    code, _ = run(tmp_path, "protocol", "--config", "discussion",
+                  "--thermal", nbar, "--samples", "4")
+    assert code == 2
+    assert "nbar" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("alpha", ["foo", "nan"])
+def test_protocol_rejects_bad_alpha(tmp_path, capsys, alpha):
+    code, _ = run(tmp_path, "protocol", "--config", "discussion",
+                  "--alpha", alpha)
+    assert code == 2
+    assert "--alpha" in _one_line_error(capsys)
 
 
 def test_protocol_csv_precision_round_trips(tmp_path):
@@ -135,12 +171,11 @@ def test_sweep_scaling_and_order(tmp_path):
     assert dx0 / dx4 == pytest.approx(w4 / w0, rel=1e-9)
 
 
-def test_sweep_workers_deterministic(tmp_path):
+def test_sweep_deterministic(tmp_path):
     _, a = run(tmp_path / "a", "sweep", "--config", "discussion",
                "--min", "1e-6", "--max", "1e-4", "--points", "6")
     _, b = run(tmp_path / "b", "sweep", "--config", "discussion",
-               "--min", "1e-6", "--max", "1e-4", "--points", "6",
-               "--workers", "3")
+               "--min", "1e-6", "--max", "1e-4", "--points", "6")
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
@@ -148,3 +183,13 @@ def test_sweep_bad_range(tmp_path):
     code, _ = run(tmp_path, "sweep", "--config", "discussion",
                   "--min", "1e-4", "--max", "1e-6")
     assert code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(catsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import catsim.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60)

@@ -1,12 +1,17 @@
 import cmath
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from catsim.gaussian import CoherentBranch
 from catsim.protocol import (
+    _ARRAY_OPS,
+    _kernel,
     Coherent,
     ConstraintViolation,
     FreeFallResult,
@@ -280,3 +285,57 @@ def test_beam_amplitude_matches_superposition_size(discussion):
     m = discussion.nanoparticle.mass_kg + discussion.atom.mass_kg
     delta1 = zero_point_motion(m, discussion.trap.paul_frequency_stiff_radps)
     assert 2.0 * delta1 * beta == pytest.approx(1e-14, rel=1e-12)
+
+
+def _composed(scenario, alpha, beta):
+    """One sample through the public step functions."""
+    s = pi_half_pulse(HybridState.pure(DOWN, alpha))
+    s = displacement_beam(s, beta, DOWN)
+    fall = free_fall_segment(s, scenario,
+                             scenario.trap.paul_frequency_soft_radps,
+                             scenario.protocol.free_fall_duration_s)
+    c1, c2 = fall.linear_map
+    s = displacement_beam(fall.state, -(c1 + c2) * beta, DOWN)
+    r = readout(s)
+    return (r.phi_grav, r.p_down, r.visibility,
+            abs(s.get(DOWN).alpha - s.get(UP).alpha))
+
+
+# |beta| <= 6e-4 keeps phi_grav = 2 g1 t beta clear of the +-pi branch cut
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alphas=st.lists(st.complex_numbers(max_magnitude=10.0,
+                                          allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=1, max_size=12),
+       beta=st.floats(-6e-4, 6e-4))
+def test_kernel_matches_step_functions(discussion, alphas, beta):
+    (phi, p_down, vis, residual), _ = _kernel(
+        discussion, np.array(alphas, complex), _ARRAY_OPS, beta,
+        exact_phase=True, cubic=False)
+    # the Scala et al. thermal insensitivity, over the whole batch
+    assert np.max(phi) - np.min(phi) < 1e-10
+    for i, alpha in enumerate(alphas):
+        ref = _composed(discussion, alpha, beta)
+        # branch weights carry phases ~ g1 t |alpha| ~ 1e4 rad
+        assert abs(phi[i] - ref[0]) < 4e-12
+        for got, want in zip((p_down[i], vis[i], residual[i]), ref[1:]):
+            assert abs(got - want) < 1e-12
+        scalar = run_protocol(discussion, Coherent(alpha), beta=beta)
+        assert abs(scalar.phi_grav - phi[i]) < 4e-12
+        for got, want in zip((scalar.p_down, scalar.visibility,
+                              scalar.residual),
+                             (p_down[i], vis[i], residual[i])):
+            assert abs(got - want) < 1e-12
+
+
+def test_run_protocol_warns_once_per_run(discussion):
+    slow = replace(discussion, protocol=replace(
+        discussion.protocol, free_fall_duration_s=4e4))   # omega2 dt = 0.2
+    for scenario, expected in ((discussion, 0), (slow, 1)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_protocol(scenario, ThermalSample(10.0, 42, 200), force=True)
+        messages = [str(w.message) for w in caught]
+        assert sum("Lamb-Dicke" in m for m in messages) == 1
+        assert sum("omega2*dt" in m for m in messages) == expected
