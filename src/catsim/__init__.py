@@ -6,7 +6,7 @@ Modules:
     classical    closed-form classical trajectories + RK4 oracle
     gaussian     coherent-state algebra and closed-form quantum evolutions
     fock_oracle  truncated number-basis brute-force oracle
-    protocol     the 10-step interferometric protocol state machine
+    protocol     the interferometric protocol as one closed-form kernel
     feasibility  experimental design formulas and constraint grading
     verify       oracle-equivalence suite
     cli          command-line front end

@@ -2,8 +2,8 @@
 
 Covers the exact harmonic-plus-gravity solution, its free-fall and
 second-order short-time limits, a fixed-step RK4 oracle for independent
-verification, and the semiclassical action phases used for the
-long-time phase-difference curves.
+verification, and the branch phase differences behind the long-time
+phase-difference curves.
 
 Sign convention: the Hamiltonian is H = p^2/2m + m w^2 x^2 / 2 + m g_E x,
 so gravity pulls toward negative x and the displaced equilibrium sits at
@@ -15,55 +15,18 @@ All phases are reported unwrapped (no mod 2*pi).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
-from pathlib import Path
+from dataclasses import dataclass
 
 from .params import CONSTANTS, ParameterError
 
 _RK4_STEP_FRACTION = 2.0 * math.pi / 50.0   # dt must stay below 2*pi/(50 w)
 
 
-class Frame(Enum):
-    TRAP_ORIGIN = 1   # frame 1: origin at the Paul-trap centre
-    SHIFTED = 2       # frame 2: origin at the displaced equilibrium
-
-
 @dataclass(frozen=True)
 class PhaseSpacePoint:
     x: float
     p: float
-    frame: Frame = Frame.TRAP_ORIGIN
-
-
-def to_shifted_frame(s: PhaseSpacePoint, omega: float,
-                     g_E: float = CONSTANTS.g_E) -> PhaseSpacePoint:
-    if s.frame is Frame.SHIFTED:
-        return s
-    return PhaseSpacePoint(s.x + g_E / omega**2, s.p, Frame.SHIFTED)
-
-
-def to_trap_frame(s: PhaseSpacePoint, omega: float,
-                  g_E: float = CONSTANTS.g_E) -> PhaseSpacePoint:
-    if s.frame is Frame.TRAP_ORIGIN:
-        return s
-    return PhaseSpacePoint(s.x - g_E / omega**2, s.p, Frame.TRAP_ORIGIN)
-
-
-@dataclass(frozen=True)
-class AdimensionalPoint:
-    X: float
-    P: float
-
-
-def adimensionalise(s: PhaseSpacePoint, m: float, omega: float,
-                    hbar: float = CONSTANTS.hbar) -> AdimensionalPoint:
-    """X = x/delta_x, P = p/delta_p at the mode scales of (m, omega)."""
-    delta_x = math.sqrt(hbar / (2.0 * m * omega))
-    delta_p = math.sqrt(hbar * m * omega / 2.0)
-    return AdimensionalPoint(s.x / delta_x, s.p / delta_p)
 
 
 def evolve_harmonic_gravity(s0: PhaseSpacePoint, m: float, omega: float,
@@ -72,20 +35,18 @@ def evolve_harmonic_gravity(s0: PhaseSpacePoint, m: float, omega: float,
     if omega <= 0:
         raise ParameterError(
             "omega must be positive; use evolve_free_fall for omega = 0")
-    if s0.frame is not Frame.TRAP_ORIGIN:
-        raise ParameterError("s0 must be given in the trap frame (frame 1)")
     c, s = math.cos(omega * t), math.sin(omega * t)
     shift = g_E / omega**2
     x = s0.x * c + s0.p / (m * omega) * s + shift * (c - 1.0)
     p = -m * omega * s0.x * s + s0.p * c - m * omega * shift * s
-    return PhaseSpacePoint(x, p, Frame.TRAP_ORIGIN)
+    return PhaseSpacePoint(x, p)
 
 
 def evolve_free_fall(s0: PhaseSpacePoint, m: float, g_E: float,
                      t: float) -> PhaseSpacePoint:
     x = s0.x + s0.p * t / m - 0.5 * g_E * t * t
     p = s0.p - m * g_E * t
-    return PhaseSpacePoint(x, p, s0.frame)
+    return PhaseSpacePoint(x, p)
 
 
 def mode_exact(a0: complex, omega: float, g: float, t: float) -> complex:
@@ -202,29 +163,10 @@ def ode_oracle(s0: PhaseSpacePoint, spec: TimeDependentTrapSpec, t: float,
     else:
         omega, accel = spec.at(t)
         x, p = _rk4_segment(x, p, m, omega, accel, t, dt)
-    return PhaseSpacePoint(x, p, s0.frame)
+    return PhaseSpacePoint(x, p)
 
 
-def hamiltonian_energy(s: PhaseSpacePoint, m: float, omega: float,
-                       g_E: float) -> float:
-    return s.p**2 / (2.0 * m) + 0.5 * m * omega**2 * s.x**2 + m * g_E * s.x
-
-
-# --- Semiclassical action phases ----------------------------------------------
-
-def action_phase(s0: PhaseSpacePoint, m: float, omega: float, t: float,
-                 hbar: float = CONSTANTS.hbar) -> float:
-    """Action phase of the harmonic path starting from s0 in frame 2.
-
-    phi = sin(2wt) (p0^2 - (m w x0)^2) / (4 m w hbar) - (p0 x0 / hbar) sin^2(wt)
-    """
-    if s0.frame is not Frame.SHIFTED:
-        raise ParameterError("action_phase expects a frame-2 point")
-    x0, p0 = s0.x, s0.p
-    return (math.sin(2.0 * omega * t) * (p0 * p0 - (m * omega * x0)**2)
-            / (4.0 * m * omega * hbar)
-            - (p0 * x0 / hbar) * math.sin(omega * t)**2)
-
+# --- Branch phase differences ------------------------------------------------
 
 def phase_difference_harmonic(x20: float, p20: float, dx: float, m: float,
                               omega: float, t: float,
@@ -242,13 +184,3 @@ def phase_difference_freefall(dx: float, m: float, g_E: float, t: float,
     """Transient free-fall phase difference m g_E dx t / hbar."""
     return m * g_E * dx * t / hbar
 
-
-def export_trajectory_csv(path: str | Path,
-                          rows: list[tuple[float, float, float, float, float]]
-                          ) -> None:
-    """Write (t, x, p, phase, rel_error) rows with the canonical header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "x_m", "p_kgms", "phase_rad", "rel_error"])
-        for row in rows:
-            writer.writerow([format(v, ".17g") for v in row])

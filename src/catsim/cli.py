@@ -45,12 +45,19 @@ def _load_config(name: str) -> PhysicalScenario:
     if path.exists():
         return load_scenario(path)
     stem = name.removesuffix(".json")
+    stem = {"figure_transient": "discussion"}.get(stem, stem)   # same document
     preset = resources.files("catsim") / "presets" / f"{stem}.json"
     if preset.is_file():
         return scenario_from_dict(json.loads(preset.read_text()))
     raise ConfigError(
         f"config '{name}' is neither an existing file nor a shipped preset "
         "(available presets: discussion, figure_transient)")
+
+
+def _check_points(n: int) -> int:
+    if n < 1:
+        raise ConfigError(f"--points must be >= 1, got {n}")
+    return n
 
 
 def _out_dir(args) -> Path:
@@ -118,6 +125,8 @@ def _parse_alpha(text: str) -> complex:
 
 def cmd_protocol(args) -> int:
     scenario = _load_config(args.config)
+    if args.beta is not None and not math.isfinite(args.beta):
+        raise ConfigError(f"--beta {args.beta} is not a finite number")
     thermal = args.thermal is not None
     initial = (protocol.ThermalSample(args.thermal, args.seed, args.samples)
                if thermal else protocol.Coherent(_parse_alpha(args.alpha)))
@@ -147,7 +156,7 @@ def cmd_protocol(args) -> int:
 
 def cmd_transient(args) -> int:
     scenario = _load_config(args.config)
-    out = _out_dir(args)
+    n = _check_points(args.points)
     const = scenario.constants
     m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     omega = scenario.trap.paul_frequency_soft_radps
@@ -157,7 +166,7 @@ def cmd_transient(args) -> int:
             "transient needs protocol.superposition_size_m in the config")
     x20 = const.g_E / omega**2
     t_f = 2.0 * math.pi / omega
-    n = args.points
+    out = _out_dir(args)
     with open(out / "transient.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "dphi_harmonic_rad", "dphi_grav_rad", "rel_error"])
@@ -202,13 +211,13 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _load_config(args.config)
-    if args.min <= 0 or args.max <= args.min:
-        raise ConfigError("sweep needs 0 < --min < --max")
+    if not 0 < args.min < args.max < math.inf:
+        raise ConfigError("sweep needs finite 0 < --min < --max")
+    n = _check_points(args.points)
     # the swept scenarios recompute delta_x from the beam so the 1/omega
     # scaling is visible
     scenario = replace(scenario, protocol=replace(
         scenario.protocol, superposition_size_m=None))
-    n = args.points
     omegas = [args.min * (args.max / args.min) ** (i / (n - 1))
               for i in range(n)] if n > 1 else [args.min]
     reports = [constraint_check(replace(scenario, trap=replace(

@@ -23,17 +23,12 @@ from dataclasses import dataclass
 
 from .params import ParameterError
 
-UNITARITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CoherentBranch:
     """A coherent amplitude plus its accumulated complex weight."""
     alpha: complex
     weight: complex = 1.0 + 0.0j
-
-    def rotated(self, phase: float) -> "CoherentBranch":
-        return CoherentBranch(self.alpha, self.weight * cmath.exp(1j * phase))
 
 
 @dataclass(frozen=True)
@@ -48,12 +43,6 @@ def displace_compose(alpha: complex, beta: complex) -> DisplaceComposition:
     The first argument is the operator applied last (leftmost).
     """
     return DisplaceComposition(alpha + beta, (alpha * beta.conjugate()).imag)
-
-
-def apply_displacement(branch: CoherentBranch, beta: complex) -> CoherentBranch:
-    """Left-apply D(beta) to the branch: D(beta)|alpha> = e^{i Im(beta a*)}|a+b>."""
-    comp = displace_compose(beta, branch.alpha)
-    return CoherentBranch(comp.gamma, branch.weight * cmath.exp(1j * comp.phase))
 
 
 def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,
@@ -259,11 +248,3 @@ def branch_phase_difference(beta: float, g: float, t: float,
     phi_grav = g * t * beta
     phi3 = -(g * omega2**2 * t**3 * beta) / 6.0
     return phi_grav, phi3
-
-
-def check_unitarity(branch: CoherentBranch,
-                    tol: float = UNITARITY_TOL) -> None:
-    if abs(abs(branch.weight) - 1.0) > tol:
-        raise ParameterError(
-            f"branch weight modulus {abs(branch.weight):.15g} deviates from "
-            "unity beyond tolerance")

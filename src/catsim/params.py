@@ -284,11 +284,15 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
             raise ConfigError(f"section '{section}' must be an object")
         fields = {}
         for key, value in raw.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"key '{section}.{key}' must be a number")
             key, value = _normalise_key(section, key, value)
             if key not in allowed:
                 raise ConfigError(f"unknown key '{section}.{key}'")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"key '{section}.{key}' must be a number")
+            # json parses NaN and Infinity, and NaN slips past every x <= 0
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"key '{section}.{key}' must be finite, got {value}")
             fields[key] = float(value)
         missing_keys = _REQUIRED[section] - set(fields)
         if missing_keys:

@@ -1,10 +1,12 @@
-"""The interferometric cat-state protocol as an explicit state machine.
+"""The interferometric cat-state protocol as one closed-form kernel.
 
 The working state is a hybrid of a two-level hyperfine qubit and a
 motional coherent branch per populated level.  All motional amplitudes
 are expressed in the stiff-trap mode basis; pulses are instantaneous
 ideal maps; trap softening and release are merged into a single sudden
-quench followed by transient free fall.
+quench followed by transient free fall.  ``run_protocol`` evaluates every
+step in closed form on the two branch amplitudes and weights, for one
+initial amplitude or a whole array of thermal draws at once.
 
 Displacement convention: an operator amplitude b (real) separates the
 two branches by Delta x = 2 delta_R b in physical units, so the
@@ -28,14 +30,12 @@ import numpy as np
 from . import feasibility
 from .gaussian import (
     CoherentBranch,
-    apply_displacement,
     branch_phase_difference,
     displace_compose,
-    evolve_quench,
     quench_linear_map,
 )
-from .params import ParameterError, PhysicalScenario, grav_coupling, \
-    zero_point_motion
+from .params import LAMB_DICKE_FLAG, ParameterError, PhysicalScenario, \
+    grav_coupling, zero_point_motion
 
 NORM_TOL = 1e-10
 RECOMBINE_TOL = 1e-6
@@ -66,169 +66,13 @@ class HybridState:
         if len(set(levels)) != len(levels):
             raise ProtocolError("at most one branch per hyperfine level")
 
-    def get(self, level: HyperfineLevel) -> CoherentBranch | None:
-        for lvl, br in self.branches:
-            if lvl is level:
-                return br
-        return None
 
-    def total_weight(self) -> float:
-        return sum(abs(br.weight) ** 2 for _, br in self.branches)
-
-    def check_norm(self, tol: float = NORM_TOL) -> None:
-        if abs(self.total_weight() - 1.0) > tol:
-            raise ProtocolError(
-                f"state norm {self.total_weight():.12g} drifted beyond {tol:g}")
-
-    @classmethod
-    def pure(cls, level: HyperfineLevel, alpha: complex) -> "HybridState":
-        return cls(((level, CoherentBranch(alpha)),))
-
-
-@dataclass(frozen=True)
-class TrapScheduleSegment:
-    omega_n_radps: float
-    force_N: float
-    duration_s: float
-
-    def __post_init__(self):
-        if self.duration_s < 0:
-            raise ParameterError("segment duration_s must be non-negative")
-
-
-@dataclass(frozen=True)
-class TrapSchedule:
-    """Hold (stiff, balanced) -> fall (soft, released) -> recapture."""
-    segments: tuple[TrapScheduleSegment, ...]
-
-    @classmethod
-    def from_scenario(cls, scenario: PhysicalScenario) -> "TrapSchedule":
-        trap = scenario.trap
-        proto = scenario.protocol
-        hold = TrapScheduleSegment(
-            trap.paul_frequency_stiff_radps,
-            trap.radiation_pressure_force_N, 0.0)
-        fall = TrapScheduleSegment(
-            trap.paul_frequency_soft_radps,
-            proto.freefall_force_N, proto.free_fall_duration_s)
-        recapture = TrapScheduleSegment(
-            trap.paul_frequency_stiff_radps,
-            trap.radiation_pressure_force_N, 0.0)
-        return cls((hold, fall, recapture))
-
-    @property
-    def fall(self) -> TrapScheduleSegment:
-        return self.segments[1]
-
-
-# --- Pulse operations ---------------------------------------------------------
-
-# Beam-splitter map on (down, up) weights; columns are images of the basis
-# kets |down>, |up>.
-_PI_HALF = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-_PI_HALF_INV = _PI_HALF.T
-_PI = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 _LEVELS = (HyperfineLevel.DOWN, HyperfineLevel.UP)
 
 
-def _apply_qubit_map(s: HybridState, mat: np.ndarray,
-                     tol: float = RECOMBINE_TOL) -> HybridState:
-    """Apply a 2x2 internal-state map, recombining branches per level.
-
-    Branches landing on the same level must share their motional
-    amplitude within ``tol``; the recombined amplitude is the
-    weight-weighted mean.
-    """
-    contributions: dict[HyperfineLevel, list[tuple[complex, complex]]] = {
-        lvl: [] for lvl in _LEVELS}
-    for lvl, br in s.branches:
-        col = 0 if lvl is HyperfineLevel.DOWN else 1
-        for row, new_lvl in enumerate(_LEVELS):
-            coeff = mat[row, col]
-            if coeff != 0.0:
-                contributions[new_lvl].append((br.alpha, coeff * br.weight))
-    out = []
-    for lvl in _LEVELS:
-        entries = contributions[lvl]
-        if not entries:
-            continue
-        weight = sum(w for _, w in entries)
-        if abs(weight) ** 2 < 1e-24:
-            continue
-        alphas = [a for a, _ in entries]
-        spread = max(abs(a - alphas[0]) for a in alphas)
-        if spread > tol:
-            raise ProtocolError(
-                f"cannot recombine branches on level {lvl.value}: motional "
-                f"amplitudes differ by {spread:.3g} > {tol:g}")
-        alpha = sum(a * abs(w) for (a, w) in entries) / sum(
-            abs(w) for _, w in entries)
-        out.append((lvl, CoherentBranch(alpha, weight)))
-    state = HybridState(tuple(out))
-    state.check_norm()
-    return state
-
-
-def _with_laser_phase(mat: np.ndarray, phase: float) -> np.ndarray:
-    if phase == 0.0:
-        return mat
-    out = np.array(mat, dtype=complex)
-    out[1, 0] *= cmath.exp(1j * phase)      # down -> up transfer
-    out[0, 1] *= cmath.exp(-1j * phase)     # up -> down transfer
-    return out
-
-
-def pi_half_pulse(s: HybridState, inverse: bool = False,
-                  laser_phase: float = 0.0) -> HybridState:
-    """Carrier pi/2 pulse: |down> -> (|up>+|down>)/sqrt2, |up> -> (|up>-|down>)/sqrt2.
-
-    ``inverse`` applies the transposed (closing) beam splitter.
-    ``laser_phase`` multiplies the level-transfer amplitudes by e^{+-i phase}
-    (the optical phase at the atom, default 0).  Motional amplitudes are
-    untouched.
-    """
-    mat = _PI_HALF_INV if inverse else _PI_HALF
-    return _apply_qubit_map(s, _with_laser_phase(mat, laser_phase))
-
-
-def pi_pulse(s: HybridState, laser_phase: float = 0.0) -> HybridState:
-    """Carrier pi pulse: |down> -> |up>, |up> -> -|down>."""
-    return _apply_qubit_map(s, _with_laser_phase(_PI, laser_phase))
-
-
-def _warn_lamb_dicke(eta: float | None, stacklevel: int) -> None:
-    if eta is not None and eta > 0.3:
-        warnings.warn(
-            f"Lamb-Dicke parameter {eta:.3g} > 0.3; sideband displacement "
-            "beam is only marginally selective", stacklevel=stacklevel)
-
-
-def displacement_beam(s: HybridState, beta: complex,
-                      target: HyperfineLevel,
-                      eta: float | None = None) -> HybridState:
-    """Displace the motional state of the ``target`` level by D(beta).
-
-    The composition phase Im(beta alpha*) is carried on the displaced
-    branch.  ``eta`` (if given) is checked against the sideband regime.
-    """
-    _warn_lamb_dicke(eta, stacklevel=3)
-    out = []
-    for lvl, br in s.branches:
-        out.append((lvl, apply_displacement(br, beta) if lvl is target else br))
-    return HybridState(tuple(out))
-
-
-@dataclass(frozen=True)
-class FreeFallResult:
-    state: HybridState
-    relative_phase: float | None   # full branch phase m g_E dx t / hbar
-    linear_map: tuple[complex, complex]
-    squeeze_magnitude: float
-
-
-def _fall_couplings(scenario: PhysicalScenario, omega2: float, dt: float,
-                    stacklevel: int) -> tuple[float, float, float]:
+def _fall_couplings(scenario: PhysicalScenario, omega2: float,
+                    dt: float) -> tuple[float, float, float]:
     """(omega1, g2, g1) of the quench to ``omega2``, in the free-fall regime."""
     m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     weight_force = m_total * scenario.constants.g_E
@@ -239,87 +83,11 @@ def _fall_couplings(scenario: PhysicalScenario, omega2: float, dt: float,
             f"small against m g_E = {weight_force:.3g} N")
     omega1 = scenario.trap.paul_frequency_stiff_radps
     if omega2 * dt > 0.1:
+        # stacklevel 4 names the caller of run_protocol
         warnings.warn(f"omega2*dt = {omega2 * dt:.3g} not << 1; transient "
-                      "free-fall approximation degrades", stacklevel=stacklevel)
+                      "free-fall approximation degrades", stacklevel=4)
     g2 = grav_coupling(m_total, omega2, scenario.constants)
     return omega1, g2, math.sqrt(omega2 / omega1) * g2
-
-
-def free_fall_segment(s: HybridState, scenario: PhysicalScenario,
-                      omega2: float, dt: float,
-                      include_cubic_correction: bool = False) -> FreeFallResult:
-    """Quench to the soft trap and fall for ``dt``.
-
-    Requires the residual radiation pressure to be far below gravity.
-    Each branch evolves by the second-order quench map; the physically
-    accumulated branch phase (including the part released later by the
-    closing displacement) is exposed.
-    """
-    omega1, g2, g1 = _fall_couplings(scenario, omega2, dt, stacklevel=3)
-    evolved = []
-    lin = None
-    z_mag = 0.0
-    for lvl, br in s.branches:
-        res = evolve_quench(br, omega1, omega2, g2, dt)
-        evolved.append((lvl, res.branch))
-        lin = (res.c1, res.c2)
-        z_mag = res.squeeze_magnitude
-    state = HybridState(tuple(evolved))
-    rel = None
-    down = s.get(HyperfineLevel.DOWN)
-    up = s.get(HyperfineLevel.UP)
-    if down is not None and up is not None:
-        separation = down.alpha - up.alpha
-        rel = 2.0 * g1 * dt * separation.real
-        if include_cubic_correction:
-            # cubic term expressed with the paper-convention separation
-            _, phi3 = branch_phase_difference(
-                2.0 * separation.real, g2, dt, omega2)
-            rel += phi3
-            state = HybridState(tuple(
-                (lvl, br.rotated(-phi3) if lvl is HyperfineLevel.DOWN else br)
-                for lvl, br in state.branches))
-    return FreeFallResult(state=state, relative_phase=rel,
-                          linear_map=lin, squeeze_magnitude=z_mag)
-
-
-# --- Readout ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReadoutResult:
-    p_down: float
-    phi_grav: float
-    visibility: float
-    reduced_visibility: bool
-
-
-def readout(s: HybridState, mismatch_tol: float = RECOMBINE_TOL) -> ReadoutResult:
-    """Close the interferometer and project onto |down>.
-
-    Takes the state after the disentangling displacement (step 7),
-    applies the closing pi/2 pulse analytically and returns
-    P_down = (|w_d|^2 + |w_u|^2)/2 + Re(w_d w_u* <a_u|a_d>).  When the
-    motional amplitudes still differ beyond ``mismatch_tol`` the coherent
-    overlap reduces the fringe visibility and the result is flagged.
-    """
-    down = s.get(HyperfineLevel.DOWN)
-    up = s.get(HyperfineLevel.UP)
-    if down is None or up is None:
-        only = down or up
-        p = abs(only.weight) ** 2 if down is not None else 0.0
-        return ReadoutResult(p_down=p, phi_grav=0.0, visibility=1.0,
-                             reduced_visibility=False)
-    ov = _coherent_overlap(up.alpha, down.alpha)
-    p_down = (0.5 * (abs(down.weight) ** 2 + abs(up.weight) ** 2)
-              + (down.weight * up.weight.conjugate() * ov).real)
-    phi = cmath.phase(up.weight * down.weight.conjugate())
-    mismatch = abs(down.alpha - up.alpha)
-    return ReadoutResult(
-        p_down=float(p_down),
-        phi_grav=phi,
-        visibility=abs(ov),
-        reduced_visibility=mismatch > mismatch_tol,
-    )
 
 
 def _coherent_overlap(a: complex, b: complex, exp=cmath.exp) -> complex:
@@ -431,7 +199,11 @@ def run_protocol(scenario: PhysicalScenario,
         raise ConstraintViolation(
             "feasibility constraints failed: " + ", ".join(failed)
             + " (pass force=True to override)")
-    _warn_lamb_dicke(report.eta, stacklevel=3)
+    if report.eta > LAMB_DICKE_FLAG:
+        warnings.warn(
+            f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
+            "sideband displacement beam is only marginally selective",
+            stacklevel=2)
     args = (beta, exact_phase, include_cubic_correction)
     if isinstance(initial, ThermalSample):
         rng = np.random.default_rng(initial.seed)
@@ -444,8 +216,8 @@ def run_protocol(scenario: PhysicalScenario,
                                      zip(*(x.tolist() for x in final))))
         return ProtocolDistribution(results, observed[1], observed[0])
     alpha = complex(initial.alpha)
-    log = [StepRecord(1, "prepare", HybridState.pure(HyperfineLevel.DOWN,
-                                                     alpha))]
+    log = [StepRecord(1, "prepare", HybridState(
+        ((HyperfineLevel.DOWN, CoherentBranch(alpha)),)))]
     observed, _ = _kernel(scenario, alpha, _SCALAR_OPS, *args, log)
     return ProtocolResult(log[-1].state, *observed, log=tuple(log))
 
@@ -453,7 +225,7 @@ def run_protocol(scenario: PhysicalScenario,
 # (exp, phase, worst) for one complex amplitude or a 1-D array of them
 _SCALAR_OPS = (cmath.exp, cmath.phase, float)
 _ARRAY_OPS = (np.exp, np.angle, np.max)
-_C = float(_PI_HALF[1, 0])      # 1/sqrt2, every beam-splitter amplitude
+_C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
 def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
@@ -461,16 +233,16 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
     """Steps 2-8 in closed form on the branch amplitudes and weights.
 
     ``alpha`` is a complex number or a 1-D array, told apart only by
-    ``ops``.  Each step repeats its step function's arithmetic in order, so
-    a scalar run reproduces them bit for bit.  Returns the observables and
-    the ``_state`` arguments after step 8; ``log`` collects StepRecords.
+    ``ops``, and both run the same arithmetic in the same order.  Returns
+    the observables and the ``_state`` arguments after step 8; ``log``
+    collects StepRecords.
     """
     exp, phase, worst = ops
     if beta is None:
         beta = beam_amplitude(scenario)
     omega2 = scenario.trap.paul_frequency_soft_radps
     dt = scenario.protocol.free_fall_duration_s
-    omega1, g2, g1 = _fall_couplings(scenario, omega2, dt, stacklevel=4)
+    omega1, g2, g1 = _fall_couplings(scenario, omega2, dt)
     c1, c2 = quench_linear_map(omega1, omega2, dt)
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     drift = -1j * g1 * dt - 0.5 * omega1 * g1 * dt * dt
@@ -486,19 +258,20 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
         if log is not None:
             log.append(StepRecord(number, label, _state(*state)))
 
-    def fall(a, w):                 # evolve_quench
+    def fall(a, w):                 # second-order quench, squeezing dropped
         boost = -a.real * g1 * dt
         translation = -a.imag * omega1 * g1 * dt * dt / 2.0
         return (c1 * a + c2 * a.conjugate() + drift,
                 w * exp(1j * (boost + translation)))
 
-    # pi_half_pulse sets each level's amplitude to alpha |w| / |w|, which
-    # may differ from alpha in the last bit; g1 t |alpha| ~ 1e4 rad of
-    # branch phase magnify it, so divide as reals, as Python does
+    # the opening pi/2, like the closing one, puts each level at the
+    # weighted mean amplitude alpha |w| / |w|; divided as reals it may
+    # differ from alpha in the last bit, which g1 t |alpha| ~ 1e4 rad of
+    # branch phase magnify, so the recorded outputs depend on this rounding
     w_d = w_u = complex(_C)
     a_d = a_u = alpha.real * _C / _C + 1j * (alpha.imag * _C / _C)
     step(2, "pi_half", a_d, w_d, a_u, w_u)
-    comp = displace_compose(beta, a_d)                    # apply_displacement
+    comp = displace_compose(beta, a_d)          # D(beta) on |down> only
     a_d, w_d = comp.gamma, w_d * exp(1j * comp.phase)
     step(4, "displace", a_d, w_d, a_u, w_u)
     if cubic:

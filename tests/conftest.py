@@ -23,4 +23,5 @@ def discussion():
 
 @pytest.fixture
 def figure_transient():
-    return scenario_from_dict(_preset("figure_transient"))
+    # the CLI's figure_transient preset is an alias of discussion
+    return scenario_from_dict(_preset("discussion"))

@@ -1,33 +1,39 @@
-import csv
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catsim import classical
 from catsim.classical import (
-    Frame,
     PhaseSpacePoint,
     TimeDependentTrapSpec,
-    action_phase,
-    adimensionalise,
     evolve_free_fall,
     evolve_harmonic_gravity,
     evolve_mode_quadratic,
-    export_trajectory_csv,
-    hamiltonian_energy,
     mode_exact,
     ode_oracle,
     phase_difference_freefall,
     phase_difference_harmonic,
-    to_shifted_frame,
-    to_trap_frame,
 )
 from catsim.params import CONSTANTS, ParameterError
 
 M = 1e-15
 G_E = 9.81
+HBAR = CONSTANTS.hbar
+
+
+def hamiltonian_energy(s, m, omega, g_E):
+    return s.p**2 / (2.0 * m) + 0.5 * m * omega**2 * s.x**2 + m * g_E * s.x
+
+
+def action_phase(x0, p0, m, omega, t):
+    """Action phase of the harmonic path from (x0, p0) in frame 2.
+
+    phi = sin(2wt) (p0^2 - (m w x0)^2) / (4 m w hbar) - (p0 x0 / hbar) sin^2(wt)
+    """
+    return (math.sin(2.0 * omega * t) * (p0 * p0 - (m * omega * x0)**2)
+            / (4.0 * m * omega * HBAR)
+            - (p0 * x0 / HBAR) * math.sin(omega * t)**2)
 
 
 def test_equilibrium_is_fixed_point():
@@ -54,17 +60,6 @@ def test_energy_conserved_along_exact_solution():
         st_ = evolve_harmonic_gravity(s0, M, omega, G_E, t)
         e = hamiltonian_energy(st_, M, omega, G_E)
         assert e == pytest.approx(e0, rel=1e-12)
-
-
-def test_frame_round_trip():
-    omega = 2.0
-    s0 = PhaseSpacePoint(1e-6, 2e-21)
-    s2 = to_shifted_frame(s0, omega)
-    assert s2.frame is Frame.SHIFTED
-    assert s2.x == pytest.approx(s0.x + G_E / omega**2, rel=1e-15)
-    back = to_trap_frame(s2, omega)
-    assert back.x == pytest.approx(s0.x, rel=1e-9, abs=1e-20)
-    assert back.frame is Frame.TRAP_ORIGIN
 
 
 def test_free_fall_kinematics():
@@ -108,17 +103,17 @@ def test_rk4_through_switch():
 def test_mode_exact_matches_phase_space():
     """The adimensional mode amplitude reproduces the classical trajectory."""
     omega = 2.0
-    hbar = CONSTANTS.hbar
+    # X = x / delta_x and P = p / delta_p at the mode scales of (M, omega)
+    delta_x = math.sqrt(HBAR / (2.0 * M * omega))
+    delta_p = math.sqrt(HBAR * M * omega / 2.0)
     s0 = PhaseSpacePoint(1e-6, 2e-21)
-    ad0 = adimensionalise(s0, M, omega)
-    a0 = (ad0.X + 1j * ad0.P) / 2.0
-    g = G_E * math.sqrt(M / (2.0 * hbar * omega))
+    a0 = (s0.x / delta_x + 1j * s0.p / delta_p) / 2.0
+    g = G_E * math.sqrt(M / (2.0 * HBAR * omega))
     for t in (0.3, 1.1):
         a_t = mode_exact(a0, omega, g, t)
         ref = evolve_harmonic_gravity(s0, M, omega, G_E, t)
-        ad = adimensionalise(ref, M, omega)
-        assert a_t.real * 2.0 == pytest.approx(ad.X, rel=1e-9)
-        assert a_t.imag * 2.0 == pytest.approx(ad.P, rel=1e-9)
+        assert a_t.real * 2.0 == pytest.approx(ref.x / delta_x, rel=1e-9)
+        assert a_t.imag * 2.0 == pytest.approx(ref.p / delta_p, rel=1e-9)
 
 
 def test_mode_quadratic_sign_and_guard():
@@ -135,12 +130,6 @@ def test_mode_quadratic_converges_cubically():
         res = evolve_mode_quadratic(0.7 - 0.2j, 1.0, 0.3, t)
         errs.append(abs(res.amplitude - res.exact))
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
-
-
-def test_action_phase_requires_frame2():
-    with pytest.raises(ParameterError, match="frame-2"):
-        action_phase(PhaseSpacePoint(1.0, 0.0, Frame.TRAP_ORIGIN),
-                     M, 1.0, 1.0)
 
 
 def test_phase_difference_short_time_equals_freefall():
@@ -169,23 +158,10 @@ def test_phase_difference_from_action_phases():
     omega, dx = 2.0, 1e-9
     x20, p20 = 1e-6, 2e-21
     t = 0.8
-    lo = action_phase(PhaseSpacePoint(x20, p20, Frame.SHIFTED), M, omega, t)
-    hi = action_phase(PhaseSpacePoint(x20 + dx, p20, Frame.SHIFTED),
-                      M, omega, t)
+    lo = action_phase(x20, p20, M, omega, t)
+    hi = action_phase(x20 + dx, p20, M, omega, t)
     direct = phase_difference_harmonic(x20, p20, dx, M, omega, t)
     assert direct == pytest.approx(-(hi - lo), rel=1e-9)
-
-
-def test_export_csv_round_trip(tmp_path):
-    rows = [(0.1, 1.0 / 3.0, -2e-21, 0.930235366053317, 1e-20)]
-    path = tmp_path / "traj.csv"
-    export_trajectory_csv(path, rows)
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        assert header == ["t_s", "x_m", "p_kgms", "phase_rad", "rel_error"]
-        got = next(reader)
-    assert [float(v) for v in got] == list(rows[0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -202,16 +178,3 @@ def test_energy_conservation_property(x, p, omega, t):
     e1 = hamiltonian_energy(s1, M, omega, G_E)
     scale = abs(e0) + M * G_E**2 / omega**2
     assert abs(e1 - e0) <= 1e-9 * scale
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    x=st.floats(-1e-3, 1e-3),
-    p=st.floats(-1e-18, 1e-18),
-    omega=st.floats(0.1, 50.0),
-)
-def test_frame_round_trip_property(x, p, omega):
-    s0 = PhaseSpacePoint(x, p)
-    back = to_trap_frame(to_shifted_frame(s0, omega), omega)
-    assert back.x == pytest.approx(s0.x, abs=1e-12 * (abs(x) + G_E / omega**2))
-    assert back.p == s0.p

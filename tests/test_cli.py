@@ -121,6 +121,38 @@ def test_protocol_rejects_bad_alpha(tmp_path, capsys, alpha):
     assert "--alpha" in _one_line_error(capsys)
 
 
+_BAD_FLAGS = [
+    ("protocol --beta nan", "--beta"),
+    ("protocol --beta inf", "--beta"),
+    ("sweep --min nan --max 1e-4", "--min"),
+    ("sweep --min 1e-6 --max nan", "--max"),
+    ("sweep --min 1e-6 --max inf", "--max"),
+    ("sweep --min 1e-6 --max 1e-4 --points 0", "--points"),
+    ("transient --points 0", "--points"),
+    ("transient --points -3", "--points"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _BAD_FLAGS,
+                         ids=[argv for argv, _ in _BAD_FLAGS])
+def test_rejects_bad_numeric_flag(tmp_path, capsys, argv, flag):
+    command, *rest = argv.split()
+    code, out = run(tmp_path, command, "--config", "discussion", *rest)
+    assert code == 2
+    assert flag in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_config_rejects_non_finite_value(tmp_path, capsys, discussion_doc):
+    discussion_doc["protocol"]["free_fall_duration_s"] = math.inf
+    cfg = tmp_path / "inf.json"
+    cfg.write_text(json.dumps(discussion_doc))     # written as Infinity
+    assert "Infinity" in cfg.read_text()
+    code, _ = run(tmp_path, "protocol", "--config", str(cfg))
+    assert code == 2
+    assert "protocol.free_fall_duration_s" in _one_line_error(capsys)
+
+
 def test_protocol_csv_precision_round_trips(tmp_path):
     _, out = run(tmp_path, "protocol", "--config", "discussion")
     with open(out / "summary.csv") as fh:
@@ -177,6 +209,15 @@ def test_sweep_deterministic(tmp_path):
     _, b = run(tmp_path / "b", "sweep", "--config", "discussion",
                "--min", "1e-6", "--max", "1e-4", "--points", "6")
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+def test_sweep_single_point(tmp_path):
+    code, out = run(tmp_path, "sweep", "--config", "discussion",
+                    "--min", "1e-6", "--max", "1e-4", "--points", "1")
+    assert code == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["omega_soft_radps"]) for r in rows] == [1e-6]
 
 
 def test_sweep_bad_range(tmp_path):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from catsim.gaussian import (
     CoherentBranch,
-    apply_displacement,
     branch_phase_difference,
-    check_unitarity,
     commute_squeeze_displacement,
     displace_compose,
     evolve_displaced_oscillator,
@@ -39,22 +37,6 @@ def test_displace_compose_antisymmetry():
     a, b = 0.7 - 1.1j, 2.0 + 0.4j
     assert displace_compose(a, b).phase == pytest.approx(
         -displace_compose(b, a).phase, rel=1e-15)
-
-
-def test_apply_displacement_then_inverse_is_identity():
-    br = CoherentBranch(1.0 + 0.5j)
-    out = apply_displacement(apply_displacement(br, 0.3 - 0.2j), -0.3 + 0.2j)
-    assert out.alpha == pytest.approx(br.alpha, rel=1e-15)
-    assert out.weight == pytest.approx(1.0 + 0.0j, rel=1e-15)
-
-
-def test_apply_displacement_phase_convention():
-    """Applying D(b) to |a> contributes the phase Im(b a*)."""
-    a, b = 1.0 + 2.0j, 0.5 - 0.3j
-    out = apply_displacement(CoherentBranch(a), b)
-    assert out.alpha == a + b
-    assert cmath.phase(out.weight) == pytest.approx(
-        (b * a.conjugate()).imag, rel=1e-12)
 
 
 def test_displaced_oscillator_free_evolution():
@@ -170,19 +152,6 @@ def test_branch_phase_difference_values():
     phi, phi3 = branch_phase_difference(beta, g, t, omega2)
     assert phi == pytest.approx(g * t * beta, rel=1e-15)
     assert phi3 / phi == pytest.approx(-(omega2 * t) ** 2 / 6.0, rel=1e-12)
-
-
-def test_check_unitarity():
-    check_unitarity(CoherentBranch(1.0, cmath.exp(0.3j)))
-    with pytest.raises(ParameterError):
-        check_unitarity(CoherentBranch(1.0, 1.1))
-
-
-@settings(max_examples=80, deadline=None)
-@given(alpha=complexes, beta=complexes)
-def test_displacement_preserves_weight_modulus(alpha, beta):
-    out = apply_displacement(CoherentBranch(alpha), beta)
-    assert abs(abs(out.weight) - 1.0) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)

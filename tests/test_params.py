@@ -126,6 +126,19 @@ def test_non_numeric_rejected(discussion_doc):
     doc["atom"]["mass_kg"] = True
     with pytest.raises(ConfigError, match="atom.mass_kg"):
         scenario_from_dict(doc)
+    doc["atom"]["mass_kg"] = 2.207e-25
+    del doc["trap"]["paul_frequency_stiff_radps"]
+    doc["trap"]["paul_frequency_stiff_Hz"] = "15.9"
+    with pytest.raises(ConfigError, match="trap.paul_frequency_stiff_Hz"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_rejected(discussion_doc, value):
+    doc = copy.deepcopy(discussion_doc)
+    doc["trap"]["paul_frequency_soft_radps"] = value
+    with pytest.raises(ConfigError, match="trap.paul_frequency_soft_radps"):
+        scenario_from_dict(doc)
 
 
 def test_load_scenario_bad_json(tmp_path):
