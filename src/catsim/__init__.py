@@ -4,9 +4,11 @@ Schrodinger-cat protocol.
 Modules:
     params       physical constants, scenario records, JSON ingestion
     classical    closed-form classical trajectories + RK4 oracle
-    gaussian     coherent-state algebra and closed-form quantum evolutions
-    fock_oracle  truncated number-basis brute-force oracle
+    gaussian     coherent-state algebra and closed-form quantum evolutions,
+                 each written once (the quench and overlap the kernel runs)
+    fock_oracle  truncated number-basis brute-force oracle, no closed forms
     protocol     the interferometric protocol as one closed-form kernel
+                 over gaussian's evolutions
     feasibility  experimental design formulas and constraint grading
     verify       oracle-equivalence suite
     cli          command-line front end

@@ -1,9 +1,9 @@
 """Closed-form classical trajectories in a trap with gravity.
 
-Covers the exact harmonic-plus-gravity solution, its free-fall and
-second-order short-time limits, a fixed-step RK4 oracle for independent
-verification, and the branch phase differences behind the long-time
-phase-difference curves.
+Covers the exact harmonic-plus-gravity solution, its free-fall limit, a
+fixed-step RK4 oracle for independent verification, and the branch phase
+differences behind the long-time phase-difference curves.  The quantum
+mode amplitudes live in ``gaussian``.
 
 Sign convention: the Hamiltonian is H = p^2/2m + m w^2 x^2 / 2 + m g_E x,
 so gravity pulls toward negative x and the displaced equilibrium sits at
@@ -47,43 +47,6 @@ def evolve_free_fall(s0: PhaseSpacePoint, m: float, g_E: float,
     x = s0.x + s0.p * t / m - 0.5 * g_E * t * t
     p = s0.p - m * g_E * t
     return PhaseSpacePoint(x, p)
-
-
-def mode_exact(a0: complex, omega: float, g: float, t: float) -> complex:
-    """Exact adimensional mode amplitude a(t) = a0 e^{-iwt} + (g/w)(e^{-iwt}-1)."""
-    if omega <= 0:
-        raise ParameterError("omega must be positive")
-    rot = complex(math.cos(omega * t), -math.sin(omega * t))
-    return a0 * rot + (g / omega) * (rot - 1.0)
-
-
-@dataclass(frozen=True)
-class QuadraticModeResult:
-    amplitude: complex    # second-order short-time expansion
-    exact: complex        # closed form, for comparison
-    omega_t: float
-    g_t: float
-    guard_exceeded: bool
-
-
-def evolve_mode_quadratic(a0: complex, omega: float, g: float, t: float,
-                          guard: float = 0.1) -> QuadraticModeResult:
-    """Second-order short-time mode amplitude.
-
-    a(t) ~ a0 (1 - i w t - w^2 t^2 / 2) - i g t - w g t^2 / 2.  The source
-    term carries -i g t (expanding the exact closed form; the sign is fixed
-    by the exact solution and by the momentum kick p -> p - m g_E t).
-    """
-    wt = omega * t
-    amplitude = (a0 * (1.0 - 1j * wt - 0.5 * wt * wt)
-                 - 1j * g * t - 0.5 * omega * g * t * t)
-    return QuadraticModeResult(
-        amplitude=amplitude,
-        exact=mode_exact(a0, omega, g, t),
-        omega_t=wt,
-        g_t=g * t,
-        guard_exceeded=abs(wt) >= guard,
-    )
 
 
 # --- RK4 oracle ---------------------------------------------------------------

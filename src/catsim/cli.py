@@ -22,12 +22,13 @@ from pathlib import Path
 
 from . import classical, protocol
 from .feasibility import FeasibilityReport, constraint_check
-from .params import ConfigError, ParameterError, PhysicalScenario, \
-    load_scenario, scenario_from_dict
+from .params import MAX_MAGNITUDE, MIN_MAGNITUDE, ConfigError, \
+    ParameterError, PhysicalScenario, load_scenario, scenario_from_dict
 
 log = logging.getLogger("catsim")
 
 _FMT = ".17g"
+MAX_POINTS = 10**6
 
 
 def _fmt(v: float) -> str:
@@ -55,8 +56,9 @@ def _load_config(name: str) -> PhysicalScenario:
 
 
 def _check_points(n: int) -> int:
-    if n < 1:
-        raise ConfigError(f"--points must be >= 1, got {n}")
+    if not 1 <= n <= MAX_POINTS:
+        raise ConfigError(
+            f"--points must be between 1 and {MAX_POINTS}, got {n}")
     return n
 
 
@@ -161,9 +163,9 @@ def cmd_transient(args) -> int:
     m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     omega = scenario.trap.paul_frequency_soft_radps
     dx = scenario.protocol.superposition_size_m
-    if dx is None:
-        raise ConfigError(
-            "transient needs protocol.superposition_size_m in the config")
+    if not dx:                  # None, or 0: no free-fall phase to divide by
+        raise ConfigError("transient needs a positive "
+                          "protocol.superposition_size_m in the config")
     x20 = const.g_E / omega**2
     t_f = 2.0 * math.pi / omega
     out = _out_dir(args)
@@ -211,8 +213,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = _load_config(args.config)
-    if not 0 < args.min < args.max < math.inf:
-        raise ConfigError("sweep needs finite 0 < --min < --max")
+    if not MIN_MAGNITUDE <= args.min < args.max <= MAX_MAGNITUDE:
+        raise ConfigError(f"sweep needs {MIN_MAGNITUDE:g} <= --min < --max "
+                          f"<= {MAX_MAGNITUDE:g}")
     n = _check_points(args.points)
     # the swept scenarios recompute delta_x from the beam so the 1/omega
     # scaling is visible
@@ -236,8 +239,15 @@ def cmd_sweep(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed flag as one error line, like any other input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catsim",
         description="Atom-nanoparticle cat-state protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParameterError, protocol.ProtocolError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,9 +1,11 @@
 """Truncated number-basis simulator used as a brute-force oracle.
 
 Everything here is dense and deliberately simple: the module exists to
-verify the closed-form evolutions independently, not to be fast.  All
-global-phase comparisons should go through ``overlap_phase`` (the phase
-of <reference|state>) rather than per-component arguments.
+verify the closed-form evolutions of ``gaussian`` independently, not to
+be fast, so it holds no closed forms of its own (the analytic coherent
+overlap is ``gaussian.coherent_overlap``).  All global-phase comparisons
+should go through ``overlap_phase`` (the phase of <reference|state>)
+rather than per-component arguments.
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ def coherent_to_fock(alpha: complex, dim: int) -> FockVector:
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     amps *= math.exp(-0.5 * abs(alpha) ** 2)
     return FockVector(amps)
-
-
-def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """Analytic <alpha|beta> = exp(-(|a|^2 + |b|^2)/2 + a* b)."""
-    return np.exp(-0.5 * (abs(alpha) ** 2 + abs(beta) ** 2)
-                  + np.conj(alpha) * beta)
 
 
 def overlap(reference: FockVector, state: FockVector) -> complex:

@@ -1,9 +1,11 @@
 """Coherent-state algebra and closed-form quantum evolutions.
 
-Implements the displaced-oscillator evolution (exact and second order in
-time), the sudden frequency-plus-equilibrium quench through its
-squeeze-displace-rotate decomposition, and the branch phase differences
-that make up the interferometric observable.
+Implements the coherent-state overlap, the exact displaced-oscillator
+evolution, the sudden frequency-plus-equilibrium quench (exactly, through
+its squeeze-displace-rotate decomposition, and to second order in time,
+the form the protocol kernel runs) and the branch phase differences that
+make up the interferometric observable.  Each closed form is written
+once, here.
 
 Global phases are never discarded: each branch carries a complex
 ``weight`` and every evolution multiplies it by the appropriate phase
@@ -18,6 +20,7 @@ with g = g_E sqrt(m / (2 hbar w)) > 0 for gravity along -x.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +48,19 @@ def displace_compose(alpha: complex, beta: complex) -> DisplaceComposition:
     return DisplaceComposition(alpha + beta, (alpha * beta.conjugate()).imag)
 
 
+def coherent_overlap(a: complex, b: complex, exp=cmath.exp) -> complex:
+    """<a|b> = exp(-|a-b|^2/2 + i Im(a* b)); over arrays with exp=np.exp.
+
+    The difference form avoids catastrophic cancellation between the
+    |a|^2 and a* b terms when the amplitudes are large and nearly equal,
+    which is exactly the regime after the disentangling displacement.
+    """
+    d = b - a
+    # Im(a* b) = Im(a* (b - a)) since Im(|a|^2) = 0
+    return exp(-0.5 * (d.real * d.real + d.imag * d.imag)
+               + 1j * (a.conjugate() * d).imag)
+
+
 def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,
                                 t: float) -> CoherentBranch:
     """Exact evolution under H/hbar = w ad a + g (ad + a).
@@ -64,39 +80,6 @@ def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,
     phase = (g / omega) * (alpha.conjugate() * (1.0 - rot.conjugate())).imag
     phase += (g / omega) ** 2 * (omega * t - math.sin(omega * t))
     return CoherentBranch(amplitude, branch.weight * cmath.exp(1j * phase))
-
-
-@dataclass(frozen=True)
-class BranchExpansion:
-    branch: CoherentBranch
-    boost_phase: float          # -Re(alpha) g t; identifies as -m g_E x t/(2 hbar)
-    translation_phase: float    # -Im(alpha) w g t^2 / 2; -g_E p t^2/(4 hbar)
-    omega_t: float
-    guard_exceeded: bool
-
-
-def quadratic_branch_expansion(branch: CoherentBranch, omega: float, g: float,
-                               t: float, guard: float = 0.1) -> BranchExpansion:
-    """Second-order short-time evolution (boost plus translation picture).
-
-    Amplitude a(1 - iwt - w^2 t^2/2) - i g t - w g t^2/2, with phase
-    prefactors exp(-i(a*+a)gt/2) and exp((a*-a) w g t^2/4).
-    """
-    alpha = branch.alpha
-    wt = omega * t
-    boost = -alpha.real * g * t
-    translation = -alpha.imag * omega * g * t * t / 2.0
-    amplitude = (alpha * (1.0 - 1j * wt - 0.5 * wt * wt)
-                 - 1j * g * t - 0.5 * omega * g * t * t)
-    evolved = CoherentBranch(
-        amplitude, branch.weight * cmath.exp(1j * (boost + translation)))
-    return BranchExpansion(
-        branch=evolved,
-        boost_phase=boost,
-        translation_phase=translation,
-        omega_t=wt,
-        guard_exceeded=abs(wt) >= guard,
-    )
 
 
 # --- Sudden frequency + equilibrium quench ------------------------------------
@@ -149,21 +132,13 @@ def commute_squeeze_displacement(z: complex, xi: complex) -> complex:
     return xi * math.cosh(mod) + xi.conjugate() * math.sinh(mod) * phase
 
 
-@dataclass(frozen=True)
-class ExactQuenchResult:
-    branch: CoherentBranch      # |gamma> with accumulated phase
-    gamma: complex
-    residual_squeeze: complex   # z left-applied to the state, not folded in
-    params: QuenchParams
-
-
 def evolve_quench_exact(branch: CoherentBranch, omega1: float, omega2: float,
-                        g2: float, t: float) -> ExactQuenchResult:
+                        g2: float, t: float) -> CoherentBranch:
     """Quench evolution via the exact operator decomposition.
 
     |a> -> e^{i Im(eps (a e^{i phi})*)} D(gamma) S(z) |0>, valid at all t.
-    The returned branch treats the state as the coherent |gamma>; the
-    neglected squeeze z is reported so callers can judge the approximation.
+    The returned branch treats the state as the coherent |gamma>, i.e. it
+    drops the squeeze z of ``quench_params``.
     """
     if omega2 <= 0:
         raise ParameterError("omega2 must be positive")
@@ -172,11 +147,10 @@ def evolve_quench_exact(branch: CoherentBranch, omega1: float, omega2: float,
     xi = qp.epsilon + alpha_rot
     gamma = commute_squeeze_displacement(qp.z, xi)
     phase = (qp.epsilon * alpha_rot.conjugate()).imag
-    evolved = CoherentBranch(gamma, branch.weight * cmath.exp(1j * phase))
-    return ExactQuenchResult(branch=evolved, gamma=gamma,
-                             residual_squeeze=qp.z, params=qp)
+    return CoherentBranch(gamma, branch.weight * cmath.exp(1j * phase))
 
 
+@functools.lru_cache(maxsize=16)     # a run asks three times for one trap
 def quench_linear_map(omega1: float, omega2: float,
                       t: float) -> tuple[complex, complex]:
     """Second-order homogeneous map (c1, c2): alpha -> c1 alpha + c2 alpha*.
@@ -191,27 +165,17 @@ def quench_linear_map(omega1: float, omega2: float,
     return c1, c2
 
 
-@dataclass(frozen=True)
-class QuenchEvolution:
-    branch: CoherentBranch
-    c1: complex                 # homogeneous map coefficients (on alpha)
-    c2: complex                 # ... and on alpha*
-    drift: complex              # -i g1 t - w1 g1 t^2 / 2
-    boost_phase: float
-    translation_phase: float
-    squeeze_magnitude: float    # |z| of the neglected dynamical squeeze
-    omega1_t: float
-    guard_exceeded: bool
-
-
 def evolve_quench(branch: CoherentBranch, omega1: float, omega2: float,
-                  g2: float, t: float, guard: float = 0.1) -> QuenchEvolution:
+                  g2: float, t: float, exp=cmath.exp) -> CoherentBranch:
     """Second-order quench evolution with squeezing neglected.
 
     Expressed in the stiff-trap mode basis with g1 = sqrt(w2/w1) g2:
     |a> -> e^{-i(a*+a)g1 t/2} e^{(a*-a) w1 g1 t^2/4}
-           |c1 a + c2 a* - i g1 t - w1 g1 t^2/2>.
-    For omega2 = omega1 this reduces to quadratic_branch_expansion exactly.
+           |c1 a + c2 a* - i g1 t - w1 g1 t^2/2>,
+    the boost and translation prefactors times the shifted amplitude.  At
+    omega2 = omega1 it is the second-order expansion of
+    ``evolve_displaced_oscillator``.  With exp=np.exp the branch may hold
+    arrays of amplitudes and weights.
     """
     if omega1 <= 0 or omega2 <= 0:
         raise ParameterError("omega1 and omega2 must be positive")
@@ -221,20 +185,8 @@ def evolve_quench(branch: CoherentBranch, omega1: float, omega2: float,
     drift = -1j * g1 * t - 0.5 * omega1 * g1 * t * t
     boost = -alpha.real * g1 * t
     translation = -alpha.imag * omega1 * g1 * t * t / 2.0
-    amplitude = c1 * alpha + c2 * alpha.conjugate() + drift
-    evolved = CoherentBranch(
-        amplitude, branch.weight * cmath.exp(1j * (boost + translation)))
-    w1t = omega1 * t
-    z_mag = abs(0.5 * (omega1**2 - omega2**2) * t / omega1)
-    return QuenchEvolution(
-        branch=evolved,
-        c1=c1, c2=c2, drift=drift,
-        boost_phase=boost,
-        translation_phase=translation,
-        squeeze_magnitude=z_mag,
-        omega1_t=w1t,
-        guard_exceeded=abs(w1t) >= guard,
-    )
+    return CoherentBranch(c1 * alpha + c2 * alpha.conjugate() + drift,
+                          branch.weight * exp(1j * (boost + translation)))
 
 
 def branch_phase_difference(beta: float, g: float, t: float,

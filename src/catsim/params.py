@@ -11,12 +11,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 TWO_PI = 2.0 * math.pi
 
 MASS_RATIO_FLOOR = 1e6
+# SI inputs far beyond any physical scenario make products of a few fields
+# underflow to 0 (a division by zero) or overflow; the config rejects them
+MIN_MAGNITUDE, MAX_MAGNITUDE = 1e-40, 1e40
 LAMB_DICKE_FLAG = 0.3
 
 
@@ -224,32 +227,6 @@ def derive(scenario: PhysicalScenario, omega_n: float,
 
 # --- JSON scenario ingestion -------------------------------------------------
 
-_SCHEMA = {
-    "atom": {
-        "mass_kg", "transition_frequency_radps", "linewidth_radps",
-        "dipole_moment_Cm",
-    },
-    "nanoparticle": {"radius_m", "mass_kg"},
-    "trap": {
-        "paul_frequency_stiff_radps", "paul_frequency_soft_radps",
-        "wavelength_m", "intensity_W_per_m2", "detuning_radps",
-        "raman_detuning_radps", "raman_wavevector_radpm", "separation_m",
-        "radiation_pressure_force_N",
-    },
-    "beam": {"intensity_W_per_m2", "duration_s"},
-    "protocol": {
-        "free_fall_duration_s", "freefall_force_N", "superposition_size_m",
-    },
-}
-
-_REQUIRED = {
-    "atom": _SCHEMA["atom"],
-    "nanoparticle": _SCHEMA["nanoparticle"],
-    "trap": _SCHEMA["trap"],
-    "beam": _SCHEMA["beam"],
-    "protocol": {"free_fall_duration_s"},
-}
-
 _TYPES = {
     "atom": AtomSpec,
     "nanoparticle": NanoparticleSpec,
@@ -258,13 +235,19 @@ _TYPES = {
     "protocol": ProtocolTimings,
 }
 
+# the dataclasses are the one source of keys, and of which keys have defaults
+_SCHEMA = {section: {f.name for f in fields(cls)}
+           for section, cls in _TYPES.items()}
+_REQUIRED = {section: {f.name for f in fields(cls) if f.default is MISSING}
+             for section, cls in _TYPES.items()}
+
 
 def _normalise_key(section: str, key: str, value) -> tuple[str, float]:
     """Map a ``_Hz`` suffixed key onto its rad/s twin."""
     if key.endswith("_Hz"):
         base = key[:-3] + "_radps"
         if base in _SCHEMA[section]:
-            return base, float(value) * TWO_PI
+            return base, value * TWO_PI
     return key, value
 
 
@@ -282,10 +265,16 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
         raw = doc[section]
         if not isinstance(raw, dict):
             raise ConfigError(f"section '{section}' must be an object")
-        fields = {}
+        values = {}
         for key, value in raw.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"key '{section}.{key}' must be a number")
+            try:
+                value = float(value)
+            except OverflowError:       # a JSON integer beyond 1.8e308
+                raise ConfigError(
+                    f"key '{section}.{key}' must be finite, got an integer "
+                    "beyond the float range") from None
             key, value = _normalise_key(section, key, value)
             if key not in allowed:
                 raise ConfigError(f"unknown key '{section}.{key}'")
@@ -293,13 +282,18 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
             if not math.isfinite(value):
                 raise ConfigError(
                     f"key '{section}.{key}' must be finite, got {value}")
-            fields[key] = float(value)
-        missing_keys = _REQUIRED[section] - set(fields)
+            if value and not MIN_MAGNITUDE <= abs(value) <= MAX_MAGNITUDE:
+                raise ConfigError(
+                    f"key '{section}.{key}' = {value:g} is outside the "
+                    f"supported magnitude range [{MIN_MAGNITUDE:g}, "
+                    f"{MAX_MAGNITUDE:g}]")
+            values[key] = value
+        missing_keys = _REQUIRED[section] - set(values)
         if missing_keys:
             raise ConfigError(
                 f"missing key(s) in '{section}': {sorted(missing_keys)}")
         try:
-            kwargs[section] = _TYPES[section](**fields)
+            kwargs[section] = _TYPES[section](**values)
         except ParameterError as exc:
             raise ConfigError(f"invalid '{section}': {exc}") from exc
     return PhysicalScenario(**kwargs)
@@ -309,6 +303,6 @@ def load_scenario(path: str | Path) -> PhysicalScenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # also an integer of > 4300 digits
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return scenario_from_dict(doc)

@@ -31,7 +31,9 @@ from . import feasibility
 from .gaussian import (
     CoherentBranch,
     branch_phase_difference,
+    coherent_overlap,
     displace_compose,
+    evolve_quench,
     quench_linear_map,
 )
 from .params import LAMB_DICKE_FLAG, ParameterError, PhysicalScenario, \
@@ -40,6 +42,7 @@ from .params import LAMB_DICKE_FLAG, ParameterError, PhysicalScenario, \
 NORM_TOL = 1e-10
 RECOMBINE_TOL = 1e-6
 FREEFALL_FORCE_FRACTION = 0.1
+MAX_SAMPLES = 10**6             # every sample keeps a full ProtocolResult
 
 
 class ProtocolError(ValueError):
@@ -60,10 +63,10 @@ class HybridState:
     branches: tuple[tuple[HyperfineLevel, CoherentBranch], ...]
 
     def __post_init__(self):
-        levels = [lvl for lvl, _ in self.branches]
-        if not 1 <= len(levels) <= 2:
+        branches = self.branches
+        if not 1 <= len(branches) <= 2:
             raise ProtocolError("state must have one or two branches")
-        if len(set(levels)) != len(levels):
+        if len(branches) == 2 and branches[0][0] is branches[1][0]:
             raise ProtocolError("at most one branch per hyperfine level")
 
 
@@ -72,8 +75,8 @@ _LEVELS = (HyperfineLevel.DOWN, HyperfineLevel.UP)
 
 
 def _fall_couplings(scenario: PhysicalScenario, omega2: float,
-                    dt: float) -> tuple[float, float, float]:
-    """(omega1, g2, g1) of the quench to ``omega2``, in the free-fall regime."""
+                    dt: float) -> tuple[float, float]:
+    """(omega1, g2) of the quench to ``omega2``, in the free-fall regime."""
     m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     weight_force = m_total * scenario.constants.g_E
     force = scenario.protocol.freefall_force_N
@@ -86,21 +89,7 @@ def _fall_couplings(scenario: PhysicalScenario, omega2: float,
         # stacklevel 4 names the caller of run_protocol
         warnings.warn(f"omega2*dt = {omega2 * dt:.3g} not << 1; transient "
                       "free-fall approximation degrades", stacklevel=4)
-    g2 = grav_coupling(m_total, omega2, scenario.constants)
-    return omega1, g2, math.sqrt(omega2 / omega1) * g2
-
-
-def _coherent_overlap(a: complex, b: complex, exp=cmath.exp) -> complex:
-    """<a|b> = exp(-|a-b|^2/2 + i Im(a* b)); over arrays with exp=np.exp.
-
-    The difference form avoids catastrophic cancellation between the
-    |a|^2 and a* b terms when the amplitudes are large and nearly equal,
-    which is exactly the regime after the disentangling displacement.
-    """
-    d = b - a
-    # Im(a* b) = Im(a* (b - a)) since Im(|a|^2) = 0
-    return exp(-0.5 * (d.real * d.real + d.imag * d.imag)
-               + 1j * (a.conjugate() * d).imag)
+    return omega1, grav_coupling(m_total, omega2, scenario.constants)
 
 
 # --- Full protocol ------------------------------------------------------------
@@ -117,11 +106,16 @@ class ThermalSample:
     count: int
 
     def __post_init__(self):
-        if not self.count >= 1:
-            raise ParameterError(f"thermal count must be >= 1, got {self.count}")
+        if not 1 <= self.count <= MAX_SAMPLES:
+            raise ParameterError(f"thermal count must be between 1 and "
+                                 f"{MAX_SAMPLES}, got {self.count}")
         if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
             raise ParameterError(
                 f"thermal nbar must be finite and non-negative, got {self.nbar}")
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or self.seed < 0):
+            raise ParameterError(
+                f"thermal seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -242,14 +236,13 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
         beta = beam_amplitude(scenario)
     omega2 = scenario.trap.paul_frequency_soft_radps
     dt = scenario.protocol.free_fall_duration_s
-    omega1, g2, g1 = _fall_couplings(scenario, omega2, dt)
+    omega1, g2 = _fall_couplings(scenario, omega2, dt)
     c1, c2 = quench_linear_map(omega1, omega2, dt)
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
-    drift = -1j * g1 * dt - 0.5 * omega1 * g1 * dt * dt
 
     def check_norm(label, w_d, w_u):
         dev = worst(abs(abs(w_d) ** 2 + abs(w_u) ** 2 - 1.0))
-        if dev > NORM_TOL:
+        if not dev <= NORM_TOL:         # a NaN weight fails too
             raise ProtocolError(f"state norm drifted by {dev:.3g} beyond "
                                 f"{NORM_TOL:g} at step {label}")
 
@@ -259,10 +252,8 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
             log.append(StepRecord(number, label, _state(*state)))
 
     def fall(a, w):                 # second-order quench, squeezing dropped
-        boost = -a.real * g1 * dt
-        translation = -a.imag * omega1 * g1 * dt * dt / 2.0
-        return (c1 * a + c2 * a.conjugate() + drift,
-                w * exp(1j * (boost + translation)))
+        out = evolve_quench(CoherentBranch(a, w), omega1, omega2, g2, dt, exp)
+        return out.alpha, out.weight
 
     # the opening pi/2, like the closing one, puts each level at the
     # weighted mean amplitude alpha |w| / |w|; divided as reals it may
@@ -286,7 +277,7 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
     step(7, "undisplace", a_d, w_d, a_u, w_u)
     # readout; the closing pi/2 recombines at the weighted mean amplitude
     residual = abs(a_d - a_u)
-    ov = _coherent_overlap(a_u, a_d, exp)
+    ov = coherent_overlap(a_u, a_d, exp)
     p_down = (0.5 * (abs(w_d) ** 2 + abs(w_u) ** 2)
               + (w_d * w_u.conjugate() * ov).real)
     cw_d, cw_u = _C * w_d, _C * w_u

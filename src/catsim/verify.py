@@ -3,8 +3,10 @@
 Every check pits a closed-form result from ``classical`` or ``gaussian``
 against an independent oracle (truncated Fock-space matrix exponentials,
 or fixed-step RK4) and reports the measured deviation next to its
-tolerance.  Checks always call through the module namespaces so a
-deliberately injected fault in a formula is caught here.
+tolerance.  ``gaussian.evolve_quench`` is the quench the protocol kernel
+runs, so the boost-phase, second-order and mode checks test the code
+behind ``phi_grav``.  Checks always call through the module namespaces so
+a deliberately injected fault in a formula is caught here.
 """
 
 from __future__ import annotations
@@ -35,19 +37,25 @@ def _result(name: str, measured: float, tolerance: float,
 
 # --- Quantum closed forms vs Fock oracle --------------------------------------
 
+def _displaced_vs_oracle(t: float, dim: int, alpha: complex = 1.0 + 0.0j,
+                         omega: float = 1.0, g: float = 0.1):
+    """(closed-form branch, its Fock vector, Fock-propagated state) for an
+    evolution under the mode Hamiltonian from |alpha>."""
+    numeric = fock_oracle.evolve_schrodinger(
+        fock_oracle.coherent_to_fock(alpha, dim),
+        fock_oracle.mode_hamiltonian(omega, g, dim), t)
+    branch = gaussian.evolve_displaced_oscillator(
+        gaussian.CoherentBranch(alpha), omega, g, t)
+    return branch, fock_oracle.coherent_to_fock(branch.alpha, dim), numeric
+
+
 def check_displaced_oscillator_fidelity(dim: int = 60,
                                         quick: bool = False) -> CheckResult:
     """Exact coherent evolution vs expm of the mode Hamiltonian."""
-    alpha, omega, g = 1.0 + 0.0j, 1.0, 0.1
     times = [0.1, 0.5] if quick else [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
-    h = fock_oracle.mode_hamiltonian(omega, g, dim)
-    psi0 = fock_oracle.coherent_to_fock(alpha, dim)
     worst = 0.0
     for t in times:
-        numeric = fock_oracle.evolve_schrodinger(psi0, h, t)
-        branch = gaussian.evolve_displaced_oscillator(
-            gaussian.CoherentBranch(alpha), omega, g, t)
-        reference = fock_oracle.coherent_to_fock(branch.alpha, dim)
+        _, reference, numeric = _displaced_vs_oracle(t, dim)
         worst = max(worst, 1.0 - fock_oracle.fidelity(reference, numeric))
     return _result("displaced_oscillator_fidelity", worst, 1e-8,
                    f"dim={dim}, infidelity over t<=0.5")
@@ -56,72 +64,47 @@ def check_displaced_oscillator_fidelity(dim: int = 60,
 def check_displaced_oscillator_phase(dim: int = 60,
                                      quick: bool = False) -> CheckResult:
     """Global phase prefactor of the exact evolution vs the oracle."""
-    alpha, omega, g = 1.0 + 0.0j, 1.0, 0.1
     times = [0.5] if quick else [0.1, 0.3, 0.5]
-    h = fock_oracle.mode_hamiltonian(omega, g, dim)
-    psi0 = fock_oracle.coherent_to_fock(alpha, dim)
     worst = 0.0
     for t in times:
-        numeric = fock_oracle.evolve_schrodinger(psi0, h, t)
-        branch = gaussian.evolve_displaced_oscillator(
-            gaussian.CoherentBranch(alpha), omega, g, t)
-        reference = fock_oracle.coherent_to_fock(branch.alpha, dim)
+        branch, reference, numeric = _displaced_vs_oracle(t, dim)
         measured = fock_oracle.overlap_phase(reference, numeric)
-        expected = math.atan2(branch.weight.imag, branch.weight.real)
-        delta = abs(_wrap(measured - expected))
-        worst = max(worst, delta)
+        worst = max(worst, abs(_wrap(measured - _phase(branch.weight))))
     return _result("displaced_oscillator_phase", worst, 1e-6,
                    f"dim={dim}, phase error in rad")
 
 
 def check_truncation_stability() -> CheckResult:
     """Doubling the basis moves the oracle fidelity by < 1e-9."""
-    alpha, omega, g, t = 1.0 + 0.0j, 1.0, 0.1, 0.5
-    fids = []
-    for dim in (60, 120):
-        h = fock_oracle.mode_hamiltonian(omega, g, dim)
-        psi0 = fock_oracle.coherent_to_fock(alpha, dim)
-        numeric = fock_oracle.evolve_schrodinger(psi0, h, t)
-        branch = gaussian.evolve_displaced_oscillator(
-            gaussian.CoherentBranch(alpha), omega, g, t)
-        reference = fock_oracle.coherent_to_fock(branch.alpha, dim)
-        fids.append(fock_oracle.fidelity(reference, numeric))
+    fids = [fock_oracle.fidelity(*_displaced_vs_oracle(0.5, dim)[1:])
+            for dim in (60, 120)]
     return _result("truncation_stability", abs(fids[0] - fids[1]), 1e-9,
                    "fidelity shift under N -> 2N")
 
 
 def check_boost_phase(dim: int = 60) -> CheckResult:
-    """Second-order expansion phase (boost + translation) vs the oracle.
+    """Second-order quench phase (boost + translation) vs the oracle.
 
-    Compares phase differences between two initial amplitudes so the
-    alpha-independent global phase (zero-point, drift) cancels.
+    At omega2 = omega1 the quench the protocol runs is the second-order
+    expansion of the displaced oscillator.  Compares phase differences
+    between two initial amplitudes so the alpha-independent global phase
+    (zero-point, drift) cancels.
     """
     omega, g, t = 1.0, 0.2, 0.02
-    h = fock_oracle.mode_hamiltonian(omega, g, dim)
-    worst = 0.0
-    for alpha in (1.5 + 0.0j, 0.0 + 1.5j, 1.0 - 1.0j):
-        exact = gaussian.evolve_displaced_oscillator(
-            gaussian.CoherentBranch(alpha), omega, g, t)
-        approx = gaussian.quadratic_branch_expansion(
-            gaussian.CoherentBranch(alpha), omega, g, t)
-        # oracle phase relative to the alpha = 0 evolution
-        psi = fock_oracle.evolve_schrodinger(
-            fock_oracle.coherent_to_fock(alpha, dim), h, t)
-        psi0 = fock_oracle.evolve_schrodinger(
-            fock_oracle.coherent_to_fock(0.0j, dim), h, t)
-        oracle_rel = (
-            fock_oracle.overlap_phase(
-                fock_oracle.coherent_to_fock(exact.alpha, dim), psi)
-            - fock_oracle.overlap_phase(
-                fock_oracle.coherent_to_fock(
-                    gaussian.evolve_displaced_oscillator(
-                        gaussian.CoherentBranch(0.0j), omega, g, t).alpha,
-                    dim), psi0))
-        closed_rel = (_phase(approx.branch.weight)
-                      - _phase(gaussian.quadratic_branch_expansion(
-                          gaussian.CoherentBranch(0.0j), omega, g, t
-                          ).branch.weight))
-        worst = max(worst, abs(_wrap(oracle_rel - closed_rel)))
+
+    def oracle_phase(alpha):
+        _, reference, numeric = _displaced_vs_oracle(t, dim, alpha, omega, g)
+        return fock_oracle.overlap_phase(reference, numeric)
+
+    def approx_phase(alpha):
+        return _phase(gaussian.evolve_quench(
+            gaussian.CoherentBranch(alpha), omega, omega, g, t).weight)
+
+    # phases relative to the alpha = 0 evolution
+    oracle0, approx0 = oracle_phase(0.0j), approx_phase(0.0j)
+    worst = max(abs(_wrap((oracle_phase(alpha) - oracle0)
+                          - (approx_phase(alpha) - approx0)))
+                for alpha in (1.5 + 0.0j, 0.0 + 1.5j, 1.0 - 1.0j))
     # third-order terms dominate the residual: ~ |alpha| (w t)^2 g t
     return _result("boost_phase", worst, 5e-6,
                    "relative phase, 2nd-order expansion vs oracle")
@@ -180,9 +163,9 @@ def check_quench_second_order(quick: bool = False) -> CheckResult:
                 gaussian.CoherentBranch(alpha), omega1, omega2, g2, t)
             exact = gaussian.evolve_quench_exact(
                 gaussian.CoherentBranch(alpha), omega1, omega2, g2, t)
-            amp_err = abs(approx.branch.alpha - exact.gamma) / t**3
-            phase_err = abs(_wrap(_phase(approx.branch.weight)
-                                  - _phase(exact.branch.weight))) / t**3
+            amp_err = abs(approx.alpha - exact.alpha) / t**3
+            phase_err = abs(_wrap(_phase(approx.weight)
+                                  - _phase(exact.weight))) / t**3
             worst = max(worst, amp_err, phase_err)
     return _result("quench_second_order", worst, 5.0,
                    "O(t^3) remainder coefficient, amplitude and phase")
@@ -242,13 +225,18 @@ def check_quench_classical_switch() -> CheckResult:
 
 
 def check_mode_quadratic() -> CheckResult:
-    """Second-order mode amplitude vs the closed form, bounded ~ (wt)^3."""
-    omega, g = 1.0, 0.3
+    """Second-order mode amplitude vs the closed form, bounded ~ (wt)^3.
+
+    The second-order amplitude is the protocol's quench at omega2 = omega1.
+    """
+    omega, g, a0 = 1.0, 0.3, 0.7 - 0.2j
+    branch = gaussian.CoherentBranch(a0)
     worst = 0.0
     for t in (0.001, 0.01, 0.05):
-        res = classical.evolve_mode_quadratic(0.7 - 0.2j, omega, g, t)
-        bound = ((abs(res.amplitude - res.exact))
-                 / ((omega * t) ** 3 * (abs(0.7 - 0.2j) + g / omega)))
+        approx = gaussian.evolve_quench(branch, omega, omega, g, t).alpha
+        exact = gaussian.evolve_displaced_oscillator(branch, omega, g, t).alpha
+        bound = (abs(approx - exact)
+                 / ((omega * t) ** 3 * (abs(a0) + g / omega)))
         worst = max(worst, bound)
     return _result("mode_quadratic", worst, 1.0,
                    "third-order remainder / analytic bound")

@@ -9,12 +9,11 @@ from catsim.classical import (
     TimeDependentTrapSpec,
     evolve_free_fall,
     evolve_harmonic_gravity,
-    evolve_mode_quadratic,
-    mode_exact,
     ode_oracle,
     phase_difference_freefall,
     phase_difference_harmonic,
 )
+from catsim.gaussian import CoherentBranch, evolve_displaced_oscillator
 from catsim.params import CONSTANTS, ParameterError
 
 M = 1e-15
@@ -101,7 +100,7 @@ def test_rk4_through_switch():
 
 
 def test_mode_exact_matches_phase_space():
-    """The adimensional mode amplitude reproduces the classical trajectory."""
+    """The quantum mode amplitude reproduces the classical trajectory."""
     omega = 2.0
     # X = x / delta_x and P = p / delta_p at the mode scales of (M, omega)
     delta_x = math.sqrt(HBAR / (2.0 * M * omega))
@@ -110,26 +109,10 @@ def test_mode_exact_matches_phase_space():
     a0 = (s0.x / delta_x + 1j * s0.p / delta_p) / 2.0
     g = G_E * math.sqrt(M / (2.0 * HBAR * omega))
     for t in (0.3, 1.1):
-        a_t = mode_exact(a0, omega, g, t)
+        a_t = evolve_displaced_oscillator(CoherentBranch(a0), omega, g, t).alpha
         ref = evolve_harmonic_gravity(s0, M, omega, G_E, t)
         assert a_t.real * 2.0 == pytest.approx(ref.x / delta_x, rel=1e-9)
         assert a_t.imag * 2.0 == pytest.approx(ref.p / delta_p, rel=1e-9)
-
-
-def test_mode_quadratic_sign_and_guard():
-    res = evolve_mode_quadratic(0.0j, 1.0, 0.5, 0.01)
-    # the source term enters as -i g t at leading order
-    assert res.amplitude.imag == pytest.approx(-0.5 * 0.01, rel=1e-2)
-    assert not res.guard_exceeded
-    assert evolve_mode_quadratic(0.0j, 1.0, 0.5, 0.2).guard_exceeded
-
-
-def test_mode_quadratic_converges_cubically():
-    errs = []
-    for t in (0.02, 0.01):
-        res = evolve_mode_quadratic(0.7 - 0.2j, 1.0, 0.3, t)
-        errs.append(abs(res.amplitude - res.exact))
-    assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
 
 
 def test_phase_difference_short_time_equals_freefall():

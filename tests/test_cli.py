@@ -1,12 +1,20 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catsim
 from catsim.cli import main
@@ -124,12 +132,19 @@ def test_protocol_rejects_bad_alpha(tmp_path, capsys, alpha):
 _BAD_FLAGS = [
     ("protocol --beta nan", "--beta"),
     ("protocol --beta inf", "--beta"),
+    ("protocol --beta foo", "--beta"),
+    ("protocol --thermal 10 --seed True", "--seed"),
+    ("protocol --thermal 10 --samples 4 --seed -1", "seed"),
+    ("protocol --alpha 1e300", "free_fall"),        # NaN weights
+    ("transient --points 1.5", "--points"),
     ("sweep --min nan --max 1e-4", "--min"),
     ("sweep --min 1e-6 --max nan", "--max"),
     ("sweep --min 1e-6 --max inf", "--max"),
     ("sweep --min 1e-6 --max 1e-4 --points 0", "--points"),
+    ("sweep --min 2.2e-311 --max 1e-4", "--min"),
     ("transient --points 0", "--points"),
     ("transient --points -3", "--points"),
+    ("transient --points 1000001", "--points"),
 ]
 
 
@@ -151,6 +166,18 @@ def test_config_rejects_non_finite_value(tmp_path, capsys, discussion_doc):
     code, _ = run(tmp_path, "protocol", "--config", str(cfg))
     assert code == 2
     assert "protocol.free_fall_duration_s" in _one_line_error(capsys)
+
+
+def test_transient_rejects_zero_separation(tmp_path, capsys,
+                                           discussion_doc):
+    # the free-fall phase that rel_error divides by would be 0
+    discussion_doc["protocol"]["superposition_size_m"] = 0.0
+    cfg = tmp_path / "dx.json"
+    cfg.write_text(json.dumps(discussion_doc))
+    code, out = run(tmp_path, "transient", "--config", str(cfg))
+    assert code == 2
+    assert "superposition_size_m" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_protocol_csv_precision_round_trips(tmp_path):
@@ -234,3 +261,145 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c",
          "import catsim.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_config_rejects_integer_beyond_float_range(tmp_path, capsys,
+                                                   discussion_doc, digits):
+    discussion_doc["atom"]["mass_kg"] = "HUGE"
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(discussion_doc).replace(
+        '"HUGE"', "1" + "0" * (digits - 1)))         # written out as digits
+    code, _ = run(tmp_path, "feasibility", "--config", str(cfg))
+    assert code == 2
+    # past 4300 digits Python's json itself refuses the integer
+    err = _one_line_error(capsys)
+    assert "atom.mass_kg" in err or digits > 4300 and "not valid JSON" in err
+
+
+# --- no input ends in a traceback ----------------------------------------------
+
+def _preset_doc():
+    return json.loads((resources.files("catsim") / "presets"
+                       / "discussion.json").read_text())
+
+
+_DOC = _preset_doc()
+# (section, key) to mutate; key None replaces or deletes the whole section
+_TARGETS = ([(section, key) for section in _DOC for key in _DOC[section]]
+            + [("trap", "paul_frequency_stiff_Hz"),
+               ("protocol", "superposition_size_m"), ("atom", "bogus")]
+            + [(section, None) for section in [*_DOC, "extra"]])
+_WILD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-320,
+                     1e308, "1e-6", "", True, None, [], {}]),
+    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024]),
+    st.floats(),
+    st.integers(),
+)
+_DELETE = "<delete>"
+# small sizes only: every command here runs in well under a second
+_COMMANDS = [
+    ["feasibility"],
+    ["protocol"],
+    ["protocol", "--thermal", "1", "--samples", "3"],
+    ["transient", "--points", "4"],
+    ["sweep", "--min", "1e-6", "--max", "1e-4", "--points", "3"],
+]
+
+
+def _run_quietly(argv):
+    """(exit code, stderr) of one in-process CLI run; warnings dropped."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([*argv, "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+def _check_outcome(argv, code, err):
+    """A run succeeds, or exits 2 with one line that says why."""
+    if err:
+        assert code == 2 and err.startswith("error: ") \
+            and err.count("\n") == 1, (argv, code, err)
+    else:
+        # feasibility exits 1 on a warn verdict and 2 on a fail verdict
+        assert code == 0 or (argv[0] == "feasibility" and code in (1, 2)), \
+            (argv, code)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutations=st.lists(
+           st.tuples(st.sampled_from(_TARGETS),
+                     st.one_of(_WILD, st.just(_DELETE))),
+           min_size=1, max_size=3),
+       command=st.sampled_from(_COMMANDS))
+def test_mutated_scenario_never_raises(mutations, command):
+    doc = copy.deepcopy(_DOC)
+    for (section, key), value in mutations:
+        value = copy.deepcopy(value)    # sampled lists and dicts are shared
+        if key is None:                         # the whole section
+            if value == _DELETE:
+                doc.pop(section, None)
+            else:
+                doc[section] = value
+        elif isinstance(doc.get(section), dict):
+            if value == _DELETE:
+                doc[section].pop(key, None)
+            else:
+                doc[section][key] = value
+    with tempfile.NamedTemporaryFile("w", suffix=".json",
+                                     delete=False) as fh:
+        json.dump(doc, fh)
+    try:
+        argv = [command[0], "--config", fh.name, *command[1:]]
+        _check_outcome(argv, *_run_quietly(argv))
+    finally:
+        os.unlink(fh.name)
+
+
+def _flag_value(numbers):
+    garbage = st.sampled_from(["nan", "inf", "-inf", "foo", "True", "",
+                               "1e999", str(10 ** 400), "-" + str(10 ** 400)])
+    return st.one_of(numbers.map(str), garbage)
+
+
+_FLAGS = {
+    "protocol": {
+        "--alpha": _flag_value(st.complex_numbers()),
+        "--beta": _flag_value(st.floats()),
+        "--thermal": _flag_value(st.floats()),
+        "--samples": _flag_value(st.integers(-3, 5)),
+        "--seed": _flag_value(st.integers()),
+    },
+    "transient": {"--points": _flag_value(st.integers(-3, 5))},
+    "sweep": {
+        "--min": _flag_value(st.floats()),
+        "--max": _flag_value(st.floats()),
+        "--points": _flag_value(st.integers(-3, 5)),
+    },
+}
+
+
+@st.composite
+def _cli_flags(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, "--config", "discussion"]
+    for flag, values in _FLAGS[command].items():
+        # sweep needs --min and --max; --samples is only read with --thermal
+        if command == "sweep" and flag in ("--min", "--max") \
+                or draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_cli_flags())
+def test_numeric_flags_never_raise(argv):
+    if "--samples" in " ".join(argv) and not any(
+            a.startswith("--thermal") for a in argv):
+        argv = [*argv, "--thermal=1"]
+    _check_outcome(argv, *_run_quietly(argv))

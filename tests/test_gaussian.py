@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from catsim.gaussian import (
     evolve_displaced_oscillator,
     evolve_quench,
     evolve_quench_exact,
-    quadratic_branch_expansion,
     quench_linear_map,
     quench_params,
 )
@@ -68,24 +68,39 @@ def test_displaced_oscillator_composes():
 
 
 def test_quadratic_expansion_matches_exact_at_small_t():
+    """At omega2 = omega1 the quench is the second-order expansion of the
+    exact displaced-oscillator evolution."""
     omega, g, t = 1.0, 0.3, 1e-3
     b0 = CoherentBranch(0.5 - 0.7j)
-    approx = quadratic_branch_expansion(b0, omega, g, t)
+    approx = evolve_quench(b0, omega, omega, g, t)
     exact = evolve_displaced_oscillator(b0, omega, g, t)
-    assert abs(approx.branch.alpha - exact.alpha) < 5e-10
-    assert abs(cmath.phase(approx.branch.weight / exact.weight)) < 5e-10
-    assert not approx.guard_exceeded
+    assert abs(approx.alpha - exact.alpha) < 5e-10
+    assert abs(cmath.phase(approx.weight / exact.weight)) < 5e-10
 
 
 def test_quadratic_expansion_phases():
-    omega, g, t = 1.0, 0.3, 0.01
+    """Boost -Re(a) g1 t plus translation -Im(a) w1 g1 t^2/2, and the
+    source term -i g1 t of the amplitude."""
+    omega1, omega2, g2, t = 1.0, 0.25, 0.3, 0.01
+    g1 = math.sqrt(omega2 / omega1) * g2
     a = 2.0 + 1.0j
-    res = quadratic_branch_expansion(CoherentBranch(a), omega, g, t)
-    assert res.boost_phase == pytest.approx(-a.real * g * t, rel=1e-15)
-    assert res.translation_phase == pytest.approx(
-        -a.imag * omega * g * t * t / 2.0, rel=1e-15)
-    assert quadratic_branch_expansion(
-        CoherentBranch(a), omega, g, 0.5).guard_exceeded
+    res = evolve_quench(CoherentBranch(a, 1j), omega1, omega2, g2, t)
+    boost, translation = -a.real * g1 * t, -a.imag * omega1 * g1 * t * t / 2.0
+    assert cmath.phase(res.weight / 1j) == pytest.approx(boost + translation,
+                                                         rel=1e-14)
+    source = evolve_quench(CoherentBranch(0.0j), omega1, omega2, g2, t).alpha
+    assert source == pytest.approx(-1j * g1 * t - 0.5 * omega1 * g1 * t * t,
+                                   rel=1e-15)
+
+
+def test_quadratic_expansion_converges_cubically():
+    errs = []
+    for t in (0.02, 0.01):
+        b0 = CoherentBranch(0.7 - 0.2j)
+        approx = evolve_quench(b0, 1.0, 1.0, 0.3, t)
+        exact = evolve_displaced_oscillator(b0, 1.0, 0.3, t)
+        errs.append(abs(approx.alpha - exact.alpha))
+    assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
 
 
 def test_quench_params_at_zero_time():
@@ -111,15 +126,15 @@ def test_commute_squeeze_displacement_real_squeeze():
 
 
 def test_quench_reduces_to_quadratic_at_equal_frequencies():
+    """At omega2 = omega1 the map is a(1 - iwt - w^2t^2/2) - igt - wgt^2/2."""
     omega, g, t = 1.0, 0.3, 0.01
-    b0 = CoherentBranch(0.5 - 0.7j)
-    quench = evolve_quench(b0, omega, omega, g, t)
-    plain = quadratic_branch_expansion(b0, omega, g, t)
-    assert quench.branch.alpha == pytest.approx(plain.branch.alpha, rel=1e-14)
-    assert quench.branch.weight == pytest.approx(plain.branch.weight,
-                                                 rel=1e-14)
-    assert quench.c2 == 0.0
-    assert quench.squeeze_magnitude == 0.0
+    a = 0.5 - 0.7j
+    quench = evolve_quench(CoherentBranch(a), omega, omega, g, t)
+    wt = omega * t
+    assert quench.alpha == pytest.approx(
+        a * (1.0 - 1j * wt - 0.5 * wt * wt) - 1j * g * t
+        - 0.5 * omega * g * t * t, rel=1e-14)
+    assert quench_linear_map(omega, omega, t)[1] == 0.0
 
 
 def test_quench_linear_map_coefficients():
@@ -137,14 +152,20 @@ def test_quench_matches_exact_route():
     b0 = CoherentBranch(0.4 + 0.2j)
     approx = evolve_quench(b0, omega1, omega2, g2, t)
     exact = evolve_quench_exact(b0, omega1, omega2, g2, t)
-    assert abs(approx.branch.alpha - exact.gamma) < 1e-6
-    assert abs(cmath.phase(approx.branch.weight / exact.branch.weight)) < 1e-6
+    assert abs(approx.alpha - exact.alpha) < 1e-6
+    assert abs(cmath.phase(approx.weight / exact.weight)) < 1e-6
 
 
-def test_quench_guard():
-    b0 = CoherentBranch(0.0j)
-    assert not evolve_quench(b0, 1.0, 0.5, 0.1, 0.01).guard_exceeded
-    assert evolve_quench(b0, 1.0, 0.5, 0.1, 0.2).guard_exceeded
+def test_quench_over_arrays_matches_scalars():
+    """With exp=np.exp the one quench form runs on arrays, bit for bit."""
+    alphas = np.array([0.0j, 1.5 - 2.0j, -3e3 + 1e2j])
+    weights = np.exp(1j * np.array([0.0, 0.4, -2.0]))
+    batch = evolve_quench(CoherentBranch(alphas, weights), 1.0, 0.5, 0.2,
+                          0.01, exp=np.exp)
+    for i, (a, w) in enumerate(zip(alphas.tolist(), weights.tolist())):
+        one = evolve_quench(CoherentBranch(a, w), 1.0, 0.5, 0.2, 0.01)
+        assert batch.alpha[i] == pytest.approx(one.alpha, rel=1e-15)
+        assert batch.weight[i] == pytest.approx(one.weight, rel=1e-12)
 
 
 def test_branch_phase_difference_values():
@@ -166,4 +187,4 @@ def test_evolution_preserves_weight_modulus(alpha, omega, g, t):
 @given(alpha=complexes, t=st.floats(1e-5, 0.02))
 def test_quench_weight_modulus(alpha, t):
     out = evolve_quench(CoherentBranch(alpha), 1.0, 0.5, 0.2, t)
-    assert abs(abs(out.branch.weight) - 1.0) < 1e-12
+    assert abs(abs(out.weight) - 1.0) < 1e-12

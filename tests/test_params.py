@@ -133,11 +133,21 @@ def test_non_numeric_rejected(discussion_doc):
         scenario_from_dict(doc)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "10**400"])
 def test_non_finite_rejected(discussion_doc, value):
     doc = copy.deepcopy(discussion_doc)
     doc["trap"]["paul_frequency_soft_radps"] = value
     with pytest.raises(ConfigError, match="trap.paul_frequency_soft_radps"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [1e-320, 1e-41, 1e41])
+def test_magnitude_out_of_range_rejected(discussion_doc, value):
+    """Far outside SI physics, products of a few fields underflow to 0."""
+    doc = copy.deepcopy(discussion_doc)
+    doc["trap"]["wavelength_m"] = value
+    with pytest.raises(ConfigError, match="trap.wavelength_m"):
         scenario_from_dict(doc)
 
 

@@ -13,6 +13,7 @@ from catsim.gaussian import CoherentBranch, displace_compose, evolve_quench, \
     quench_linear_map
 from catsim.params import (
     AtomSpec,
+    ParameterError,
     DisplacementBeam,
     NanoparticleSpec,
     PhysicalConstants,
@@ -209,9 +210,10 @@ def test_run_protocol_matches_hand_composition(discussion):
     comp = displace_compose(beta, alpha)
     down = CoherentBranch(comp.gamma, w * cmath.exp(1j * comp.phase))
     down = evolve_quench(down, omega1, omega2, g2, t)
-    up = evolve_quench(CoherentBranch(alpha, w), omega1, omega2, g2, t).branch
-    comp = displace_compose(-(down.c1 + down.c2) * beta, down.branch.alpha)
-    w_d = down.branch.weight * cmath.exp(1j * comp.phase)
+    up = evolve_quench(CoherentBranch(alpha, w), omega1, omega2, g2, t)
+    c1, c2 = quench_linear_map(omega1, omega2, t)
+    comp = displace_compose(-(c1 + c2) * beta, down.alpha)
+    w_d = down.weight * cmath.exp(1j * comp.phase)
     assert abs(comp.gamma - up.alpha) < 1e-10
     auto = run_protocol(discussion, Coherent(alpha))
     assert auto.phi_grav == pytest.approx(
@@ -242,6 +244,23 @@ def test_run_protocol_thermal_spread(discussion):
     assert float(np.std(dist.p_down_values)) < 1e-9
     spread = float(np.max(dist.phi_grav_values) - np.min(dist.phi_grav_values))
     assert spread < 1e-10
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_thermal_sample_rejects_bad_seed(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        ThermalSample(10.0, seed, 4)
+
+
+def test_norm_check_catches_nan_weights(discussion):
+    """alpha = 1e300 overflows the fall's boost phase to NaN: the norm check
+    must name that step, on the scalar and on the array path."""
+    with pytest.raises(ProtocolError, match="at step free_fall"):
+        run_protocol(discussion, Coherent(1e300))
+    with pytest.raises(ProtocolError, match="at step free_fall"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        _kernel(discussion, np.array([1.0, 1e300], complex), _ARRAY_OPS,
+                None, exact_phase=True, cubic=False)
 
 
 def test_run_protocol_thermal_seed_determinism(discussion):

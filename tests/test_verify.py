@@ -2,7 +2,7 @@ import cmath
 import time
 
 from catsim import gaussian, verify
-from catsim.gaussian import BranchExpansion, CoherentBranch
+from catsim.gaussian import CoherentBranch
 
 
 def test_full_suite_passes():
@@ -28,21 +28,17 @@ def test_results_carry_measurements():
 
 
 def test_mutation_boost_phase_sign_flip(monkeypatch):
-    """A sign error injected into the expansion phase must be caught."""
-    original = gaussian.quadratic_branch_expansion
+    """A sign error injected into the protocol's quench phase is caught."""
+    original = gaussian.evolve_quench
 
-    def flipped(branch, omega, g, t, guard=0.1):
-        res = original(branch, omega, g, t, guard)
-        boost = -res.boost_phase
-        evolved = CoherentBranch(
-            res.branch.alpha,
-            branch.weight * cmath.exp(1j * (boost + res.translation_phase)))
-        return BranchExpansion(
-            branch=evolved, boost_phase=boost,
-            translation_phase=res.translation_phase,
-            omega_t=res.omega_t, guard_exceeded=res.guard_exceeded)
+    def flipped(branch, omega1, omega2, g2, t, exp=cmath.exp):
+        res = original(branch, omega1, omega2, g2, t, exp)
+        g1 = (omega2 / omega1) ** 0.5 * g2
+        boost = -branch.alpha.real * g1 * t
+        # the boost enters the phase with the wrong sign
+        return CoherentBranch(res.alpha, res.weight * exp(2j * -boost))
 
-    monkeypatch.setattr(gaussian, "quadratic_branch_expansion", flipped)
+    monkeypatch.setattr(gaussian, "evolve_quench", flipped)
     result = verify.check_boost_phase()
     assert not result.passed
 
