@@ -5,6 +5,12 @@ fixed-step RK4 oracle for independent verification, and the branch phase
 differences behind the long-time phase-difference curves.  The quantum
 mode amplitudes live in ``gaussian``.
 
+The RK4 oracle takes n = ceil(duration/dt) classical RK4 steps on each
+constant-coefficient segment.  One such step is an affine map of (x, p),
+so its 3x3 augmented matrix, read off the stage formulas of ``_rk4_step``,
+is raised to the n-th power by repeated squaring instead of being applied
+in a loop; the discretisation is the same, only the rounding differs.
+
 Sign convention: the Hamiltonian is H = p^2/2m + m w^2 x^2 / 2 + m g_E x,
 so gravity pulls toward negative x and the displaced equilibrium sits at
 x = -g_E/w^2.  Frame 2 is shifted so that the equilibrium is at its origin:
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .params import CONSTANTS, ParameterError
 
@@ -84,26 +92,37 @@ class TimeDependentTrapSpec:
         return self.omega_final, self.accel_final
 
 
+def _rk4_step(x, p, m: float, w2: float, accel: float, h: float):
+    """One classical RK4 step of Hamilton's equations
+    dx/dt = p/m, dp/dt = -m w^2 x - m accel; x and p may be arrays."""
+    k1x = p / m
+    k1p = -m * (w2 * x + accel)
+    k2x = (p + 0.5 * h * k1p) / m
+    k2p = -m * (w2 * (x + 0.5 * h * k1x) + accel)
+    k3x = (p + 0.5 * h * k2p) / m
+    k3p = -m * (w2 * (x + 0.5 * h * k2x) + accel)
+    k4x = (p + h * k3p) / m
+    k4p = -m * (w2 * (x + h * k3x) + accel)
+    return (x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0,
+            p + h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0)
+
+
 def _rk4_segment(x: float, p: float, m: float, omega: float, accel: float,
                  duration: float, dt: float) -> tuple[float, float]:
     if duration <= 0:
         return x, p
     n = max(1, math.ceil(duration / dt))
     h = duration / n
-    w2 = omega * omega
-    for _ in range(n):
-        # Hamilton's equations: dx/dt = p/m, dp/dt = -m w^2 x - m accel
-        k1x = p / m
-        k1p = -m * (w2 * x + accel)
-        k2x = (p + 0.5 * h * k1p) / m
-        k2p = -m * (w2 * (x + 0.5 * h * k1x) + accel)
-        k3x = (p + 0.5 * h * k2p) / m
-        k3p = -m * (w2 * (x + 0.5 * h * k2x) + accel)
-        k4x = (p + h * k3p) / m
-        k4p = -m * (w2 * (x + h * k3x) + accel)
-        x += h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-        p += h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-    return x, p
+    # with constant coefficients one step is an affine map; its augmented
+    # matrix has the images of (1, 0) and (0, 1), less that of the origin,
+    # as columns, then the image of the origin
+    xs, ps = _rk4_step(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                       m, omega * omega, accel, h)
+    step = np.array([[xs[1] - xs[0], xs[2] - xs[0], xs[0]],
+                     [ps[1] - ps[0], ps[2] - ps[0], ps[0]],
+                     [0.0, 0.0, 1.0]])
+    x, p, _ = np.linalg.matrix_power(step, n) @ np.array([x, p, 1.0])
+    return float(x), float(p)
 
 
 def ode_oracle(s0: PhaseSpacePoint, spec: TimeDependentTrapSpec, t: float,

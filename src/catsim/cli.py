@@ -190,20 +190,22 @@ def cmd_transient(args) -> int:
 # --- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    from . import verify    # pulls in scipy, which no other command needs
+    from . import verify    # the dense oracles, which no other command needs
     results = verify.run_all(quick=args.quick)
     out = _out_dir(args)
     with open(out / "verify.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["name", "passed", "measured", "tolerance", "detail"])
+        w.writerow(["name", "passed", "measured", "tolerance", "detail",
+                    "headroom"])
         for r in results:
             w.writerow([r.name, str(r.passed).lower(), _fmt(r.measured),
-                        _fmt(r.tolerance), r.detail])
+                        _fmt(r.tolerance), r.detail, _fmt(r.headroom)])
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"{status} {r.name}: measured {r.measured:.3g} "
-                         f"vs tolerance {r.tolerance:.3g}\n")
+                         f"vs tolerance {r.tolerance:.3g} "
+                         f"(headroom {r.headroom:.3g})\n")
         failures += 0 if r.passed else 1
     sys.stdout.write(f"{len(results) - failures}/{len(results)} checks passed\n")
     return 0 if failures == 0 else 1

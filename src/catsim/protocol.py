@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,6 +44,7 @@ NORM_TOL = 1e-10
 RECOMBINE_TOL = 1e-6
 FREEFALL_FORCE_FRACTION = 0.1
 MAX_SAMPLES = 10**6             # every sample keeps a full ProtocolResult
+PHASE_ROUNDING_LIMIT = 1e-10    # rad a branch phase may lose to rounding
 
 
 class ProtocolError(ValueError):
@@ -90,6 +92,24 @@ def _fall_couplings(scenario: PhysicalScenario, omega2: float,
         warnings.warn(f"omega2*dt = {omega2 * dt:.3g} not << 1; transient "
                       "free-fall approximation degrades", stacklevel=4)
     return omega1, grav_coupling(m_total, omega2, scenario.constants)
+
+
+def _check_phase_rounding(scenario: PhysicalScenario, amplitude: float,
+                          name: str, value: complex) -> None:
+    """Reject initial amplitudes whose branch phases, ~ g1 t |alpha| rad,
+    may round by more than PHASE_ROUNDING_LIMIT: their difference carries
+    phi_grav, and it would be lost while the norm check still passes.
+    g1 = sqrt(w2/w1) g2 is the gravitational coupling at omega1."""
+    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    g1 = grav_coupling(m_total, scenario.trap.paul_frequency_stiff_radps,
+                       scenario.constants)
+    phase = g1 * scenario.protocol.free_fall_duration_s * amplitude
+    rounding = sys.float_info.epsilon * phase
+    if not rounding <= PHASE_ROUNDING_LIMIT:        # a NaN fails too
+        raise ProtocolError(
+            f"{name} {value:g}: initial |alpha| up to {amplitude:.3g} gives "
+            f"branch phases ~{phase:.3g} rad whose rounding, "
+            f"~{rounding:.3g} rad, exceeds {PHASE_ROUNDING_LIMIT:g} rad")
 
 
 # --- Full protocol ------------------------------------------------------------
@@ -193,23 +213,29 @@ def run_protocol(scenario: PhysicalScenario,
         raise ConstraintViolation(
             "feasibility constraints failed: " + ", ".join(failed)
             + " (pass force=True to override)")
+    thermal = isinstance(initial, ThermalSample)
+    if thermal:
+        rng = np.random.default_rng(initial.seed)
+        draws = rng.normal(size=(initial.count, 2)) * math.sqrt(initial.nbar / 2)
+        alpha = draws[:, 0] + 1j * draws[:, 1]
+        _check_phase_rounding(scenario, float(np.max(np.abs(alpha))),
+                              "thermal nbar", initial.nbar)
+    else:
+        alpha = complex(initial.alpha)
+        _check_phase_rounding(scenario, abs(alpha), "alpha", alpha)
     if report.eta > LAMB_DICKE_FLAG:
         warnings.warn(
             f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
             "sideband displacement beam is only marginally selective",
             stacklevel=2)
     args = (beta, exact_phase, include_cubic_correction)
-    if isinstance(initial, ThermalSample):
-        rng = np.random.default_rng(initial.seed)
-        draws = rng.normal(size=(initial.count, 2)) * math.sqrt(initial.nbar / 2)
-        observed, final = _kernel(scenario, draws[:, 0] + 1j * draws[:, 1],
-                                  _ARRAY_OPS, *args)
+    if thermal:
+        observed, final = _kernel(scenario, alpha, _ARRAY_OPS, *args)
         results = tuple(
             ProtocolResult(_state(*state), *values)
             for values, state in zip(zip(*(x.tolist() for x in observed)),
                                      zip(*(x.tolist() for x in final))))
         return ProtocolDistribution(results, observed[1], observed[0])
-    alpha = complex(initial.alpha)
     log = [StepRecord(1, "prepare", HybridState(
         ((HyperfineLevel.DOWN, CoherentBranch(alpha)),)))]
     observed, _ = _kernel(scenario, alpha, _SCALAR_OPS, *args, log)

@@ -28,6 +28,11 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
+    @property
+    def headroom(self) -> float:
+        """measured / tolerance: how much of the tolerance is used up."""
+        return self.measured / self.tolerance
+
 
 def _result(name: str, measured: float, tolerance: float,
             detail: str = "") -> CheckResult:

@@ -88,6 +88,54 @@ def test_rk4_step_guard():
         ode_oracle(PhaseSpacePoint(0.0, 0.0), spec, 1.0, dt=0.0)
 
 
+def _rk4_loop(x, p, m, omega, accel, duration, n):
+    """Reference: n classical RK4 steps of x'' = -w^2 x - accel, stage by
+    stage in a Python loop."""
+    h = duration / n
+    w2 = omega * omega
+    for _ in range(n):
+        k1x = p / m
+        k1p = -m * (w2 * x + accel)
+        k2x = (p + 0.5 * h * k1p) / m
+        k2p = -m * (w2 * (x + 0.5 * h * k1x) + accel)
+        k3x = (p + 0.5 * h * k2p) / m
+        k3p = -m * (w2 * (x + 0.5 * h * k2x) + accel)
+        k4x = (p + h * k3p) / m
+        k4p = -m * (w2 * (x + h * k3x) + accel)
+        x += h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+        p += h * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
+    return x, p
+
+
+def _assert_close(num, x, p, omega, accel):
+    scale_x = 1e-6 + accel / omega**2
+    assert abs(num.x - x) / scale_x < 1e-12
+    assert abs(num.p - p) / (M * omega * scale_x) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_ode_oracle_matches_stepwise_rk4(n):
+    """The squared one-step map takes the same n steps as the loop."""
+    omega, h = 2.0, 0.05             # below the dt guard 2 pi / (50 omega)
+    t = n * h
+    s0 = PhaseSpacePoint(1e-6, 2e-21)
+    spec = TimeDependentTrapSpec.constant(M, omega, G_E)
+    # dt just above t/n makes ode_oracle take exactly n steps
+    num = ode_oracle(s0, spec, t, dt=h * (1 + 1e-9))
+    _assert_close(num, *_rk4_loop(s0.x, s0.p, M, omega, G_E, t, n),
+                  omega, G_E)
+
+
+def test_ode_oracle_matches_stepwise_rk4_through_switch():
+    spec = TimeDependentTrapSpec.sudden_quench(M, 2.0, 0.5, G_E,
+                                               switch_time=0.4)
+    s0 = PhaseSpacePoint(1e-6, 2e-21)
+    # coarse steps, so that one step more or less would show: 8 + 12
+    num = ode_oracle(s0, spec, 1.0, dt=0.0501)
+    x, p = _rk4_loop(s0.x, s0.p, M, 2.0, 0.0, 0.4, 8)
+    _assert_close(num, *_rk4_loop(x, p, M, 0.5, G_E, 0.6, 12), 0.5, G_E)
+
+
 def test_rk4_through_switch():
     spec = TimeDependentTrapSpec.sudden_quench(M, 2.0, 0.5, G_E,
                                                switch_time=0.4)

@@ -135,7 +135,9 @@ _BAD_FLAGS = [
     ("protocol --beta foo", "--beta"),
     ("protocol --thermal 10 --seed True", "--seed"),
     ("protocol --thermal 10 --samples 4 --seed -1", "seed"),
-    ("protocol --alpha 1e300", "free_fall"),        # NaN weights
+    ("protocol --alpha 1e300", "alpha"),    # would overflow the weights
+    ("protocol --alpha 1e12", "alpha"),     # phi_grav lost to rounding
+    ("protocol --thermal 1e308 --samples 3", "nbar"),
     ("transient --points 1.5", "--points"),
     ("sweep --min nan --max 1e-4", "--min"),
     ("sweep --min 1e-6 --max nan", "--max"),
@@ -213,7 +215,11 @@ def test_verify_quick(tmp_path, capsys):
     assert "checks passed" in capsys.readouterr().out
     with open(out / "verify.csv") as fh:
         rows = list(csv.DictReader(fh))
+    assert len(rows) == 8
     assert all(r["passed"] == "true" for r in rows)
+    for r in rows:
+        assert float(r["headroom"]) == pytest.approx(
+            float(r["measured"]) / float(r["tolerance"]), rel=1e-15)
 
 
 def test_sweep_scaling_and_order(tmp_path):
@@ -254,12 +260,14 @@ def test_sweep_bad_range(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    """Neither the CLI nor the full oracle suite needs scipy."""
     src = str(Path(catsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     subprocess.run(
         [sys.executable, "-c",
-         "import catsim.cli, sys; assert 'scipy' not in sys.modules"],
+         "import catsim.cli, catsim.verify, sys; catsim.verify.run_all(); "
+         "assert 'scipy' not in sys.modules"],
         env=env, check=True, timeout=60)
 
 

@@ -93,6 +93,33 @@ def test_evolve_schrodinger_rejects_non_hermitian():
         fo.evolve_schrodinger(psi, h, 0.1)
 
 
+@pytest.mark.parametrize("generator", [
+    np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),    # one triangle only
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),    # Hermitian
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),   # real diagonal
+    np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex),
+])
+def test_expm_rejects_non_anti_hermitian(generator):
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        fo.expm(generator)
+
+
+def test_expm_matches_taylor_series():
+    """The eigenbasis exponential against the power series, summed after
+    halving the generator 2^6 times and squared back."""
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    k = b - b.conj().T                  # anti-Hermitian, norm ~ 10
+    small = k / 2**6
+    term = series = np.eye(12, dtype=complex)
+    for n in range(1, 25):
+        term = term @ small / n
+        series = series + term
+    for _ in range(6):
+        series = series @ series
+    assert np.max(np.abs(fo.expm(k) - series)) < 1e-12
+
+
 def test_evolve_schrodinger_free_rotation():
     alpha, omega, t = 0.8 + 0.0j, 2.0, 0.7
     h = fo.mode_hamiltonian(omega, 0.0, 60)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -25,7 +26,9 @@ from catsim.params import (
 )
 from catsim.protocol import (
     _ARRAY_OPS,
+    _SCALAR_OPS,
     _kernel,
+    PHASE_ROUNDING_LIMIT,
     RECOMBINE_TOL,
     Coherent,
     ConstraintViolation,
@@ -254,13 +257,51 @@ def test_thermal_sample_rejects_bad_seed(seed):
 
 def test_norm_check_catches_nan_weights(discussion):
     """alpha = 1e300 overflows the fall's boost phase to NaN: the norm check
-    must name that step, on the scalar and on the array path."""
+    must name that step, on the scalar and on the array path.  The kernel
+    is called directly, since run_protocol rejects such an alpha first."""
     with pytest.raises(ProtocolError, match="at step free_fall"):
-        run_protocol(discussion, Coherent(1e300))
+        _kernel(discussion, 1e300 + 0j, _SCALAR_OPS, None, exact_phase=True,
+                cubic=False)
     with pytest.raises(ProtocolError, match="at step free_fall"), \
             np.errstate(over="ignore", invalid="ignore"):
         _kernel(discussion, np.array([1.0, 1e300], complex), _ARRAY_OPS,
                 None, exact_phase=True, cubic=False)
+
+
+def _branch_phase_per_alpha(scenario):
+    """g1 t: the branch phase in rad per unit of initial |alpha|."""
+    omega1 = scenario.trap.paul_frequency_stiff_radps
+    omega2 = scenario.trap.paul_frequency_soft_radps
+    m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    return (math.sqrt(omega2 / omega1)
+            * grav_coupling(m, omega2, scenario.constants)
+            * scenario.protocol.free_fall_duration_s)
+
+
+@pytest.mark.parametrize("alpha", [1e12, -3e3j, 1e300, complex("nan")])
+def test_rejects_alpha_whose_phase_rounding_exceeds_limit(discussion, alpha):
+    """phi_grav is the difference of branch phases ~ g1 t |alpha|; once
+    their rounding passes the limit the run is refused, not let through."""
+    with pytest.raises(ProtocolError, match="alpha"):
+        run_protocol(discussion, Coherent(alpha))
+
+
+def test_rejects_nbar_whose_phase_rounding_exceeds_limit(discussion):
+    with pytest.raises(ProtocolError, match="nbar"):
+        run_protocol(discussion, ThermalSample(1e308, 0, 3))
+
+
+def test_phase_rounding_limit_sits_at_its_amplitude(discussion):
+    """Accepted just below |alpha| = limit / (eps g1 t), refused above, and
+    phi_grav is still right at the largest accepted amplitude."""
+    edge = PHASE_ROUNDING_LIMIT / (sys.float_info.epsilon
+                                   * _branch_phase_per_alpha(discussion))
+    assert 50.0 < edge < 1e4        # nbar 10 draws stay far inside
+    ref = run_protocol(discussion, Coherent(0))
+    res = run_protocol(discussion, Coherent(0.999 * edge * 1j))
+    assert abs(res.phi_grav - ref.phi_grav) < PHASE_ROUNDING_LIMIT
+    with pytest.raises(ProtocolError, match="alpha"):
+        run_protocol(discussion, Coherent(1.001 * edge))
 
 
 def test_run_protocol_thermal_seed_determinism(discussion):
@@ -397,10 +438,12 @@ def test_kernel_matches_scalar_path(discussion, alphas, beta):
 def test_run_protocol_warns_once_per_run(discussion):
     slow = replace(discussion, protocol=replace(
         discussion.protocol, free_fall_duration_s=4e4))   # omega2 dt = 0.2
-    for scenario, expected in ((discussion, 0), (slow, 1)):
+    # the slow fall's branch phases, ~1e14 rad per unit |alpha|, pass the
+    # rounding limit only at alpha = 0, so its 200 draws are taken at nbar 0
+    for scenario, nbar, expected in ((discussion, 10.0, 0), (slow, 0.0, 1)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_protocol(scenario, ThermalSample(10.0, 42, 200), force=True)
+            run_protocol(scenario, ThermalSample(nbar, 42, 200), force=True)
         messages = [str(w.message) for w in caught]
         assert sum("Lamb-Dicke" in m for m in messages) == 1
         assert sum("omega2*dt" in m for m in messages) == expected

@@ -1,7 +1,9 @@
 import cmath
 import time
 
-from catsim import gaussian, verify
+import pytest
+
+from catsim import classical, gaussian, verify
 from catsim.gaussian import CoherentBranch
 
 
@@ -25,6 +27,8 @@ def test_results_carry_measurements():
         assert r.measured >= 0.0
         assert r.tolerance > 0.0
         assert r.name
+        assert r.headroom == r.measured / r.tolerance
+        assert (r.headroom <= 1.0) == r.passed
 
 
 def test_mutation_boost_phase_sign_flip(monkeypatch):
@@ -54,3 +58,20 @@ def test_mutation_drops_phase_entirely(monkeypatch):
     monkeypatch.setattr(gaussian, "evolve_displaced_oscillator", phaseless)
     result = verify.check_displaced_oscillator_phase()
     assert not result.passed
+
+
+@pytest.mark.parametrize("check", [verify.check_classical_period,
+                                   verify.check_freefall_limit,
+                                   verify.check_quench_classical_switch])
+def test_mutation_rk4_step_second_order_error(monkeypatch, check):
+    """An O(h^2) error per RK4 step, composed into the segment map, is
+    caught by every RK4 check."""
+    original = classical._rk4_step
+
+    def sloppy(x, p, m, w2, accel, h):
+        x1, p1 = original(x, p, m, w2, accel, h)
+        k1p = -m * (w2 * x + accel)
+        return x1 + 1e-3 * h * h * k1p / m, p1
+
+    monkeypatch.setattr(classical, "_rk4_step", sloppy)
+    assert not check().passed
