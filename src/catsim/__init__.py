@@ -35,8 +35,6 @@ from .params import (
 from .gaussian import CoherentBranch
 from .protocol import (
     Coherent,
-    HybridState,
-    HyperfineLevel,
     ProtocolResult,
     ThermalSample,
     run_protocol,
@@ -54,8 +52,6 @@ __all__ = [
     "DerivedQuantities",
     "DisplacementBeam",
     "FeasibilityReport",
-    "HybridState",
-    "HyperfineLevel",
     "NanoparticleSpec",
     "ParameterError",
     "PhysicalConstants",

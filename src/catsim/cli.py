@@ -29,6 +29,7 @@ log = logging.getLogger("catsim")
 
 _FMT = ".17g"
 MAX_POINTS = 10**6
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _fmt(v: float) -> str:
@@ -36,8 +37,11 @@ def _fmt(v: float) -> str:
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("CATSIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    value = os.environ.get("CATSIM_LOG", "WARNING")
+    if value.upper() not in _LOG_LEVELS:
+        raise ConfigError(f"CATSIM_LOG={value!r} is not one of "
+                          + ", ".join(_LOG_LEVELS))
+    logging.basicConfig(level=value.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -139,7 +143,7 @@ def cmd_protocol(args) -> int:
     if not thermal:
         with open(out / "steps.jsonl", "w", encoding="utf-8") as fh:
             for record in run.log:
-                fh.write(json.dumps(record.to_json_dict(), sort_keys=True))
+                fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -304,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     try:
+        _configure_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParameterError, protocol.ProtocolError) as exc:

@@ -178,7 +178,7 @@ def constraint_check(scenario: PhysicalScenario) -> FeasibilityReport:
     if delta_x is None:
         delta_x = superposition_size(scenario, omega_n,
                                      scenario.beam.duration_s)
-    derived = derive(scenario, omega_n, omega_a=omega_a)
+    derived = derive(scenario, omega_n)
     m_total = derived.total_mass_kg
     phi_grav = m_total * const.g_E * delta_x * dt / const.hbar
     phi3 = -phi_grav * (omega_n * dt) ** 2 / 6.0

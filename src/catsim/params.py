@@ -163,12 +163,8 @@ def check_mass_hierarchy(scenario: PhysicalScenario) -> float:
 @dataclass(frozen=True)
 class DerivedQuantities:
     zero_point_com_m: float      # delta_R
-    zero_point_rel_m: float      # delta_r
     total_mass_kg: float
-    reduced_mass_kg: float
     lamb_dicke: float
-    grav_coupling_radps: float
-    wavevector_radpm: float
 
 
 def grav_coupling(mass_kg: float, omega_radps: float,
@@ -191,37 +187,16 @@ def zero_point_motion(mass_kg: float, omega_radps: float,
     return math.sqrt((constants.hbar / mass_kg) / (2.0 * omega_radps))
 
 
-def derive(scenario: PhysicalScenario, omega_n: float,
-           omega_a: float | None = None) -> DerivedQuantities:
-    """Derived quantities for the c.o.m. mode at trap frequency omega_n.
-
-    omega_a defaults to the dipole-trap frequency computed from the
-    scenario's trap laser parameters.
-    """
+def derive(scenario: PhysicalScenario, omega_n: float) -> DerivedQuantities:
+    """Derived quantities for the c.o.m. mode at trap frequency omega_n."""
     if omega_n <= 0:
         raise ParameterError("omega_n must be positive")
-    const = scenario.constants
-    m_a = scenario.atom.mass_kg
-    m_n = scenario.nanoparticle.mass_kg
-    total = m_n + m_a
-    reduced = m_a * m_n / total
-    if omega_a is None:
-        from . import feasibility
-        omega_a = feasibility.atom_trap_frequency(
-            scenario.atom, scenario.trap, constants=const).omega_a_radps
-    delta_R = zero_point_motion(total, omega_n, const)
-    delta_r = zero_point_motion(reduced, omega_a, const)
-    k = scenario.trap.raman_wavevector_radpm
-    eta = k * delta_R
-    g = grav_coupling(total, omega_n, const)
+    total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    delta_R = zero_point_motion(total, omega_n, scenario.constants)
     return DerivedQuantities(
         zero_point_com_m=delta_R,
-        zero_point_rel_m=delta_r,
         total_mass_kg=total,
-        reduced_mass_kg=reduced,
-        lamb_dicke=eta,
-        grav_coupling_radps=g,
-        wavevector_radpm=k,
+        lamb_dicke=scenario.trap.raman_wavevector_radpm * delta_R,
     )
 
 

@@ -24,14 +24,12 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from . import feasibility
 from .gaussian import (
     CoherentBranch,
-    branch_phase_difference,
     coherent_overlap,
     displace_compose,
     evolve_quench,
@@ -43,7 +41,7 @@ from .params import LAMB_DICKE_FLAG, ParameterError, PhysicalScenario, \
 NORM_TOL = 1e-10
 RECOMBINE_TOL = 1e-6
 FREEFALL_FORCE_FRACTION = 0.1
-MAX_SAMPLES = 10**6             # every sample keeps a full ProtocolResult
+MAX_SAMPLES = 10**6             # ~0.3 kB per sample at peak: ~0.3 GB
 PHASE_ROUNDING_LIMIT = 1e-10    # rad a branch phase may lose to rounding
 
 
@@ -53,27 +51,6 @@ class ProtocolError(ValueError):
 
 class ConstraintViolation(ProtocolError):
     """Feasibility constraints failed and no override was requested."""
-
-
-class HyperfineLevel(Enum):
-    DOWN = "down"
-    UP = "up"
-
-
-@dataclass(frozen=True)
-class HybridState:
-    branches: tuple[tuple[HyperfineLevel, CoherentBranch], ...]
-
-    def __post_init__(self):
-        branches = self.branches
-        if not 1 <= len(branches) <= 2:
-            raise ProtocolError("state must have one or two branches")
-        if len(branches) == 2 and branches[0][0] is branches[1][0]:
-            raise ProtocolError("at most one branch per hyperfine level")
-
-
-
-_LEVELS = (HyperfineLevel.DOWN, HyperfineLevel.UP)
 
 
 def _fall_couplings(scenario: PhysicalScenario, omega2: float,
@@ -139,32 +116,12 @@ class ThermalSample:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    step: int
-    label: str
-    state: HybridState
-
-    def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "label": self.label,
-            "branches": [
-                {"level": lvl.value,
-                 "re_alpha": br.alpha.real, "im_alpha": br.alpha.imag,
-                 "re_weight": br.weight.real, "im_weight": br.weight.imag}
-                for lvl, br in self.state.branches
-            ],
-        }
-
-
-@dataclass(frozen=True)
 class ProtocolResult:
-    final_state: HybridState
     phi_grav: float
     p_down: float
     visibility: float
     residual: float              # motional mismatch after disentangling
-    log: tuple[StepRecord, ...] = field(repr=False, default=())
+    log: tuple[dict, ...] = field(repr=False, default=())   # steps.jsonl
 
 
 @dataclass(frozen=True)
@@ -174,15 +131,13 @@ class ProtocolDistribution:
     phi_grav_values: np.ndarray = field(repr=False, compare=False)
 
 
-def beam_amplitude(scenario: PhysicalScenario,
-                   delta_x: float | None = None) -> float:
+def beam_amplitude(scenario: PhysicalScenario) -> float:
     """Displacement-operator amplitude in the stiff-trap basis.
 
     Derived from the configured superposition size (or the displacement
     beam parameters) via b = Delta x / (2 delta_R(omega1)).
     """
-    if delta_x is None:
-        delta_x = scenario.protocol.superposition_size_m
+    delta_x = scenario.protocol.superposition_size_m
     if delta_x is None:
         delta_x = feasibility.superposition_size(
             scenario, scenario.trap.paul_frequency_soft_radps,
@@ -198,7 +153,6 @@ def run_protocol(scenario: PhysicalScenario,
                  exact_phase: bool = True,
                  force: bool = False,
                  beta: float | None = None,
-                 include_cubic_correction: bool = False,
                  ) -> ProtocolResult | ProtocolDistribution:
     """Execute protocol steps 2-9 (preparation and recapture are ideal).
 
@@ -222,24 +176,30 @@ def run_protocol(scenario: PhysicalScenario,
                               "thermal nbar", initial.nbar)
     else:
         alpha = complex(initial.alpha)
-        _check_phase_rounding(scenario, abs(alpha), "alpha", alpha)
+        # abs() raises OverflowError once |alpha| passes ~1.7e308; hypot
+        # returns inf, which the check then refuses
+        _check_phase_rounding(scenario, math.hypot(alpha.real, alpha.imag),
+                              "alpha", alpha)
     if report.eta > LAMB_DICKE_FLAG:
         warnings.warn(
             f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
             "sideband displacement beam is only marginally selective",
             stacklevel=2)
-    args = (beta, exact_phase, include_cubic_correction)
     if thermal:
-        observed, final = _kernel(scenario, alpha, _ARRAY_OPS, *args)
-        results = tuple(
-            ProtocolResult(_state(*state), *values)
-            for values, state in zip(zip(*(x.tolist() for x in observed)),
-                                     zip(*(x.tolist() for x in final))))
+        observed = _kernel(scenario, alpha, _ARRAY_OPS, beta, exact_phase)
+        results = tuple(map(ProtocolResult, *(x.tolist() for x in observed)))
         return ProtocolDistribution(results, observed[1], observed[0])
-    log = [StepRecord(1, "prepare", HybridState(
-        ((HyperfineLevel.DOWN, CoherentBranch(alpha)),)))]
-    observed, _ = _kernel(scenario, alpha, _SCALAR_OPS, *args, log)
-    return ProtocolResult(log[-1].state, *observed, log=tuple(log))
+    log = [_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),))]
+    observed = _kernel(scenario, alpha, _SCALAR_OPS, beta, exact_phase, log)
+    return ProtocolResult(*observed, log=tuple(log))
+
+
+def _record(step: int, label: str, branches) -> dict:
+    """One steps.jsonl record of (level, alpha, weight) branches."""
+    return {"step": step, "label": label, "branches": [
+        {"level": level, "re_alpha": a.real, "im_alpha": a.imag,
+         "re_weight": w.real, "im_weight": w.imag}
+        for level, a, w in branches]}
 
 
 # (exp, phase, worst) for one complex amplitude or a 1-D array of them
@@ -249,13 +209,13 @@ _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
 def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
-            exact_phase: bool, cubic: bool, log: list | None = None):
+            exact_phase: bool, log: list | None = None):
     """Steps 2-8 in closed form on the branch amplitudes and weights.
 
     ``alpha`` is a complex number or a 1-D array, told apart only by
     ``ops``, and both run the same arithmetic in the same order.  Returns
-    the observables and the ``_state`` arguments after step 8; ``log``
-    collects StepRecords.
+    (phi_grav, p_down, visibility, residual); ``log`` collects the step
+    records.
     """
     exp, phase, worst = ops
     if beta is None:
@@ -272,10 +232,11 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
             raise ProtocolError(f"state norm drifted by {dev:.3g} beyond "
                                 f"{NORM_TOL:g} at step {label}")
 
-    def step(number, label, *state):
-        check_norm(label, state[1], state[3])
+    def step(number, label, a_d, w_d, a_u, w_u):
+        check_norm(label, w_d, w_u)
         if log is not None:
-            log.append(StepRecord(number, label, _state(*state)))
+            log.append(_record(number, label,
+                               (("down", a_d, w_d), ("up", a_u, w_u))))
 
     def fall(a, w):                 # second-order quench, squeezing dropped
         out = evolve_quench(CoherentBranch(a, w), omega1, omega2, g2, dt, exp)
@@ -291,12 +252,8 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
     comp = displace_compose(beta, a_d)          # D(beta) on |down> only
     a_d, w_d = comp.gamma, w_d * exp(1j * comp.phase)
     step(4, "displace", a_d, w_d, a_u, w_u)
-    if cubic:
-        _, phi3 = branch_phase_difference(2 * (a_d - a_u).real, g2, dt, omega2)
     a_d, w_d = fall(a_d, w_d)
     a_u, w_u = fall(a_u, w_u)
-    if cubic:
-        w_d = w_d * exp(1j * -phi3)
     step(6, "free_fall", a_d, w_d, a_u, w_u)
     comp = displace_compose(beta_back, a_d)
     a_d, w_d = comp.gamma, w_d * exp(1j * comp.phase)
@@ -307,21 +264,15 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
     p_down = (0.5 * (abs(w_d) ** 2 + abs(w_u) ** 2)
               + (w_d * w_u.conjugate() * ov).real)
     cw_d, cw_u = _C * w_d, _C * w_u
-    m_d, m_u = abs(cw_d), abs(cw_u)
     wc_d, wc_u = cw_d + cw_u, cw_u - cw_d
     check_norm("pi_half_close", wc_d, wc_u)
-    final = (a_d, w_d, a_u, w_u, residual <= RECOMBINE_TOL,
-             (a_d * m_d + a_u * m_u) / (m_d + m_u), wc_d, wc_u)
-    step(8, "pi_half_close", *final)
-    return (phase(w_u * w_d.conjugate()), p_down, abs(ov), residual), final
-
-
-def _state(a_d, w_d, a_u, w_u, closed=False, a_c=None, wc_d=None,
-           wc_u=None) -> HybridState:
-    """Two branches, or if ``closed`` the recombined non-empty levels."""
-    if closed:
-        return HybridState(tuple(
-            (lvl, CoherentBranch(a_c, w))
-            for lvl, w in zip(_LEVELS, (wc_d, wc_u)) if abs(w) ** 2 >= 1e-24))
-    return HybridState(((HyperfineLevel.DOWN, CoherentBranch(a_d, w_d)),
-                        (HyperfineLevel.UP, CoherentBranch(a_u, w_u))))
+    if log is not None:
+        branches = (("down", a_d, w_d), ("up", a_u, w_u))
+        if residual <= RECOMBINE_TOL:       # the non-empty recombined levels
+            m_d, m_u = abs(cw_d), abs(cw_u)
+            a_c = (a_d * m_d + a_u * m_u) / (m_d + m_u)
+            branches = [(level, a_c, w) for level, w
+                        in (("down", wc_d), ("up", wc_u))
+                        if abs(w) ** 2 >= 1e-24]
+        log.append(_record(8, "pi_half_close", branches))
+    return phase(w_u * w_d.conjugate()), p_down, abs(ov), residual

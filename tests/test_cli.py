@@ -137,6 +137,7 @@ _BAD_FLAGS = [
     ("protocol --thermal 10 --samples 4 --seed -1", "seed"),
     ("protocol --alpha 1e300", "alpha"),    # would overflow the weights
     ("protocol --alpha 1e12", "alpha"),     # phi_grav lost to rounding
+    ("protocol --alpha 1.7e308+1.7e308j", "alpha"),     # |alpha| overflows
     ("protocol --thermal 1e308 --samples 3", "nbar"),
     ("transient --points 1.5", "--points"),
     ("sweep --min nan --max 1e-4", "--min"),
@@ -158,6 +159,22 @@ def test_rejects_bad_numeric_flag(tmp_path, capsys, argv, flag):
     assert code == 2
     assert flag in _one_line_error(capsys)
     assert not out.exists()
+
+
+# BASIC_FORMAT is an attribute of the logging module, but not a level
+@pytest.mark.parametrize("value", ["BASIC_FORMAT", "bogus"])
+def test_rejects_unknown_log_level(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CATSIM_LOG", value)
+    code, out = run(tmp_path, "verify", "--quick")
+    assert code == 2
+    assert "CATSIM_LOG" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_log_level_in_any_case(tmp_path, monkeypatch):
+    monkeypatch.setenv("CATSIM_LOG", "warning")
+    code, _ = run(tmp_path, "protocol", "--config", "discussion")
+    assert code == 0
 
 
 def test_config_rejects_non_finite_value(tmp_path, capsys, discussion_doc):

@@ -32,20 +32,20 @@ from catsim.protocol import (
     RECOMBINE_TOL,
     Coherent,
     ConstraintViolation,
-    HybridState,
-    HyperfineLevel,
     ProtocolError,
     ThermalSample,
     beam_amplitude,
     run_protocol,
 )
 
-DOWN, UP = HyperfineLevel.DOWN, HyperfineLevel.UP
+DOWN, UP = "down", "up"
 
 
 def branches(record):
-    """{level: CoherentBranch} of one StepRecord."""
-    return dict(record.state.branches)
+    """{level: CoherentBranch} of one step-log record."""
+    return {b["level"]: CoherentBranch(complex(b["re_alpha"], b["im_alpha"]),
+                                       complex(b["re_weight"], b["im_weight"]))
+            for b in record["branches"]}
 
 
 def relative_phase(record):
@@ -72,18 +72,10 @@ def unit_scenario(t=0.02):
         constants=const)
 
 
-def test_state_validation():
-    with pytest.raises(ProtocolError):
-        HybridState(())
-    with pytest.raises(ProtocolError):
-        HybridState(((DOWN, CoherentBranch(0.0j)),
-                     (DOWN, CoherentBranch(1.0 + 0.0j))))
-
-
 def test_pi_half_splits(discussion):
     res = run_protocol(discussion, Coherent(1.0 + 0.5j))
     pi_half = res.log[1]
-    assert pi_half.label == "pi_half"
+    assert pi_half["label"] == "pi_half"
     assert set(branches(pi_half)) == {DOWN, UP}
     for br in branches(pi_half).values():
         assert br.alpha == 1.0 + 0.5j
@@ -93,17 +85,16 @@ def test_pi_half_splits(discussion):
 def test_pi_half_inverse_closes(discussion):
     """Without a displacement the closing pi/2 undoes the opening one."""
     res = run_protocol(discussion, Coherent(0.3j), beta=0.0)
-    assert len(res.final_state.branches) == 1
-    level, br = res.final_state.branches[0]
-    assert level is DOWN
-    assert abs(abs(br.weight) - 1.0) < 1e-12
+    closed = branches(res.log[-1])
+    assert list(closed) == [DOWN]
+    assert abs(abs(closed[DOWN].weight) - 1.0) < 1e-12
 
 
 def test_displacement_beam_selective(discussion):
     alpha, beta = 1.0 + 1.0j, 0.5
     res = run_protocol(discussion, Coherent(alpha), beta=beta)
     before, after = branches(res.log[1]), branches(res.log[2])
-    assert res.log[2].label == "displace"
+    assert res.log[2]["label"] == "displace"
     assert after[DOWN].alpha == alpha + beta
     assert after[UP] == before[UP]
     # composition phase Im(beta alpha*) carried on the displaced branch
@@ -113,7 +104,7 @@ def test_displacement_beam_selective(discussion):
 
 def test_displacement_beam_zero_is_identity(discussion):
     res = run_protocol(discussion, Coherent(1.0 + 2.0j), beta=0.0)
-    assert res.log[2].state == res.log[1].state
+    assert res.log[2]["branches"] == res.log[1]["branches"]
 
 
 def test_displacement_beam_warns_outside_lamb_dicke(discussion):
@@ -135,7 +126,7 @@ def test_free_fall_requires_released_trap(discussion):
 
 def test_free_fall_zero_separation_zero_phase(discussion):
     res = run_protocol(discussion, Coherent(0), beta=0.0)
-    assert res.log[3].label == "free_fall"
+    assert res.log[3]["label"] == "free_fall"
     assert relative_phase(res.log[3]) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -182,7 +173,7 @@ def test_readout_flags_reduced_visibility():
     assert res.visibility == pytest.approx(math.exp(-0.5 * res.residual ** 2),
                                            abs=1e-12)
     assert res.visibility < 1.0
-    assert len(res.final_state.branches) == 2
+    assert list(branches(res.log[-1])) == [DOWN, UP]
     assert 0.5 * (1 - res.visibility) <= res.p_down <= 0.5 * (1 + res.visibility)
 
 
@@ -227,12 +218,11 @@ def test_run_protocol_matches_hand_composition(discussion):
 
 def test_run_protocol_logs_every_step(discussion):
     res = run_protocol(discussion, Coherent(0))
-    labels = [rec.label for rec in res.log]
+    labels = [rec["label"] for rec in res.log]
     assert labels == ["prepare", "pi_half", "displace", "free_fall",
                       "undisplace", "pi_half_close"]
     for rec in res.log:
-        doc = rec.to_json_dict()
-        assert set(doc) == {"step", "label", "branches"}
+        assert set(rec) == {"step", "label", "branches"}
 
 
 def test_run_protocol_alpha_independence(discussion):
@@ -260,12 +250,11 @@ def test_norm_check_catches_nan_weights(discussion):
     must name that step, on the scalar and on the array path.  The kernel
     is called directly, since run_protocol rejects such an alpha first."""
     with pytest.raises(ProtocolError, match="at step free_fall"):
-        _kernel(discussion, 1e300 + 0j, _SCALAR_OPS, None, exact_phase=True,
-                cubic=False)
+        _kernel(discussion, 1e300 + 0j, _SCALAR_OPS, None, exact_phase=True)
     with pytest.raises(ProtocolError, match="at step free_fall"), \
             np.errstate(over="ignore", invalid="ignore"):
         _kernel(discussion, np.array([1.0, 1e300], complex), _ARRAY_OPS,
-                None, exact_phase=True, cubic=False)
+                None, exact_phase=True)
 
 
 def _branch_phase_per_alpha(scenario):
@@ -326,13 +315,6 @@ def test_approximate_phase_mode_residual(discussion):
     # residual bounded by |beta| |1 - (c1 + c2)|, tiny at these parameters
     assert res.residual < 1e-10
     assert res.phi_grav == pytest.approx(0.930, abs=0.001)
-
-
-def test_cubic_correction_is_negligible(discussion):
-    base = run_protocol(discussion, Coherent(0))
-    cubic = run_protocol(discussion, Coherent(0),
-                         include_cubic_correction=True)
-    assert abs(base.p_down - cubic.p_down) < 1e-20
 
 
 def test_beam_amplitude_matches_superposition_size(discussion):
@@ -411,6 +393,149 @@ def test_run_protocol_golden_values(discussion, alpha, beta):
         assert abs(value - want) < 1e-12
 
 
+# every step-log record (steps.jsonl) of three runs, recorded at 17 digits:
+# (step, label, ((level, re_alpha, im_alpha, re_weight, im_weight), ...))
+_GOLDEN_STEPS = {
+    "alpha_1_1j": [
+        (1, "prepare", (
+            ("down", 1.0, 1.0,
+             1.0, 0.0),
+        )),
+        (2, "pi_half", (
+            ("down", 1.0, 1.0,
+             0.70710678118654746, 0.0),
+            ("up", 1.0, 1.0,
+             0.70710678118654746, 0.0),
+        )),
+        (4, "displace", (
+            ("down", 1.0002177443635363, 1.0,
+             0.70710676442365927, -0.00015396851480502851),
+            ("up", 1.0, 1.0,
+             0.70710678118654746, 0.0),
+        )),
+        (6, "free_fall", (
+            ("down", 0.89351413404895585, -2135.0722062916134,
+             0.66144438645047066, -0.24998264666404427),
+            ("up", 0.89329638968541958, -2135.0722062916134,
+             0.70328659405368221, 0.073402769868521678),
+        )),
+        (7, "undisplace", (
+            ("down", 0.89329638968541947, -2135.0722062916134,
+             0.47916737249102342, -0.51999868186376075),
+            ("up", 0.89329638968541958, -2135.0722062916134,
+             0.70328659405368221, 0.073402769868521678),
+        )),
+        (8, "pi_half_close", (
+            ("down", 0.89329638968541958, -2135.0722062916134,
+             0.83612121818469232, -0.31579099782202408),
+            ("up", 0.89329638968541958, -2135.0722062916134,
+             0.15847622136120632, 0.41959819048583863),
+        )),
+    ],
+    "beta_0": [
+        (1, "prepare", (
+            ("down", 0.0, 0.29999999999999999,
+             1.0, 0.0),
+        )),
+        (2, "pi_half", (
+            ("down", 0.0, 0.29999999999999999,
+             0.70710678118654746, 0.0),
+            ("up", 0.0, 0.29999999999999999,
+             0.70710678118654746, 0.0),
+        )),
+        (4, "displace", (
+            ("down", 0.0, 0.29999999999999999,
+             0.70710678118654746, 0.0),
+            ("up", 0.0, 0.29999999999999999,
+             0.70710678118654746, 0.0),
+        )),
+        (6, "free_fall", (
+            ("down", -0.10677361031458066, -2135.7722062916132,
+             0.70674384336539953, -0.022652590692975712),
+            ("up", -0.10677361031458066, -2135.7722062916132,
+             0.70674384336539953, -0.022652590692975712),
+        )),
+        (7, "undisplace", (
+            ("down", -0.10677361031458066, -2135.7722062916132,
+             0.70674384336539953, -0.022652590692975712),
+            ("up", -0.10677361031458066, -2135.7722062916132,
+             0.70674384336539953, -0.022652590692975712),
+        )),
+        (8, "pi_half_close", (
+            ("down", -0.10677361031458066, -2135.7722062916132,
+             0.99948672841103425, -0.032035600980892795),
+        )),
+    ],
+    "unrecombined": [
+        (1, "prepare", (
+            ("down", 0.5, -0.29999999999999999,
+             1.0, 0.0),
+        )),
+        (2, "pi_half", (
+            ("down", 0.5, -0.29999999999999999,
+             0.70710678118654746, 0.0),
+            ("up", 0.5, -0.29999999999999999,
+             0.70710678118654746, 0.0),
+        )),
+        (4, "displace", (
+            ("down", 2.0, -0.29999999999999999,
+             0.63671225217335503, 0.30756707875247941),
+            ("up", 0.5, -0.29999999999999999,
+             0.70710678118654746, 0.0),
+        )),
+        (6, "free_fall", (
+            ("down", 1.9928999999500001, -0.4099850049999999,
+             0.68507203238131353, 0.17514653992853083),
+            ("up", 0.49297499995000005, -0.4024850049999999,
+             0.70623365215247103, -0.035128742752657004),
+        )),
+        (7, "undisplace", (
+            ("down", 0.49289999995000011, -0.4099850049999999,
+             0.66060660663522353, -0.2521882457012915),
+            ("up", 0.49297499995000005, -0.4024850049999999,
+             0.70623365215247103, -0.035128742752657004),
+        )),
+        (8, "pi_half_close", (
+            ("down", 0.49289999995000011, -0.4099850049999999,
+             0.66060660663522353, -0.2521882457012915),
+            ("up", 0.49297499995000005, -0.4024850049999999,
+             0.70623365215247103, -0.035128742752657004),
+        )),
+    ],
+}
+
+_STEP_RUNS = {
+    # closes with both levels populated
+    "alpha_1_1j": lambda preset: run_protocol(preset, Coherent(1 + 1j)),
+    # closes onto |down> alone
+    "beta_0": lambda preset: run_protocol(preset, Coherent(0.3j), beta=0.0),
+    # the plain -beta closing leaves two unrecombined branches
+    "unrecombined": lambda preset: run_protocol(
+        unit_scenario(), Coherent(0.5 - 0.3j), beta=1.5, force=True,
+        exact_phase=False),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_STEPS))
+def test_step_log_golden_records(discussion, name):
+    log = _STEP_RUNS[name](discussion).log
+    want = _GOLDEN_STEPS[name]
+    assert [(rec["step"], rec["label"]) for rec in log] == [
+        (step, label) for step, label, _ in want]
+    for rec, (_, _, want_branches) in zip(log, want):
+        assert set(rec) == {"step", "label", "branches"}
+        assert [b["level"] for b in rec["branches"]] == [
+            w[0] for w in want_branches]
+        for b, w in zip(rec["branches"], want_branches):
+            assert set(b) == {"level", "re_alpha", "im_alpha", "re_weight",
+                              "im_weight"}
+            got = (b["re_alpha"], b["im_alpha"], b["re_weight"],
+                   b["im_weight"])
+            for value, expected in zip(got, w[1:]):
+                assert type(value) is float     # json writes 1.0, not 1
+                assert abs(value - expected) < 1e-11
+
+
 # |beta| <= 6e-4 keeps phi_grav = 2 g1 t beta clear of the +-pi branch cut
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -420,9 +545,9 @@ def test_run_protocol_golden_values(discussion, alpha, beta):
                        min_size=1, max_size=12),
        beta=st.floats(-6e-4, 6e-4))
 def test_kernel_matches_scalar_path(discussion, alphas, beta):
-    (phi, p_down, vis, residual), _ = _kernel(
+    phi, p_down, vis, residual = _kernel(
         discussion, np.array(alphas, complex), _ARRAY_OPS, beta,
-        exact_phase=True, cubic=False)
+        exact_phase=True)
     # the Scala et al. thermal insensitivity, over the whole batch
     assert np.max(phi) - np.min(phi) < 1e-10
     for i, alpha in enumerate(alphas):
