@@ -18,7 +18,6 @@ from .params import (
     CONSTANTS,
     AtomSpec,
     ConfigError,
-    DerivedQuantities,
     DisplacementBeam,
     NanoparticleSpec,
     ParameterError,
@@ -26,7 +25,6 @@ from .params import (
     PhysicalScenario,
     ProtocolTimings,
     TrapConfig,
-    derive,
     grav_coupling,
     load_scenario,
     scenario_from_dict,
@@ -49,7 +47,6 @@ __all__ = [
     "Coherent",
     "CoherentBranch",
     "ConfigError",
-    "DerivedQuantities",
     "DisplacementBeam",
     "FeasibilityReport",
     "NanoparticleSpec",
@@ -61,7 +58,6 @@ __all__ = [
     "ThermalSample",
     "TrapConfig",
     "constraint_check",
-    "derive",
     "grav_coupling",
     "load_scenario",
     "run_protocol",

@@ -47,7 +47,8 @@ def _configure_logging() -> None:
 
 def _load_config(name: str) -> PhysicalScenario:
     path = Path(name)
-    if path.exists():
+    # a regular file only: '' is '.', and a directory may share a preset's name
+    if path.is_file():
         return load_scenario(path)
     stem = name.removesuffix(".json")
     stem = {"figure_transient": "discussion"}.get(stem, stem)   # same document
@@ -68,7 +69,11 @@ def _check_points(n: int) -> int:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # --out is, or lies under, an existing file
+        raise ConfigError(f"--out {args.out!r} is not a usable directory: "
+                          f"{exc.strerror or exc}") from exc
     return out
 
 
@@ -139,8 +144,12 @@ def cmd_protocol(args) -> int:
     run = protocol.run_protocol(scenario, initial, exact_phase=args.exact_phase,
                                 force=args.force, beta=args.beta)
     out = _out_dir(args)
-    results = run.results if thermal else (run,)
-    if not thermal:
+    if thermal:
+        rows = list(zip(*(x.tolist() for x in (
+            run.phi_grav_values, run.p_down_values, run.visibility_values,
+            run.residual_values))))
+    else:
+        rows = [(run.phi_grav, run.p_down, run.visibility, run.residual)]
         with open(out / "steps.jsonl", "w", encoding="utf-8") as fh:
             for record in run.log:
                 fh.write(json.dumps(record, sort_keys=True))
@@ -148,13 +157,12 @@ def cmd_protocol(args) -> int:
     with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["phi_grav_rad", "p_down", "visibility", "residual"])
-        w.writerows([_fmt(r.phi_grav), _fmt(r.p_down), _fmt(r.visibility),
-                     _fmt(r.residual)] for r in results)
-    first = results[0]
+        w.writerows([_fmt(v) for v in row] for row in rows)
+    phi_grav, p_down, visibility, residual = rows[0]
     sys.stdout.write(
-        f"runs={len(results)} phi_grav={first.phi_grav:.6g} rad "
-        f"p_down={first.p_down:.6g} visibility={first.visibility:.6g} "
-        f"residual={first.residual:.3g}\n")
+        f"runs={len(rows)} phi_grav={phi_grav:.6g} rad "
+        f"p_down={p_down:.6g} visibility={visibility:.6g} "
+        f"residual={residual:.3g}\n")
     return 0
 
 

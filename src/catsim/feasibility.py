@@ -20,8 +20,7 @@ from .params import (
     PhysicalConstants,
     PhysicalScenario,
     TrapConfig,
-    derive,
-    grav_coupling,
+    zero_point_motion,
 )
 
 MARGIN_PASS = 100.0
@@ -178,8 +177,9 @@ def constraint_check(scenario: PhysicalScenario) -> FeasibilityReport:
     if delta_x is None:
         delta_x = superposition_size(scenario, omega_n,
                                      scenario.beam.duration_s)
-    derived = derive(scenario, omega_n)
-    m_total = derived.total_mass_kg
+    m_total = nano.mass_kg + atom.mass_kg
+    eta = trap.raman_wavevector_radpm * zero_point_motion(m_total, omega_n,
+                                                          const)
     phi_grav = m_total * const.g_E * delta_x * dt / const.hbar
     phi3 = -phi_grav * (omega_n * dt) ** 2 / 6.0
 
@@ -213,7 +213,7 @@ def constraint_check(scenario: PhysicalScenario) -> FeasibilityReport:
     return FeasibilityReport(
         omega_a_radps=omega_a,
         tau_trap_s=tau,
-        eta=derived.lamb_dicke,
+        eta=eta,
         omega_gg_radps=omega_gg,
         delta_x_m=delta_x,
         phi_grav_rad=phi_grav,

@@ -160,13 +160,6 @@ def check_mass_hierarchy(scenario: PhysicalScenario) -> float:
     return ratio
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
-    zero_point_com_m: float      # delta_R
-    total_mass_kg: float
-    lamb_dicke: float
-
-
 def grav_coupling(mass_kg: float, omega_radps: float,
                   constants: PhysicalConstants = CONSTANTS) -> float:
     """Gravitational drive frequency g = g_E sqrt(m / (2 hbar omega))."""
@@ -185,19 +178,6 @@ def zero_point_motion(mass_kg: float, omega_radps: float,
     if omega_radps <= 0:
         raise ParameterError("omega_radps must be positive")
     return math.sqrt((constants.hbar / mass_kg) / (2.0 * omega_radps))
-
-
-def derive(scenario: PhysicalScenario, omega_n: float) -> DerivedQuantities:
-    """Derived quantities for the c.o.m. mode at trap frequency omega_n."""
-    if omega_n <= 0:
-        raise ParameterError("omega_n must be positive")
-    total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
-    delta_R = zero_point_motion(total, omega_n, scenario.constants)
-    return DerivedQuantities(
-        zero_point_com_m=delta_R,
-        total_mass_kg=total,
-        lamb_dicke=scenario.trap.raman_wavevector_radpm * delta_R,
-    )
 
 
 # --- JSON scenario ingestion -------------------------------------------------
@@ -275,9 +255,12 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
 
 
 def load_scenario(path: str | Path) -> PhysicalScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except ValueError as exc:       # also an integer of > 4300 digits
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:              # a directory, or no read permission
+        raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})"
+                          ) from exc
+    except ValueError as exc:           # also an integer of > 4300 digits
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return scenario_from_dict(doc)

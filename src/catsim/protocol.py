@@ -40,7 +40,6 @@ from .params import LAMB_DICKE_FLAG, ParameterError, PhysicalScenario, \
 
 NORM_TOL = 1e-10
 RECOMBINE_TOL = 1e-6
-FREEFALL_FORCE_FRACTION = 0.1
 MAX_SAMPLES = 10**6             # ~0.3 kB per sample at peak: ~0.3 GB
 PHASE_ROUNDING_LIMIT = 1e-10    # rad a branch phase may lose to rounding
 
@@ -51,42 +50,6 @@ class ProtocolError(ValueError):
 
 class ConstraintViolation(ProtocolError):
     """Feasibility constraints failed and no override was requested."""
-
-
-def _fall_couplings(scenario: PhysicalScenario, omega2: float,
-                    dt: float) -> tuple[float, float]:
-    """(omega1, g2) of the quench to ``omega2``, in the free-fall regime."""
-    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
-    weight_force = m_total * scenario.constants.g_E
-    force = scenario.protocol.freefall_force_N
-    if force >= FREEFALL_FORCE_FRACTION * weight_force:
-        raise ProtocolError(
-            f"not in free-fall regime: residual force {force:.3g} N is not "
-            f"small against m g_E = {weight_force:.3g} N")
-    omega1 = scenario.trap.paul_frequency_stiff_radps
-    if omega2 * dt > 0.1:
-        # stacklevel 4 names the caller of run_protocol
-        warnings.warn(f"omega2*dt = {omega2 * dt:.3g} not << 1; transient "
-                      "free-fall approximation degrades", stacklevel=4)
-    return omega1, grav_coupling(m_total, omega2, scenario.constants)
-
-
-def _check_phase_rounding(scenario: PhysicalScenario, amplitude: float,
-                          name: str, value: complex) -> None:
-    """Reject initial amplitudes whose branch phases, ~ g1 t |alpha| rad,
-    may round by more than PHASE_ROUNDING_LIMIT: their difference carries
-    phi_grav, and it would be lost while the norm check still passes.
-    g1 = sqrt(w2/w1) g2 is the gravitational coupling at omega1."""
-    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
-    g1 = grav_coupling(m_total, scenario.trap.paul_frequency_stiff_radps,
-                       scenario.constants)
-    phase = g1 * scenario.protocol.free_fall_duration_s * amplitude
-    rounding = sys.float_info.epsilon * phase
-    if not rounding <= PHASE_ROUNDING_LIMIT:        # a NaN fails too
-        raise ProtocolError(
-            f"{name} {value:g}: initial |alpha| up to {amplitude:.3g} gives "
-            f"branch phases ~{phase:.3g} rad whose rounding, "
-            f"~{rounding:.3g} rad, exceeds {PHASE_ROUNDING_LIMIT:g} rad")
 
 
 # --- Full protocol ------------------------------------------------------------
@@ -124,24 +87,25 @@ class ProtocolResult:
     log: tuple[dict, ...] = field(repr=False, default=())   # steps.jsonl
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)       # == on arrays has no single truth
 class ProtocolDistribution:
-    results: tuple[ProtocolResult, ...]
-    p_down_values: np.ndarray = field(repr=False, compare=False)
-    phi_grav_values: np.ndarray = field(repr=False, compare=False)
+    """A thermal run: the kernel's four columns, one entry per draw."""
+    phi_grav_values: np.ndarray
+    p_down_values: np.ndarray
+    visibility_values: np.ndarray
+    residual_values: np.ndarray
+
+    @property
+    def results(self) -> tuple[ProtocolResult, ...]:
+        """One ProtocolResult per draw, built when read."""
+        columns = (self.phi_grav_values, self.p_down_values,
+                   self.visibility_values, self.residual_values)
+        return tuple(map(ProtocolResult, *(x.tolist() for x in columns)))
 
 
-def beam_amplitude(scenario: PhysicalScenario) -> float:
-    """Displacement-operator amplitude in the stiff-trap basis.
-
-    Derived from the configured superposition size (or the displacement
-    beam parameters) via b = Delta x / (2 delta_R(omega1)).
-    """
-    delta_x = scenario.protocol.superposition_size_m
-    if delta_x is None:
-        delta_x = feasibility.superposition_size(
-            scenario, scenario.trap.paul_frequency_soft_radps,
-            scenario.beam.duration_s)
+def beam_amplitude(scenario: PhysicalScenario, delta_x: float) -> float:
+    """Displacement-operator amplitude b = Delta x / (2 delta_R(omega1))
+    in the stiff-trap basis."""
     m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     delta_r1 = zero_point_motion(
         m_total, scenario.trap.paul_frequency_stiff_radps, scenario.constants)
@@ -157,11 +121,14 @@ def run_protocol(scenario: PhysicalScenario,
     """Execute protocol steps 2-9 (preparation and recapture are ideal).
 
     ``beta`` overrides the displacement-operator amplitude; otherwise it
-    is derived from the scenario's superposition size.  ``exact_phase``
-    selects whether the closing displacement reverses the evolved branch
-    separation exactly or applies the plain -beta approximation.
+    is derived from the feasibility report's superposition size.
+    ``exact_phase`` selects whether the closing displacement reverses the
+    evolved branch separation exactly or applies the plain -beta
+    approximation.  ``force`` runs past failed feasibility constraints,
+    except a failed free-fall regime, which is always refused.
     """
     report = feasibility.constraint_check(scenario)
+    verdicts = {v.name: v for v in report.verdicts}
     failed = [v.name for v in report.verdicts if v.status == "fail"]
     if failed and not force:
         raise ConstraintViolation(
@@ -172,25 +139,53 @@ def run_protocol(scenario: PhysicalScenario,
         rng = np.random.default_rng(initial.seed)
         draws = rng.normal(size=(initial.count, 2)) * math.sqrt(initial.nbar / 2)
         alpha = draws[:, 0] + 1j * draws[:, 1]
-        _check_phase_rounding(scenario, float(np.max(np.abs(alpha))),
-                              "thermal nbar", initial.nbar)
+        amplitude = float(np.max(np.abs(alpha)))
+        name, value = "thermal nbar", initial.nbar
     else:
         alpha = complex(initial.alpha)
         # abs() raises OverflowError once |alpha| passes ~1.7e308; hypot
-        # returns inf, which the check then refuses
-        _check_phase_rounding(scenario, math.hypot(alpha.real, alpha.imag),
-                              "alpha", alpha)
+        # returns inf, which the check below refuses
+        amplitude = math.hypot(alpha.real, alpha.imag)
+        name, value = "alpha", alpha
+    # the branch phases, ~ g1 t |alpha| rad, carry phi_grav in their
+    # difference; once their rounding passes the limit it would be lost
+    # while the norm check still passes
+    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    omega1 = scenario.trap.paul_frequency_stiff_radps
+    omega2 = scenario.trap.paul_frequency_soft_radps
+    dt = scenario.protocol.free_fall_duration_s
+    phase = grav_coupling(m_total, omega1, scenario.constants) * dt * amplitude
+    rounding = sys.float_info.epsilon * phase
+    if not rounding <= PHASE_ROUNDING_LIMIT:        # a NaN fails too
+        raise ProtocolError(
+            f"{name} {value:g}: initial |alpha| up to {amplitude:.3g} gives "
+            f"branch phases ~{phase:.3g} rad whose rounding, "
+            f"~{rounding:.3g} rad, exceeds {PHASE_ROUNDING_LIMIT:g} rad")
     if report.eta > LAMB_DICKE_FLAG:
         warnings.warn(
             f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
             "sideband displacement beam is only marginally selective",
             stacklevel=2)
+    if beta is None:
+        beta = beam_amplitude(scenario, report.delta_x_m)
+    fall_force = verdicts["freefall_force"]
+    if fall_force.status == "fail":
+        raise ProtocolError(
+            f"not in free-fall regime: residual force {fall_force.lhs:.3g} N "
+            f"is not small against m g_E = {fall_force.rhs:.3g} N")
+    quench = verdicts["quench_duration"]
+    if quench.status == "fail":
+        warnings.warn(f"omega2*dt = {quench.lhs:.3g} not << 1; transient "
+                      "free-fall approximation degrades", stacklevel=2)
+    couplings = (omega1, omega2,
+                 grav_coupling(m_total, omega2, scenario.constants), dt)
+    c1, c2 = quench_linear_map(omega1, omega2, dt)
+    beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     if thermal:
-        observed = _kernel(scenario, alpha, _ARRAY_OPS, beta, exact_phase)
-        results = tuple(map(ProtocolResult, *(x.tolist() for x in observed)))
-        return ProtocolDistribution(results, observed[1], observed[0])
+        return ProtocolDistribution(
+            *_kernel(alpha, _ARRAY_OPS, beta, beta_back, couplings))
     log = [_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),))]
-    observed = _kernel(scenario, alpha, _SCALAR_OPS, beta, exact_phase, log)
+    observed = _kernel(alpha, _SCALAR_OPS, beta, beta_back, couplings, log)
     return ProtocolResult(*observed, log=tuple(log))
 
 
@@ -208,23 +203,17 @@ _ARRAY_OPS = (np.exp, np.angle, np.max)
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
-def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
-            exact_phase: bool, log: list | None = None):
+def _kernel(alpha, ops, beta: float, beta_back: float, couplings: tuple,
+            log: list | None = None):
     """Steps 2-8 in closed form on the branch amplitudes and weights.
 
     ``alpha`` is a complex number or a 1-D array, told apart only by
-    ``ops``, and both run the same arithmetic in the same order.  Returns
-    (phi_grav, p_down, visibility, residual); ``log`` collects the step
-    records.
+    ``ops``, and both run the same arithmetic in the same order.  The
+    displacement ``beta`` is closed by ``beta_back``; ``couplings`` holds
+    evolve_quench's (omega1, omega2, g2, t).  Returns (phi_grav, p_down,
+    visibility, residual); ``log`` collects the step records.
     """
     exp, phase, worst = ops
-    if beta is None:
-        beta = beam_amplitude(scenario)
-    omega2 = scenario.trap.paul_frequency_soft_radps
-    dt = scenario.protocol.free_fall_duration_s
-    omega1, g2 = _fall_couplings(scenario, omega2, dt)
-    c1, c2 = quench_linear_map(omega1, omega2, dt)
-    beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
 
     def check_norm(label, w_d, w_u):
         dev = worst(abs(abs(w_d) ** 2 + abs(w_u) ** 2 - 1.0))
@@ -239,7 +228,7 @@ def _kernel(scenario: PhysicalScenario, alpha, ops, beta: float | None,
                                (("down", a_d, w_d), ("up", a_u, w_u))))
 
     def fall(a, w):                 # second-order quench, squeezing dropped
-        out = evolve_quench(CoherentBranch(a, w), omega1, omega2, g2, dt, exp)
+        out = evolve_quench(CoherentBranch(a, w), *couplings, exp)
         return out.alpha, out.weight
 
     # the opening pi/2, like the closing one, puts each level at the

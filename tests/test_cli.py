@@ -99,6 +99,26 @@ def test_protocol_thermal_rows_independent_of_sample_count(tmp_path):
     assert short_rows == long_rows[:9]
 
 
+def test_thermal_columns_are_results_and_summary_rows(tmp_path,
+                                                      discussion):
+    """A thermal run stores the kernel's four columns once; ``results`` and
+    summary.csv are both read from them."""
+    dist = catsim.run_protocol(discussion, catsim.ThermalSample(10.0, 3, 40))
+    columns = [dist.phi_grav_values, dist.p_down_values,
+               dist.visibility_values, dist.residual_values]
+    assert [len(c) for c in columns] == [40] * 4
+    rows = [(r.phi_grav, r.p_down, r.visibility, r.residual)
+            for r in dist.results]
+    assert rows == list(zip(*(c.tolist() for c in columns)))
+    assert dist == dist and dist != catsim.run_protocol(
+        discussion, catsim.ThermalSample(10.0, 3, 40))
+    _, out = run(tmp_path, "protocol", "--config", "discussion",
+                 "--thermal", "10", "--samples", "40", "--seed", "3")
+    with open(out / "summary.csv") as fh:
+        written = list(csv.reader(fh))[1:]
+    assert written == [[format(v, ".17g") for v in row] for row in rows]
+
+
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -331,6 +351,38 @@ _COMMANDS = [
     ["transient", "--points", "4"],
     ["sweep", "--min", "1e-6", "--max", "1e-4", "--points", "3"],
 ]
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("config", ["", "dir", "discussion"])
+def test_config_naming_a_directory(tmp_path, capsys, monkeypatch, command,
+                                   config):
+    """--config reads only a regular file as a path: '' (that is '.') and a
+    directory exit 2 with one line, and a directory named like a preset
+    does not shadow it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "discussion").mkdir()
+    code = main([command[0], "--config", config, *command[1:]])
+    if config == "discussion":
+        assert code == (1 if command[0] == "feasibility" else 0)
+        assert capsys.readouterr().err == ""
+    else:
+        assert code == 2
+        assert f"config '{config}'" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    [command[0], "--config", "discussion", *command[1:]]
+    for command in _COMMANDS] + [["verify", "--quick"]], ids=" ".join)
+@pytest.mark.parametrize("out", ["file", "file/out"])
+def test_out_that_is_or_lies_under_a_file(tmp_path, capsys, monkeypatch,
+                                          argv, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    code = main([*argv, "--out", out])
+    assert code == 2
+    assert f"--out '{out}'" in _one_line_error(capsys)
 
 
 def _run_quietly(argv):

@@ -3,13 +3,13 @@ import math
 
 import pytest
 
+from catsim.feasibility import constraint_check
 from catsim.params import (
     CONSTANTS,
     AtomSpec,
     ConfigError,
     ParameterError,
     PhysicalScenario,
-    derive,
     grav_coupling,
     load_scenario,
     scenario_from_dict,
@@ -58,12 +58,12 @@ def test_grav_coupling_domain_errors():
 
 def test_derive_discussion(discussion):
     omega_n = discussion.trap.paul_frequency_soft_radps
-    d = derive(discussion, omega_n)
-    assert d.total_mass_kg == pytest.approx(1e-15, rel=1e-9)
-    assert d.lamb_dicke == pytest.approx(0.645, rel=0.01)
-    assert grav_coupling(d.total_mass_kg, omega_n) == pytest.approx(
-        9.55e12, rel=0.01)
-    assert d.zero_point_com_m == pytest.approx(1.027e-7, rel=0.01)
+    m_total = discussion.nanoparticle.mass_kg + discussion.atom.mass_kg
+    assert m_total == pytest.approx(1e-15, rel=1e-9)
+    assert constraint_check(discussion).eta == pytest.approx(0.645, rel=0.01)
+    assert grav_coupling(m_total, omega_n) == pytest.approx(9.55e12, rel=0.01)
+    assert zero_point_motion(m_total, omega_n) == pytest.approx(1.027e-7,
+                                                                rel=0.01)
 
 
 def test_atom_spec_validation():
@@ -156,6 +156,12 @@ def test_load_scenario_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_scenario(p)
+
+
+def test_load_scenario_unreadable_path(tmp_path):
+    with pytest.raises(ConfigError) as err:      # a directory
+        load_scenario(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path}: cannot be read")
 
 
 def test_mass_ratio_warning(discussion_doc):

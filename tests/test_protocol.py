@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from catsim import fock_oracle
+from catsim.feasibility import constraint_check
 from catsim.gaussian import CoherentBranch, displace_compose, evolve_quench, \
     quench_linear_map
 from catsim.params import (
@@ -51,6 +52,23 @@ def branches(record):
 def relative_phase(record):
     b = branches(record)
     return cmath.phase(b[UP].weight * b[DOWN].weight.conjugate())
+
+
+def preset_beta(scenario):
+    """The beta run_protocol derives: the report's Delta x / (2 delta_R1)."""
+    return beam_amplitude(scenario, constraint_check(scenario).delta_x_m)
+
+
+def kernel_args(scenario, beta):
+    """(beta, beta_back, couplings) as run_protocol passes them to _kernel
+    for an exact closing phase."""
+    omega1 = scenario.trap.paul_frequency_stiff_radps
+    omega2 = scenario.trap.paul_frequency_soft_radps
+    t = scenario.protocol.free_fall_duration_s
+    m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    c1, c2 = quench_linear_map(omega1, omega2, t)
+    return (beta, -(c1 * beta + c2 * beta),
+            (omega1, omega2, grav_coupling(m, omega2, scenario.constants), t))
 
 
 def unit_scenario(t=0.02):
@@ -124,6 +142,25 @@ def test_free_fall_requires_released_trap(discussion):
     assert not isinstance(err.value, ConstraintViolation)
 
 
+def test_free_fall_refusal_follows_the_verdict(discussion):
+    """The run is refused exactly when the freefall_force verdict fails:
+    at F = m g_E / 10 its margin reads 10.0, a warn, one ulp above a fail."""
+    weight = (discussion.nanoparticle.mass_kg + discussion.atom.mass_kg) \
+        * discussion.constants.g_E
+    for force_n, refused in ((0.1 * weight, False),
+                             (math.nextafter(0.1 * weight, 1.0), True)):
+        pushed = replace(discussion, protocol=replace(
+            discussion.protocol, freefall_force_N=force_n))
+        verdict = {v.name: v.status
+                   for v in constraint_check(pushed).verdicts}
+        assert verdict["freefall_force"] == ("fail" if refused else "warn")
+        if refused:
+            with pytest.raises(ProtocolError, match="free-fall"):
+                run_protocol(pushed, Coherent(0), force=True)
+        else:
+            run_protocol(pushed, Coherent(0))
+
+
 def test_free_fall_zero_separation_zero_phase(discussion):
     res = run_protocol(discussion, Coherent(0), beta=0.0)
     assert res.log[3]["label"] == "free_fall"
@@ -143,7 +180,7 @@ def test_readout_extremes(discussion):
     assert run_protocol(discussion, Coherent(0), beta=0.0
                         ).p_down == pytest.approx(1.0, abs=1e-12)
     res = run_protocol(discussion, Coherent(0))
-    beta_pi = beam_amplitude(discussion) * math.pi / res.phi_grav
+    beta_pi = preset_beta(discussion) * math.pi / res.phi_grav
     assert run_protocol(discussion, Coherent(0), beta=beta_pi
                         ).p_down == pytest.approx(0.0, abs=1e-12)
 
@@ -156,7 +193,7 @@ def test_readout_phase_value(discussion):
     t = discussion.protocol.free_fall_duration_s
     const = discussion.constants
     for scale in (1 / 3, 1.0, 2.0):
-        beta = scale * beam_amplitude(discussion)
+        beta = scale * preset_beta(discussion)
         res = run_protocol(discussion, Coherent(0.3 - 1.0j), beta=beta)
         expected = m * const.g_E * 2.0 * delta_r * beta * t / const.hbar
         assert res.phi_grav == pytest.approx(expected, abs=1e-12)
@@ -194,7 +231,7 @@ def test_run_protocol_discussion(discussion):
 
 def test_run_protocol_matches_hand_composition(discussion):
     """End-to-end run vs the gaussian module's displacement and quench."""
-    alpha, beta = 1.0 + 1.0j, beam_amplitude(discussion)
+    alpha, beta = 1.0 + 1.0j, preset_beta(discussion)
     omega1 = discussion.trap.paul_frequency_stiff_radps
     omega2 = discussion.trap.paul_frequency_soft_radps
     t = discussion.protocol.free_fall_duration_s
@@ -249,12 +286,12 @@ def test_norm_check_catches_nan_weights(discussion):
     """alpha = 1e300 overflows the fall's boost phase to NaN: the norm check
     must name that step, on the scalar and on the array path.  The kernel
     is called directly, since run_protocol rejects such an alpha first."""
+    args = kernel_args(discussion, preset_beta(discussion))
     with pytest.raises(ProtocolError, match="at step free_fall"):
-        _kernel(discussion, 1e300 + 0j, _SCALAR_OPS, None, exact_phase=True)
+        _kernel(1e300 + 0j, _SCALAR_OPS, *args)
     with pytest.raises(ProtocolError, match="at step free_fall"), \
             np.errstate(over="ignore", invalid="ignore"):
-        _kernel(discussion, np.array([1.0, 1e300], complex), _ARRAY_OPS,
-                None, exact_phase=True)
+        _kernel(np.array([1.0, 1e300], complex), _ARRAY_OPS, *args)
 
 
 def _branch_phase_per_alpha(scenario):
@@ -318,11 +355,21 @@ def test_approximate_phase_mode_residual(discussion):
 
 
 def test_beam_amplitude_matches_superposition_size(discussion):
-    from catsim.params import zero_point_motion
-    beta = beam_amplitude(discussion)
+    beta = preset_beta(discussion)
     m = discussion.nanoparticle.mass_kg + discussion.atom.mass_kg
     delta1 = zero_point_motion(m, discussion.trap.paul_frequency_stiff_radps)
     assert 2.0 * delta1 * beta == pytest.approx(1e-14, rel=1e-12)
+
+
+def test_beta_follows_the_report_without_a_superposition_size(discussion):
+    """Without protocol.superposition_size_m the report derives Delta x
+    from the beam, and the run's phi_grav is the report's."""
+    beamed = replace(discussion, protocol=replace(
+        discussion.protocol, superposition_size_m=None))
+    report = constraint_check(beamed)
+    assert report.delta_x_m != 1e-14
+    res = run_protocol(beamed, Coherent(1 - 1j))
+    assert res.phi_grav == pytest.approx(report.phi_grav_rad, abs=1e-12)
 
 
 def _fock_protocol(scenario, alpha, beta, exact_phase, dim=80):
@@ -546,8 +593,7 @@ def test_step_log_golden_records(discussion, name):
        beta=st.floats(-6e-4, 6e-4))
 def test_kernel_matches_scalar_path(discussion, alphas, beta):
     phi, p_down, vis, residual = _kernel(
-        discussion, np.array(alphas, complex), _ARRAY_OPS, beta,
-        exact_phase=True)
+        np.array(alphas, complex), _ARRAY_OPS, *kernel_args(discussion, beta))
     # the Scala et al. thermal insensitivity, over the whole batch
     assert np.max(phi) - np.min(phi) < 1e-10
     for i, alpha in enumerate(alphas):
@@ -558,6 +604,16 @@ def test_kernel_matches_scalar_path(discussion, alphas, beta):
                               scalar.residual),
                              (p_down[i], vis[i], residual[i])):
             assert abs(got - want) < 1e-12
+
+
+def test_quench_duration_warning_names_the_caller(discussion):
+    # omega2 dt = 0.2 fails the quench_duration verdict; force only warns
+    slow = replace(discussion, protocol=replace(
+        discussion.protocol, free_fall_duration_s=4e4))
+    with pytest.warns(UserWarning, match=r"omega2\*dt") as caught:
+        run_protocol(slow, Coherent(0), force=True)
+    assert [w.filename for w in caught
+            if "omega2*dt" in str(w.message)] == [__file__]
 
 
 def test_run_protocol_warns_once_per_run(discussion):
