@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import CONSTANTS, ParameterError
 
 _RK4_STEP_FRACTION = 2.0 * math.pi / 50.0   # dt must stay below 2*pi/(50 w)
@@ -111,6 +109,7 @@ def _rk4_segment(x: float, p: float, m: float, omega: float, accel: float,
                  duration: float, dt: float) -> tuple[float, float]:
     if duration <= 0:
         return x, p
+    import numpy as np          # the closed forms above are math only
     n = max(1, math.ceil(duration / dt))
     h = duration / n
     # with constant coefficients one step is an affine map; its augmented

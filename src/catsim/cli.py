@@ -60,10 +60,10 @@ def _load_config(name: str) -> PhysicalScenario:
         "(available presets: discussion, figure_transient)")
 
 
-def _check_points(n: int) -> int:
-    if not 1 <= n <= MAX_POINTS:
+def _check_count(flag: str, n: int, limit: int = MAX_POINTS) -> int:
+    if not 1 <= n <= limit:
         raise ConfigError(
-            f"--points must be between 1 and {MAX_POINTS}, got {n}")
+            f"{flag} must be a count between 1 and {limit}, got {n}")
     return n
 
 
@@ -75,6 +75,16 @@ def _out_dir(args) -> Path:
         raise ConfigError(f"--out {args.out!r} is not a usable directory: "
                           f"{exc.strerror or exc}") from exc
     return out
+
+
+def _open_out(out: Path, name: str):
+    """Open one output file for writing, as text with no newline translation."""
+    path = out / name
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:      # e.g. the name is an existing directory
+        raise ConfigError(f"cannot write output file {str(path)!r}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 # --- feasibility --------------------------------------------------------------
@@ -111,9 +121,9 @@ def cmd_feasibility(args) -> int:
     table = _report_table(report)
     sys.stdout.write(table)
     out = _out_dir(args)
-    (out / "feasibility.txt").write_text(table, encoding="utf-8")
-    with open(out / "feasibility.csv", "w", newline="",
-              encoding="utf-8") as fh:
+    with _open_out(out, "feasibility.txt") as fh:
+        fh.write(table)
+    with _open_out(out, "feasibility.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "lhs", "rhs", "margin", "status"])
         for v in report.verdicts:
@@ -138,6 +148,11 @@ def cmd_protocol(args) -> int:
     scenario = _load_config(args.config)
     if args.beta is not None and not math.isfinite(args.beta):
         raise ConfigError(f"--beta {args.beta} is not a finite number")
+    # checked with or without --thermal, so that no value passes unread
+    _check_count("--samples", args.samples, protocol.MAX_SAMPLES)
+    if args.seed < 0:
+        raise ConfigError(
+            f"--seed must be a non-negative integer, got {args.seed}")
     thermal = args.thermal is not None
     initial = (protocol.ThermalSample(args.thermal, args.seed, args.samples)
                if thermal else protocol.Coherent(_parse_alpha(args.alpha)))
@@ -150,11 +165,11 @@ def cmd_protocol(args) -> int:
             run.residual_values))))
     else:
         rows = [(run.phi_grav, run.p_down, run.visibility, run.residual)]
-        with open(out / "steps.jsonl", "w", encoding="utf-8") as fh:
+        with _open_out(out, "steps.jsonl") as fh:
             for record in run.log:
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+    with _open_out(out, "summary.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["phi_grav_rad", "p_down", "visibility", "residual"])
         w.writerows([_fmt(v) for v in row] for row in rows)
@@ -170,7 +185,7 @@ def cmd_protocol(args) -> int:
 
 def cmd_transient(args) -> int:
     scenario = _load_config(args.config)
-    n = _check_points(args.points)
+    n = _check_count("--points", args.points)
     const = scenario.constants
     m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     omega = scenario.trap.paul_frequency_soft_radps
@@ -181,7 +196,7 @@ def cmd_transient(args) -> int:
     x20 = const.g_E / omega**2
     t_f = 2.0 * math.pi / omega
     out = _out_dir(args)
-    with open(out / "transient.csv", "w", newline="", encoding="utf-8") as fh:
+    with _open_out(out, "transient.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["t_s", "dphi_harmonic_rad", "dphi_grav_rad", "rel_error"])
         for i in range(n + 1):
@@ -205,7 +220,7 @@ def cmd_verify(args) -> int:
     from . import verify    # the dense oracles, which no other command needs
     results = verify.run_all(quick=args.quick)
     out = _out_dir(args)
-    with open(out / "verify.csv", "w", newline="", encoding="utf-8") as fh:
+    with _open_out(out, "verify.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "passed", "measured", "tolerance", "detail",
                     "headroom"])
@@ -230,7 +245,7 @@ def cmd_sweep(args) -> int:
     if not MIN_MAGNITUDE <= args.min < args.max <= MAX_MAGNITUDE:
         raise ConfigError(f"sweep needs {MIN_MAGNITUDE:g} <= --min < --max "
                           f"<= {MAX_MAGNITUDE:g}")
-    n = _check_points(args.points)
+    n = _check_count("--points", args.points)
     # the swept scenarios recompute delta_x from the beam so the 1/omega
     # scaling is visible
     scenario = replace(scenario, protocol=replace(
@@ -240,7 +255,7 @@ def cmd_sweep(args) -> int:
     reports = [constraint_check(replace(scenario, trap=replace(
         scenario.trap, paul_frequency_soft_radps=omega))) for omega in omegas]
     out = _out_dir(args)
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
+    with _open_out(out, "sweep.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "omega_soft_radps", "delta_x_m",
                     "phi_grav_rad", "status"])
@@ -271,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario JSON path or preset name "
                             "(discussion, figure_transient)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--force", action="store_true",
-                       help="run even if feasibility constraints fail")
 
     p = sub.add_parser("feasibility", help="parameter budget report")
     common(p)
@@ -280,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", help="run the interferometric protocol")
     common(p)
+    p.add_argument("--force", action="store_true",
+                   help="run even if feasibility constraints fail")
     p.add_argument("--alpha", default="0",
                    help="initial coherent amplitude (python complex literal)")
     p.add_argument("--beta", type=float, default=None,

@@ -24,8 +24,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import feasibility
 from .gaussian import (
@@ -37,6 +36,9 @@ from .gaussian import (
 )
 from .params import LAMB_DICKE_FLAG, ParameterError, PhysicalScenario, \
     grav_coupling, zero_point_motion
+
+if TYPE_CHECKING:               # numpy is imported by thermal runs only
+    import numpy as np
 
 NORM_TOL = 1e-10
 RECOMBINE_TOL = 1e-6
@@ -136,6 +138,7 @@ def run_protocol(scenario: PhysicalScenario,
             + " (pass force=True to override)")
     thermal = isinstance(initial, ThermalSample)
     if thermal:
+        import numpy as np      # a coherent run is math/cmath only
         rng = np.random.default_rng(initial.seed)
         draws = rng.normal(size=(initial.count, 2)) * math.sqrt(initial.nbar / 2)
         alpha = draws[:, 0] + 1j * draws[:, 1]
@@ -183,7 +186,8 @@ def run_protocol(scenario: PhysicalScenario,
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     if thermal:
         return ProtocolDistribution(
-            *_kernel(alpha, _ARRAY_OPS, beta, beta_back, couplings))
+            *_kernel(alpha, (np.exp, np.angle, np.max), beta, beta_back,
+                     couplings))
     log = [_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),))]
     observed = _kernel(alpha, _SCALAR_OPS, beta, beta_back, couplings, log)
     return ProtocolResult(*observed, log=tuple(log))
@@ -197,9 +201,9 @@ def _record(step: int, label: str, branches) -> dict:
         for level, a, w in branches]}
 
 
-# (exp, phase, worst) for one complex amplitude or a 1-D array of them
+# (exp, phase, worst) for one complex amplitude; a thermal run passes
+# numpy's (exp, angle, max) for a 1-D array of them
 _SCALAR_OPS = (cmath.exp, cmath.phase, float)
-_ARRAY_OPS = (np.exp, np.angle, np.max)
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 

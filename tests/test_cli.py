@@ -155,6 +155,12 @@ _BAD_FLAGS = [
     ("protocol --beta foo", "--beta"),
     ("protocol --thermal 10 --seed True", "--seed"),
     ("protocol --thermal 10 --samples 4 --seed -1", "seed"),
+    # --samples and --seed are checked whether or not --thermal reads them
+    ("protocol --samples 0", "--samples"),
+    ("protocol --samples 1000001", "--samples"),
+    ("protocol --thermal 10 --samples 1000001", "--samples"),
+    ("protocol --seed -5", "--seed"),
+    ("protocol --samples 0 --seed -5", "--samples"),
     ("protocol --alpha 1e300", "alpha"),    # would overflow the weights
     ("protocol --alpha 1e12", "alpha"),     # phi_grav lost to rounding
     ("protocol --alpha 1.7e308+1.7e308j", "alpha"),     # |alpha| overflows
@@ -296,16 +302,78 @@ def test_sweep_bad_range(tmp_path):
     assert code == 2
 
 
+def _env_with_src() -> dict:
+    """The environment with this catsim's source directory on PYTHONPATH."""
+    src = str(Path(catsim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Neither the CLI nor the full oracle suite needs scipy."""
-    src = str(Path(catsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     subprocess.run(
         [sys.executable, "-c",
          "import catsim.cli, catsim.verify, sys; catsim.verify.run_all(); "
          "assert 'scipy' not in sys.modules"],
-        env=env, check=True, timeout=60)
+        env=_env_with_src(), check=True, timeout=60)
+
+
+# the closed-form commands, which use math and cmath only
+_NUMPY_FREE = [
+    ["feasibility", "--config", "discussion"],
+    ["protocol", "--config", "discussion", "--alpha", "1+1j"],
+    ["transient", "--config", "figure_transient", "--points", "4"],
+    ["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
+     "--points", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _NUMPY_FREE, ids=lambda argv: argv[0])
+def test_closed_form_command_leaves_numpy_unloaded(tmp_path, argv):
+    """A fresh process pays for no numpy import unless it samples a thermal
+    state or runs the oracles."""
+    subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "import sys, catsim.cli; "
+         "code = catsim.cli.main(sys.argv[1:]); "
+         "assert code in (0, 1), code; "
+         "assert 'numpy' not in sys.modules, 'numpy was imported'",
+         *argv, "--out", str(tmp_path / "out")],
+        env=_env_with_src(), check=True, timeout=60,
+        stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--config", "discussion"],
+    ["transient", "--config", "discussion", "--points", "4"],
+    ["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
+     "--points", "3"],
+], ids=lambda argv: argv[0])
+def test_force_only_where_it_is_read(tmp_path, capsys, argv):
+    """Only protocol reads --force; elsewhere it is an unknown flag."""
+    code, out = run(tmp_path, *argv, "--force")
+    assert code == 2
+    assert "--force" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["feasibility", "--config", "discussion"], "feasibility.txt"),
+    (["feasibility", "--config", "discussion"], "feasibility.csv"),
+    (["protocol", "--config", "discussion"], "summary.csv"),
+    (["protocol", "--config", "discussion"], "steps.jsonl"),
+    (["transient", "--config", "discussion", "--points", "4"],
+     "transient.csv"),
+    (["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
+      "--points", "3"], "sweep.csv"),
+    (["verify", "--quick"], "verify.csv"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_output_file_that_is_a_directory(tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = main([*argv, "--out", str(out)])
+    assert code == 2
+    assert name in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("digits", [400, 5000])
@@ -466,7 +534,7 @@ def _cli_flags(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command, "--config", "discussion"]
     for flag, values in _FLAGS[command].items():
-        # sweep needs --min and --max; --samples is only read with --thermal
+        # sweep needs --min and --max
         if command == "sweep" and flag in ("--min", "--max") \
                 or draw(st.booleans()):
             argv.append(f"{flag}={draw(values)}")
@@ -476,7 +544,4 @@ def _cli_flags(draw):
 @settings(max_examples=200, deadline=None)
 @given(argv=_cli_flags())
 def test_numeric_flags_never_raise(argv):
-    if "--samples" in " ".join(argv) and not any(
-            a.startswith("--thermal") for a in argv):
-        argv = [*argv, "--thermal=1"]
     _check_outcome(argv, *_run_quietly(argv))
