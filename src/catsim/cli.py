@@ -4,6 +4,10 @@ Subcommands: feasibility | protocol | transient | verify | sweep.
 All outputs are plain CSV / JSON-lines; identical configuration and seed
 produce byte-identical files.  Numbers are written with 17 significant
 digits so they round-trip through the text format without loss.
+
+A command only computes: it returns its exit code, its stdout text and a
+writer per output file.  ``main`` writes every file into ``--out`` or, if
+one fails, none, and only then prints the stdout text.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import logging
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 from . import classical, protocol
 from .feasibility import FeasibilityReport, constraint_check
 from .params import MAX_MAGNITUDE, MIN_MAGNITUDE, ConfigError, \
-    ParameterError, PhysicalScenario, load_scenario, scenario_from_dict
+    ParameterError, load_scenario
 
 log = logging.getLogger("catsim")
 
@@ -32,8 +36,47 @@ MAX_POINTS = 10**6
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
-def _fmt(v: float) -> str:
-    return format(v, _FMT)
+def _csv(header: list[str], rows):
+    """A writer of one CSV file: floats with ``_FMT``, any other value as it
+    is.  ``rows`` may be a generator; it is read while writing."""
+    def write(fh):
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(v, _FMT) if isinstance(v, float) else v
+                     for v in row] for row in rows)
+    return write
+
+
+def _write(out_name: str, files: dict) -> None:
+    """Create ``--out`` and stream each file into it through its writer.
+    If anything fails, every file this run opened is removed, so that a
+    failed run leaves none of its outputs behind."""
+    out = Path(out_name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:      # --out is, or lies under, an existing file
+        raise ConfigError(f"--out {out_name!r} is not a usable directory: "
+                          f"{exc.strerror or exc}") from exc
+    opened = []
+    try:
+        for name, write in files.items():
+            path = out / name
+            try:
+                # text with no newline translation
+                with open(path, "w", newline="", encoding="utf-8") as fh:
+                    opened.append(path)
+                    write(fh)
+            except OSError as exc:  # e.g. the name is an existing directory
+                raise ConfigError(f"cannot write output file {str(path)!r}: "
+                                  f"{exc.strerror or exc}") from exc
+    except BaseException:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def _configure_logging() -> None:
@@ -45,46 +88,11 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(name: str) -> PhysicalScenario:
-    path = Path(name)
-    # a regular file only: '' is '.', and a directory may share a preset's name
-    if path.is_file():
-        return load_scenario(path)
-    stem = name.removesuffix(".json")
-    stem = {"figure_transient": "discussion"}.get(stem, stem)   # same document
-    preset = resources.files("catsim") / "presets" / f"{stem}.json"
-    if preset.is_file():
-        return scenario_from_dict(json.loads(preset.read_text()))
-    raise ConfigError(
-        f"config '{name}' is neither an existing file nor a shipped preset "
-        "(available presets: discussion, figure_transient)")
-
-
 def _check_count(flag: str, n: int, limit: int = MAX_POINTS) -> int:
     if not 1 <= n <= limit:
         raise ConfigError(
             f"{flag} must be a count between 1 and {limit}, got {n}")
     return n
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:      # --out is, or lies under, an existing file
-        raise ConfigError(f"--out {args.out!r} is not a usable directory: "
-                          f"{exc.strerror or exc}") from exc
-    return out
-
-
-def _open_out(out: Path, name: str):
-    """Open one output file for writing, as text with no newline translation."""
-    path = out / name
-    try:
-        return open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:      # e.g. the name is an existing directory
-        raise ConfigError(f"cannot write output file {str(path)!r}: "
-                          f"{exc.strerror or exc}") from exc
 
 
 # --- feasibility --------------------------------------------------------------
@@ -115,21 +123,16 @@ def _report_table(report: FeasibilityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_feasibility(args) -> int:
-    scenario = _load_config(args.config)
-    report = constraint_check(scenario)
+def cmd_feasibility(args) -> tuple[int, str, dict]:
+    report = constraint_check(load_scenario(args.config))
     table = _report_table(report)
-    sys.stdout.write(table)
-    out = _out_dir(args)
-    with _open_out(out, "feasibility.txt") as fh:
-        fh.write(table)
-    with _open_out(out, "feasibility.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "lhs", "rhs", "margin", "status"])
-        for v in report.verdicts:
-            w.writerow([v.name, _fmt(v.lhs), _fmt(v.rhs), _fmt(v.margin),
-                        v.status])
-    return report.exit_code
+    return report.exit_code, table, {
+        "feasibility.txt": lambda fh: fh.write(table),
+        "feasibility.csv": _csv(
+            ["name", "lhs", "rhs", "margin", "status"],
+            [(v.name, v.lhs, v.rhs, v.margin, v.status)
+             for v in report.verdicts]),
+    }
 
 
 # --- protocol -----------------------------------------------------------------
@@ -144,8 +147,8 @@ def _parse_alpha(text: str) -> complex:
     return alpha
 
 
-def cmd_protocol(args) -> int:
-    scenario = _load_config(args.config)
+def cmd_protocol(args) -> tuple[int, str, dict]:
+    scenario = load_scenario(args.config)
     if args.beta is not None and not math.isfinite(args.beta):
         raise ConfigError(f"--beta {args.beta} is not a finite number")
     # checked with or without --thermal, so that no value passes unread
@@ -158,33 +161,27 @@ def cmd_protocol(args) -> int:
                if thermal else protocol.Coherent(_parse_alpha(args.alpha)))
     run = protocol.run_protocol(scenario, initial, exact_phase=args.exact_phase,
                                 force=args.force, beta=args.beta)
-    out = _out_dir(args)
+    files = {}
     if thermal:
         rows = list(zip(*(x.tolist() for x in (
             run.phi_grav_values, run.p_down_values, run.visibility_values,
             run.residual_values))))
     else:
         rows = [(run.phi_grav, run.p_down, run.visibility, run.residual)]
-        with _open_out(out, "steps.jsonl") as fh:
-            for record in run.log:
-                fh.write(json.dumps(record, sort_keys=True))
-                fh.write("\n")
-    with _open_out(out, "summary.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phi_grav_rad", "p_down", "visibility", "residual"])
-        w.writerows([_fmt(v) for v in row] for row in rows)
+        files["steps.jsonl"] = lambda fh: fh.writelines(
+            json.dumps(record, sort_keys=True) + "\n" for record in run.log)
+    files["summary.csv"] = _csv(
+        ["phi_grav_rad", "p_down", "visibility", "residual"], rows)
     phi_grav, p_down, visibility, residual = rows[0]
-    sys.stdout.write(
-        f"runs={len(rows)} phi_grav={phi_grav:.6g} rad "
-        f"p_down={p_down:.6g} visibility={visibility:.6g} "
-        f"residual={residual:.3g}\n")
-    return 0
+    return 0, (f"runs={len(rows)} phi_grav={phi_grav:.6g} rad "
+               f"p_down={p_down:.6g} visibility={visibility:.6g} "
+               f"residual={residual:.3g}\n"), files
 
 
 # --- transient ----------------------------------------------------------------
 
-def cmd_transient(args) -> int:
-    scenario = _load_config(args.config)
+def cmd_transient(args) -> tuple[int, str, dict]:
+    scenario = load_scenario(args.config)
     n = _check_count("--points", args.points)
     const = scenario.constants
     m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
@@ -195,53 +192,46 @@ def cmd_transient(args) -> int:
                           "protocol.superposition_size_m in the config")
     x20 = const.g_E / omega**2
     t_f = 2.0 * math.pi / omega
-    out = _out_dir(args)
-    with _open_out(out, "transient.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_s", "dphi_harmonic_rad", "dphi_grav_rad", "rel_error"])
+
+    def rows():                 # streamed: --points may be 10^6
         for i in range(n + 1):
             t = t_f * i / n
             if t == 0.0:
-                w.writerow([_fmt(0.0)] * 4)
+                yield 0.0, 0.0, 0.0, 0.0
                 continue
             harm = classical.phase_difference_harmonic(
                 x20, 0.0, dx, m, omega, t, const.hbar)
             grav = classical.phase_difference_freefall(
                 dx, m, const.g_E, t, const.hbar)
-            w.writerow([_fmt(t), _fmt(harm), _fmt(grav),
-                        _fmt(1.0 - harm / grav)])
-    sys.stdout.write(f"wrote {n + 1} rows over [0, {t_f:.6g}] s\n")
-    return 0
+            yield t, harm, grav, 1.0 - harm / grav
+
+    return 0, f"wrote {n + 1} rows over [0, {t_f:.6g}] s\n", {
+        "transient.csv": _csv(
+            ["t_s", "dphi_harmonic_rad", "dphi_grav_rad", "rel_error"],
+            rows())}
 
 
 # --- verify -------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str, dict]:
     from . import verify    # the dense oracles, which no other command needs
     results = verify.run_all(quick=args.quick)
-    out = _out_dir(args)
-    with _open_out(out, "verify.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "passed", "measured", "tolerance", "detail",
-                    "headroom"])
-        for r in results:
-            w.writerow([r.name, str(r.passed).lower(), _fmt(r.measured),
-                        _fmt(r.tolerance), r.detail, _fmt(r.headroom)])
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"{status} {r.name}: measured {r.measured:.3g} "
-                         f"vs tolerance {r.tolerance:.3g} "
-                         f"(headroom {r.headroom:.3g})\n")
-        failures += 0 if r.passed else 1
-    sys.stdout.write(f"{len(results) - failures}/{len(results)} checks passed\n")
-    return 0 if failures == 0 else 1
+    failures = sum(not r.passed for r in results)
+    text = "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured "
+                   f"{r.measured:.3g} vs tolerance {r.tolerance:.3g} "
+                   f"(headroom {r.headroom:.3g})\n" for r in results)
+    text += f"{len(results) - failures}/{len(results)} checks passed\n"
+    return 0 if failures == 0 else 1, text, {
+        "verify.csv": _csv(
+            ["name", "passed", "measured", "tolerance", "detail", "headroom"],
+            [(r.name, str(r.passed).lower(), r.measured, r.tolerance,
+              r.detail, r.headroom) for r in results])}
 
 
 # --- sweep --------------------------------------------------------------------
 
-def cmd_sweep(args) -> int:
-    scenario = _load_config(args.config)
+def cmd_sweep(args) -> tuple[int, str, dict]:
+    scenario = load_scenario(args.config)
     if not MIN_MAGNITUDE <= args.min < args.max <= MAX_MAGNITUDE:
         raise ConfigError(f"sweep needs {MIN_MAGNITUDE:g} <= --min < --max "
                           f"<= {MAX_MAGNITUDE:g}")
@@ -254,16 +244,13 @@ def cmd_sweep(args) -> int:
               for i in range(n)] if n > 1 else [args.min]
     reports = [constraint_check(replace(scenario, trap=replace(
         scenario.trap, paul_frequency_soft_radps=omega))) for omega in omegas]
-    out = _out_dir(args)
-    with _open_out(out, "sweep.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "omega_soft_radps", "delta_x_m",
-                    "phi_grav_rad", "status"])
-        for index, (omega, report) in enumerate(zip(omegas, reports)):
-            w.writerow([index, _fmt(omega), _fmt(report.delta_x_m),
-                        _fmt(report.phi_grav_rad), report.status])
-    sys.stdout.write(f"wrote {len(reports)} sweep rows\n")
-    return 0
+    return 0, f"wrote {len(reports)} sweep rows\n", {
+        "sweep.csv": _csv(
+            ["index", "omega_soft_radps", "delta_x_m", "phi_grav_rad",
+             "status"],
+            [(index, omega, report.delta_x_m, report.phi_grav_rad,
+              report.status)
+             for index, (omega, report) in enumerate(zip(omegas, reports))])}
 
 
 # --- parser -------------------------------------------------------------------
@@ -332,9 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        _configure_logging()
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        # each warning is one line, like an error; the filters are untouched
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            _configure_logging()
+            args = build_parser().parse_args(argv)
+            code, text, files = args.func(args)
+            _write(args.out, files)
+        sys.stdout.write(text)
+        return code
     except (ConfigError, ParameterError, protocol.ProtocolError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -38,22 +38,19 @@ class AtomTrapResult:
 
 
 def atom_trap_frequency(atom: AtomSpec, trap: TrapConfig,
-                        width_m: float | None = None,
                         constants: PhysicalConstants = CONSTANTS,
                         ) -> AtomTrapResult:
     """Dipole-trap frequency of the atom in the backscattered field.
 
     omega_a = sqrt(6 pi c^2 / (m_a w^2 omega_e^3) * I Gamma / Delta),
-    with the trap width w defaulting to half the trapping wavelength.
+    with the trap width w half the trapping wavelength.
     """
     if trap.detuning_radps <= 0:
         raise ParameterError(
             "trap detuning_radps must be positive: blue-detuned or resonant")
     if trap.intensity_W_per_m2 <= 0:
         raise ParameterError("trap intensity_W_per_m2 must be positive")
-    w = trap.wavelength_m / 2.0 if width_m is None else width_m
-    if w <= 0:
-        raise ParameterError("trap width_m must be positive")
+    w = trap.wavelength_m / 2.0
     c = constants.c
     omega_e = atom.transition_frequency_radps
     val = (6.0 * math.pi * c * c

@@ -20,7 +20,6 @@ import numpy as np
 
 NORM_TOL = 1e-8
 TAIL_TOL = 1e-10
-MAX_DIM = 256
 ANTI_HERMITIAN_TOL = 1e-12      # relative to the largest generator entry
 
 
@@ -42,17 +41,16 @@ class FockVector:
     def tail_mass(self) -> float:
         return float(abs(self.amps[-1]) ** 2)
 
-    def check_health(self, norm_tol: float = NORM_TOL,
-                     tail_tol: float = TAIL_TOL) -> None:
+    def check_health(self) -> None:
         n = self.norm()
-        if abs(n - 1.0) > norm_tol:
+        if abs(n - 1.0) > NORM_TOL:
             raise TruncationError(
-                f"state norm {n:.12g} drifted beyond {norm_tol:g}; "
-                "increase the basis size or the number of steps")
-        if self.tail_mass() > tail_tol:
+                f"state norm {n:.12g} drifted beyond {NORM_TOL:g}; "
+                "increase the basis size")
+        if self.tail_mass() > TAIL_TOL:
             raise TruncationError(
                 f"top-level occupation {self.tail_mass():.3g} exceeds "
-                f"{tail_tol:g}; increase the basis size")
+                f"{TAIL_TOL:g}; increase the basis size")
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -60,10 +58,6 @@ def annihilation(dim: int) -> np.ndarray:
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
-
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).conj().T
 
 
 def required_dim(alpha: complex) -> int:
@@ -183,16 +177,10 @@ def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
             + g_lin * X)
 
 
-def evolve_schrodinger(psi: FockVector, hamiltonian: np.ndarray, t: float,
-                       steps: int = 1) -> FockVector:
-    """Propagate by expm(-i H t) applied in ``steps`` equal segments;
-    ``expm`` rejects a non-Hermitian H at any t != 0."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    u = expm(-1j * hamiltonian * (t / steps))
-    amps = psi.amps
-    for _ in range(steps):
-        amps = u @ amps
-    out = FockVector(amps)
+def evolve_schrodinger(psi: FockVector, hamiltonian: np.ndarray,
+                       t: float) -> FockVector:
+    """Propagate by expm(-i H t); ``expm`` rejects a non-Hermitian H at any
+    t != 0."""
+    out = FockVector(expm(-1j * hamiltonian * t) @ psi.amps)
     out.check_health()
     return out

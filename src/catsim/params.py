@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
+from importlib import resources
 from pathlib import Path
 
 TWO_PI = 2.0 * math.pi
@@ -149,7 +150,7 @@ class PhysicalScenario:
         check_mass_hierarchy(self)
 
 
-def check_mass_hierarchy(scenario: PhysicalScenario) -> float:
+def check_mass_hierarchy(scenario: PhysicalScenario) -> None:
     """Warn if m_n/m_a falls below the heavy-particle approximation floor."""
     ratio = scenario.nanoparticle.mass_kg / scenario.atom.mass_kg
     if ratio < MASS_RATIO_FLOOR:
@@ -157,7 +158,6 @@ def check_mass_hierarchy(scenario: PhysicalScenario) -> float:
             f"nanoparticle/atom mass ratio {ratio:.3g} is below "
             f"{MASS_RATIO_FLOOR:.0e}; the heavy-particle approximation "
             "degrades", stacklevel=3)
-    return ratio
 
 
 def grav_coupling(mass_kg: float, omega_radps: float,
@@ -254,11 +254,26 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
     return PhysicalScenario(**kwargs)
 
 
-def load_scenario(path: str | Path) -> PhysicalScenario:
+# shipped preset names; figure_transient is the same document as discussion
+_PRESETS = {"discussion": "discussion", "figure_transient": "discussion"}
+
+
+def load_scenario(name: str | Path) -> PhysicalScenario:
+    """Read a scenario from a regular JSON file, or from a shipped preset
+    named by its stem (``discussion`` or ``figure_transient``)."""
+    path = Path(name)
+    # a regular file only: '' is '.', and a directory may share a preset's name
+    if not path.is_file():
+        stem = str(name).removesuffix(".json")
+        if stem not in _PRESETS:
+            raise ConfigError(
+                f"config '{name}' is neither an existing file nor a shipped "
+                f"preset (available presets: {', '.join(_PRESETS)})")
+        path = resources.files("catsim") / "presets" / f"{_PRESETS[stem]}.json"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:              # a directory, or no read permission
+    except OSError as exc:              # e.g. no read permission
         raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})"
                           ) from exc
     except ValueError as exc:           # also an integer of > 4300 digits

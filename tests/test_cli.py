@@ -309,6 +309,18 @@ def _env_with_src() -> dict:
         filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
+def test_warning_is_one_stderr_line(tmp_path):
+    """A warning reaches a CLI user as one line, not as a source location."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "catsim.cli", "protocol", "--config",
+         "discussion", "--out", str(tmp_path / "out")],
+        env=_env_with_src(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: Lamb-Dicke parameter 0.645 > 0.3; sideband displacement "
+        "beam is only marginally selective\n")
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Neither the CLI nor the full oracle suite needs scipy."""
     subprocess.run(
@@ -369,11 +381,17 @@ def test_force_only_where_it_is_read(tmp_path, capsys, argv):
     (["verify", "--quick"], "verify.csv"),
 ], ids=lambda x: x if isinstance(x, str) else x[0])
 def test_output_file_that_is_a_directory(tmp_path, capsys, argv, name):
+    """A run that cannot write one output leaves none of the others and
+    prints nothing on stdout."""
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     code = main([*argv, "--out", str(out)])
     assert code == 2
-    assert name in _one_line_error(capsys)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1 and name in captured.err
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("digits", [400, 5000])
@@ -438,6 +456,18 @@ def test_config_naming_a_directory(tmp_path, capsys, monkeypatch, command,
     else:
         assert code == 2
         assert f"config '{config}'" in _one_line_error(capsys)
+
+
+def test_config_absolute_name_is_never_a_preset(tmp_path, capsys,
+                                                discussion_doc):
+    """Only a shipped stem names a preset: an absolute name that is not a
+    file does not load <name>.json in its place."""
+    (tmp_path / "other.json").write_text(json.dumps(discussion_doc))
+    config = str(tmp_path / "other")
+    code, out = run(tmp_path, "feasibility", "--config", config)
+    assert code == 2
+    assert f"config '{config}' is neither" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

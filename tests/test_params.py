@@ -159,9 +159,15 @@ def test_load_scenario_bad_json(tmp_path):
 
 
 def test_load_scenario_unreadable_path(tmp_path):
-    with pytest.raises(ConfigError) as err:      # a directory
+    # a directory is neither a regular file nor a preset name
+    with pytest.raises(ConfigError, match="neither an existing file nor a "
+                       "shipped preset"):
         load_scenario(tmp_path)
-    assert str(err.value).startswith(f"{tmp_path}: cannot be read")
+
+
+def test_load_scenario_preset_names(discussion):
+    assert load_scenario("discussion") == discussion
+    assert load_scenario("figure_transient") == discussion
 
 
 def test_mass_ratio_warning(discussion_doc):
