@@ -14,53 +14,46 @@ Modules:
     cli          command-line front end
 """
 
-from .params import (
-    CONSTANTS,
-    AtomSpec,
-    ConfigError,
-    DisplacementBeam,
-    NanoparticleSpec,
-    ParameterError,
-    PhysicalConstants,
-    PhysicalScenario,
-    ProtocolTimings,
-    TrapConfig,
-    grav_coupling,
-    load_scenario,
-    scenario_from_dict,
-    zero_point_motion,
-)
-from .gaussian import CoherentBranch
-from .protocol import (
-    Coherent,
-    ProtocolResult,
-    ThermalSample,
-    run_protocol,
-)
-from .feasibility import FeasibilityReport, constraint_check
+import importlib
+
+# each public name, and each submodule, is imported on first use, so that a
+# command pays only for the modules it runs
+_LAZY = {
+    **{name: "params" for name in (
+        "CONSTANTS", "AtomSpec", "ConfigError", "DisplacementBeam",
+        "NanoparticleSpec", "ParameterError", "PhysicalConstants",
+        "PhysicalScenario", "ProtocolTimings", "TrapConfig", "grav_coupling",
+        "load_scenario", "scenario_from_dict", "zero_point_motion")},
+    "CoherentBranch": "gaussian",
+    **{name: "protocol" for name in (
+        "Coherent", "ProtocolResult", "ThermalSample", "run_protocol")},
+    "FeasibilityReport": "feasibility",
+    "constraint_check": "feasibility",
+    **{module: module for module in (
+        "params", "classical", "gaussian", "fock_oracle", "protocol",
+        "feasibility", "verify", "cli")},
+}
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
-    "AtomSpec",
-    "Coherent",
-    "CoherentBranch",
-    "ConfigError",
-    "DisplacementBeam",
-    "FeasibilityReport",
-    "NanoparticleSpec",
-    "ParameterError",
-    "PhysicalConstants",
-    "PhysicalScenario",
-    "ProtocolResult",
-    "ProtocolTimings",
-    "ThermalSample",
-    "TrapConfig",
-    "constraint_check",
-    "grav_coupling",
-    "load_scenario",
-    "run_protocol",
-    "scenario_from_dict",
-    "zero_point_motion",
+    "CONSTANTS", "AtomSpec", "Coherent", "CoherentBranch", "ConfigError",
+    "DisplacementBeam", "FeasibilityReport", "NanoparticleSpec",
+    "ParameterError", "PhysicalConstants", "PhysicalScenario",
+    "ProtocolResult", "ProtocolTimings", "ThermalSample", "TrapConfig",
+    "constraint_check", "grav_coupling", "load_scenario", "run_protocol",
+    "scenario_from_dict", "zero_point_motion",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -22,15 +22,14 @@ All phases are reported unwrapped (no mod 2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import CONSTANTS, ParameterError
 
 _RK4_STEP_FRACTION = 2.0 * math.pi / 50.0   # dt must stay below 2*pi/(50 w)
 
 
-@dataclass(frozen=True)
-class PhaseSpacePoint:
+class PhaseSpacePoint(NamedTuple):
     x: float
     p: float
 
@@ -57,8 +56,7 @@ def evolve_free_fall(s0: PhaseSpacePoint, m: float, g_E: float,
 
 # --- RK4 oracle ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeDependentTrapSpec:
+class TimeDependentTrapSpec(NamedTuple):
     """Piecewise-constant trap: (omega, linear acceleration) switching once.
 
     The equation of motion is x'' = -omega^2 x - accel, i.e. ``accel`` is

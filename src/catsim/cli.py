@@ -7,7 +7,9 @@ digits so they round-trip through the text format without loss.
 
 A command only computes: it returns its exit code, its stdout text and a
 writer per output file.  ``main`` writes every file into ``--out`` or, if
-one fails, none, and only then prints the stdout text.
+one fails, none, and only then prints the stdout text.  Each command
+imports the modules it runs in its own body, so that a fresh process
+loads no other.
 """
 
 from __future__ import annotations
@@ -16,20 +18,14 @@ import argparse
 import cmath
 import csv
 import json
-import logging
 import math
 import os
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
-from . import classical, protocol
-from .feasibility import FeasibilityReport, constraint_check
 from .params import MAX_MAGNITUDE, MIN_MAGNITUDE, ConfigError, \
-    ParameterError, load_scenario
-
-log = logging.getLogger("catsim")
+    ParameterError, ProtocolError, load_scenario, replace
 
 _FMT = ".17g"
 MAX_POINTS = 10**6
@@ -49,8 +45,10 @@ def _csv(header: list[str], rows):
 
 def _write(out_name: str, files: dict) -> None:
     """Create ``--out`` and stream each file into it through its writer.
-    If anything fails, every file this run opened is removed, so that a
-    failed run leaves none of its outputs behind."""
+    A file whose writer is None is a stale output of another kind of run,
+    removed once every other file is written.  If anything fails, every
+    file this run opened is removed, so that a failed run leaves none of its
+    outputs behind."""
     out = Path(out_name)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -59,9 +57,14 @@ def _write(out_name: str, files: dict) -> None:
                           f"{exc.strerror or exc}") from exc
     opened = []
     try:
-        for name, write in files.items():
+        # removals last, so that a run that fails removes nothing
+        for name, write in sorted(files.items(), key=lambda f: f[1] is None):
             path = out / name
             try:
+                if write is None:   # a directory of that name is no output
+                    if path.is_file():
+                        path.unlink()
+                    continue
                 # text with no newline translation
                 with open(path, "w", newline="", encoding="utf-8") as fh:
                     opened.append(path)
@@ -80,10 +83,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def _configure_logging() -> None:
-    value = os.environ.get("CATSIM_LOG", "WARNING")
+    value = os.environ.get("CATSIM_LOG")
+    if value is None:           # no command needs logging, so none imports it
+        return
     if value.upper() not in _LOG_LEVELS:
         raise ConfigError(f"CATSIM_LOG={value!r} is not one of "
                           + ", ".join(_LOG_LEVELS))
+    import logging
     logging.basicConfig(level=value.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
 
@@ -97,7 +103,8 @@ def _check_count(flag: str, n: int, limit: int = MAX_POINTS) -> int:
 
 # --- feasibility --------------------------------------------------------------
 
-def _report_table(report: FeasibilityReport) -> str:
+def _report_table(report) -> str:
+    """The text of a ``feasibility.FeasibilityReport``."""
     lines = []
     lines.append(f"{'quantity':<22}{'value':>16}  unit")
     for name, value, unit in (
@@ -124,6 +131,7 @@ def _report_table(report: FeasibilityReport) -> str:
 
 
 def cmd_feasibility(args) -> tuple[int, str, dict]:
+    from .feasibility import constraint_check
     report = constraint_check(load_scenario(args.config))
     table = _report_table(report)
     return report.exit_code, table, {
@@ -148,6 +156,7 @@ def _parse_alpha(text: str) -> complex:
 
 
 def cmd_protocol(args) -> tuple[int, str, dict]:
+    from . import protocol
     scenario = load_scenario(args.config)
     if args.beta is not None and not math.isfinite(args.beta):
         raise ConfigError(f"--beta {args.beta} is not a finite number")
@@ -166,6 +175,7 @@ def cmd_protocol(args) -> tuple[int, str, dict]:
         rows = list(zip(*(x.tolist() for x in (
             run.phi_grav_values, run.p_down_values, run.visibility_values,
             run.residual_values))))
+        files["steps.jsonl"] = None     # a coherent run's, now stale
     else:
         rows = [(run.phi_grav, run.p_down, run.visibility, run.residual)]
         files["steps.jsonl"] = lambda fh: fh.writelines(
@@ -181,6 +191,7 @@ def cmd_protocol(args) -> tuple[int, str, dict]:
 # --- transient ----------------------------------------------------------------
 
 def cmd_transient(args) -> tuple[int, str, dict]:
+    from . import classical
     scenario = load_scenario(args.config)
     n = _check_count("--points", args.points)
     const = scenario.constants
@@ -231,6 +242,7 @@ def cmd_verify(args) -> tuple[int, str, dict]:
 # --- sweep --------------------------------------------------------------------
 
 def cmd_sweep(args) -> tuple[int, str, dict]:
+    from .feasibility import constraint_check
     scenario = load_scenario(args.config)
     if not MIN_MAGNITUDE <= args.min < args.max <= MAX_MAGNITUDE:
         raise ConfigError(f"sweep needs {MIN_MAGNITUDE:g} <= --min < --max "
@@ -328,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
             _write(args.out, files)
         sys.stdout.write(text)
         return code
-    except (ConfigError, ParameterError, protocol.ProtocolError) as exc:
+    except (ConfigError, ParameterError, ProtocolError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,7 +11,7 @@ pass at margin >= 100, warn in [10, 100), fail below 10.  Plain
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import (
     CONSTANTS,
@@ -31,8 +31,7 @@ _GAS_MASS_KG = 4.65e-26         # N2 molecule
 _GAS_TEMPERATURE_K = 300.0
 
 
-@dataclass(frozen=True)
-class AtomTrapResult:
+class AtomTrapResult(NamedTuple):
     omega_a_radps: float
     trap_width_m: float
 
@@ -108,8 +107,7 @@ def superposition_size(scenario: PhysicalScenario, omega_n: float,
 
 # --- Constraint report --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintVerdict:
+class ConstraintVerdict(NamedTuple):
     name: str
     lhs: float
     rhs: float
@@ -117,8 +115,7 @@ class ConstraintVerdict:
     status: str     # "pass" | "warn" | "fail"
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     omega_a_radps: float
     tau_trap_s: float
     eta: float
@@ -137,7 +134,8 @@ class FeasibilityReport:
 
     @property
     def exit_code(self) -> int:
-        return {"pass": 0, "warn": 1, "fail": 2}[self.status]
+        """0 pass, 1 warn, 3 fail; 2 is left to input errors."""
+        return {"pass": 0, "warn": 1, "fail": 3}[self.status]
 
 
 def _grade_much_less(name: str, lhs: float, rhs: float) -> ConstraintVerdict:

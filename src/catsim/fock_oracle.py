@@ -14,7 +14,7 @@ per-component arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class TruncationError(ValueError):
     """Truncated basis too small for the requested state or operation."""
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(NamedTuple):
     amps: np.ndarray
 
     @property
@@ -106,18 +105,15 @@ def expm(generator: np.ndarray) -> np.ndarray:
 
 # --- Gates --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Displace:
+class Displace(NamedTuple):
     alpha: complex
 
 
-@dataclass(frozen=True)
-class Squeeze:
+class Squeeze(NamedTuple):
     z: complex
 
 
-@dataclass(frozen=True)
-class Rotate:
+class Rotate(NamedTuple):
     phi: float
 
 

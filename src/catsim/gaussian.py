@@ -22,20 +22,18 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import ParameterError
 
 
-@dataclass(frozen=True)
-class CoherentBranch:
+class CoherentBranch(NamedTuple):
     """A coherent amplitude plus its accumulated complex weight."""
     alpha: complex
     weight: complex = 1.0 + 0.0j
 
 
-@dataclass(frozen=True)
-class DisplaceComposition:
+class DisplaceComposition(NamedTuple):
     gamma: complex
     phase: float
 
@@ -84,8 +82,7 @@ def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,
 
 # --- Sudden frequency + equilibrium quench ------------------------------------
 
-@dataclass(frozen=True)
-class QuenchParams:
+class QuenchParams(NamedTuple):
     z: complex          # dynamical squeeze, |z| e^{i theta}
     epsilon: complex    # displacement
     phi: float          # rotation angle

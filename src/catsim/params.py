@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,15 +31,40 @@ class ConfigError(ValueError):
     """Malformed scenario configuration document."""
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class ProtocolError(ValueError):
+    """The protocol cannot run, or cannot be trusted, on these inputs."""
+
+
+class ConstraintViolation(ProtocolError):
+    """Feasibility constraints failed and no override was requested."""
+
+
+def validated(record: type) -> type:
+    """The NamedTuple ``record``, with a constructor that runs its
+    ``_check``, as ``replace`` does; NamedTuple's ``_replace`` does not."""
+    def __new__(cls, *args, **kwargs):
+        self = record.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+    return type(record.__name__, (record,), {
+        "__new__": __new__, "__slots__": (), "__doc__": record.__doc__,
+        "__module__": record.__module__, "__qualname__": record.__qualname__})
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, validated like a new one."""
+    return type(record)(**{**record._asdict(), **changes})
+
+
+@validated
+class PhysicalConstants(NamedTuple):
     hbar: float = 1.054571817e-34       # J s
     c: float = 299792458.0              # m/s
     g_E: float = 9.81                   # m/s^2
     eps0: float = 8.8541878128e-12      # F/m
     q_e: float = 1.602176634e-19        # C
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("hbar", "c", "g_E", "eps0", "q_e"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"constant {name} must be positive")
@@ -49,14 +73,14 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class AtomSpec:
+@validated
+class AtomSpec(NamedTuple):
     mass_kg: float
     transition_frequency_radps: float
     linewidth_radps: float
     dipole_moment_Cm: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.mass_kg <= 0:
             raise ParameterError("atom mass_kg must be positive")
         if self.linewidth_radps <= 0:
@@ -68,20 +92,20 @@ class AtomSpec:
             raise ParameterError("atom dipole_moment_Cm must be positive")
 
 
-@dataclass(frozen=True)
-class NanoparticleSpec:
+@validated
+class NanoparticleSpec(NamedTuple):
     radius_m: float
     mass_kg: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.radius_m <= 0:
             raise ParameterError("nanoparticle radius_m must be positive")
         if self.mass_kg <= 0:
             raise ParameterError("nanoparticle mass_kg must be positive")
 
 
-@dataclass(frozen=True)
-class TrapConfig:
+@validated
+class TrapConfig(NamedTuple):
     paul_frequency_stiff_radps: float
     paul_frequency_soft_radps: float
     wavelength_m: float
@@ -92,7 +116,7 @@ class TrapConfig:
     separation_m: float
     radiation_pressure_force_N: float
 
-    def __post_init__(self):
+    def _check(self):
         positives = (
             "paul_frequency_stiff_radps", "paul_frequency_soft_radps",
             "wavelength_m", "intensity_W_per_m2", "detuning_radps",
@@ -110,25 +134,25 @@ class TrapConfig:
                 "trap radiation_pressure_force_N must be non-negative")
 
 
-@dataclass(frozen=True)
-class DisplacementBeam:
+@validated
+class DisplacementBeam(NamedTuple):
     intensity_W_per_m2: float
     duration_s: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.intensity_W_per_m2 <= 0:
             raise ParameterError("beam intensity_W_per_m2 must be positive")
         if self.duration_s <= 0:
             raise ParameterError("beam duration_s must be positive")
 
 
-@dataclass(frozen=True)
-class ProtocolTimings:
+@validated
+class ProtocolTimings(NamedTuple):
     free_fall_duration_s: float
     freefall_force_N: float = 0.0
     superposition_size_m: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.free_fall_duration_s <= 0:
             raise ParameterError("protocol free_fall_duration_s must be positive")
         if self.freefall_force_N < 0:
@@ -137,8 +161,8 @@ class ProtocolTimings:
             raise ParameterError("protocol superposition_size_m must be non-negative")
 
 
-@dataclass(frozen=True)
-class PhysicalScenario:
+@validated
+class PhysicalScenario(NamedTuple):
     atom: AtomSpec
     nanoparticle: NanoparticleSpec
     trap: TrapConfig
@@ -146,7 +170,7 @@ class PhysicalScenario:
     protocol: ProtocolTimings
     constants: PhysicalConstants = CONSTANTS
 
-    def __post_init__(self):
+    def _check(self):
         check_mass_hierarchy(self)
 
 
@@ -157,7 +181,7 @@ def check_mass_hierarchy(scenario: PhysicalScenario) -> None:
         warnings.warn(
             f"nanoparticle/atom mass ratio {ratio:.3g} is below "
             f"{MASS_RATIO_FLOOR:.0e}; the heavy-particle approximation "
-            "degrades", stacklevel=3)
+            "degrades", stacklevel=4)     # past _check and __new__
 
 
 def grav_coupling(mass_kg: float, omega_radps: float,
@@ -190,10 +214,9 @@ _TYPES = {
     "protocol": ProtocolTimings,
 }
 
-# the dataclasses are the one source of keys, and of which keys have defaults
-_SCHEMA = {section: {f.name for f in fields(cls)}
-           for section, cls in _TYPES.items()}
-_REQUIRED = {section: {f.name for f in fields(cls) if f.default is MISSING}
+# the records are the one source of keys, and of which keys have defaults
+_SCHEMA = {section: set(cls._fields) for section, cls in _TYPES.items()}
+_REQUIRED = {section: set(cls._fields) - set(cls._field_defaults)
              for section, cls in _TYPES.items()}
 
 
@@ -269,7 +292,7 @@ def load_scenario(name: str | Path) -> PhysicalScenario:
             raise ConfigError(
                 f"config '{name}' is neither an existing file nor a shipped "
                 f"preset (available presets: {', '.join(_PRESETS)})")
-        path = resources.files("catsim") / "presets" / f"{_PRESETS[stem]}.json"
+        path = Path(__file__).with_name("presets") / f"{_PRESETS[stem]}.json"
     try:
         with path.open("r", encoding="utf-8") as fh:
             doc = json.load(fh)

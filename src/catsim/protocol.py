@@ -23,8 +23,7 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import feasibility
 from .gaussian import (
@@ -34,8 +33,10 @@ from .gaussian import (
     evolve_quench,
     quench_linear_map,
 )
-from .params import LAMB_DICKE_FLAG, ParameterError, PhysicalScenario, \
-    grav_coupling, zero_point_motion
+# the CLI catches ProtocolError and ConstraintViolation without this module
+from .params import LAMB_DICKE_FLAG, ConstraintViolation, ParameterError, \
+    PhysicalScenario, ProtocolError, grav_coupling, validated, \
+    zero_point_motion
 
 if TYPE_CHECKING:               # numpy is imported by thermal runs only
     import numpy as np
@@ -46,28 +47,19 @@ MAX_SAMPLES = 10**6             # ~0.3 kB per sample at peak: ~0.3 GB
 PHASE_ROUNDING_LIMIT = 1e-10    # rad a branch phase may lose to rounding
 
 
-class ProtocolError(ValueError):
-    pass
-
-
-class ConstraintViolation(ProtocolError):
-    """Feasibility constraints failed and no override was requested."""
-
-
 # --- Full protocol ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Coherent:
+class Coherent(NamedTuple):
     alpha: complex
 
 
-@dataclass(frozen=True)
-class ThermalSample:
+@validated
+class ThermalSample(NamedTuple):
     nbar: float
     seed: int
     count: int
 
-    def __post_init__(self):
+    def _check(self):
         if not 1 <= self.count <= MAX_SAMPLES:
             raise ParameterError(f"thermal count must be between 1 and "
                                  f"{MAX_SAMPLES}, got {self.count}")
@@ -80,22 +72,26 @@ class ThermalSample:
                 f"thermal seed must be a non-negative integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     phi_grav: float
     p_down: float
     visibility: float
     residual: float              # motional mismatch after disentangling
-    log: tuple[dict, ...] = field(repr=False, default=())   # steps.jsonl
+    log: tuple[dict, ...] = ()   # steps.jsonl
 
 
-@dataclass(frozen=True, eq=False)       # == on arrays has no single truth
 class ProtocolDistribution:
-    """A thermal run: the kernel's four columns, one entry per draw."""
-    phi_grav_values: np.ndarray
-    p_down_values: np.ndarray
-    visibility_values: np.ndarray
-    residual_values: np.ndarray
+    """A thermal run: the kernel's four columns, one entry per draw.
+    Equal only to itself: == on arrays has no single truth."""
+    __slots__ = ("phi_grav_values", "p_down_values", "visibility_values",
+                 "residual_values")
+
+    def __init__(self, phi_grav_values: np.ndarray, p_down_values: np.ndarray,
+                 visibility_values: np.ndarray, residual_values: np.ndarray):
+        self.phi_grav_values = phi_grav_values
+        self.p_down_values = p_down_values
+        self.visibility_values = visibility_values
+        self.residual_values = residual_values
 
     @property
     def results(self) -> tuple[ProtocolResult, ...]:

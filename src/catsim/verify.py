@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import classical, fock_oracle, gaussian
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measured: float

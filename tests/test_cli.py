@@ -70,6 +70,37 @@ def test_protocol_outputs(tmp_path):
         "pi_half_close"]
 
 
+def test_thermal_run_removes_a_coherent_runs_steps(tmp_path):
+    """A thermal run into a coherent run's --out leaves no steps.jsonl
+    behind, unless the thermal run fails and so changes nothing."""
+    out = tmp_path / "out"
+    thermal = ["protocol", "--config", "discussion", "--thermal", "10",
+               "--samples", "5", "--out", str(out)]
+    assert main(["protocol", "--config", "discussion", "--out", str(out)]) == 0
+    steps = (out / "steps.jsonl").read_bytes()
+    (out / "summary.csv").unlink()
+    (out / "summary.csv").mkdir()       # the thermal run cannot write it
+    assert main(thermal) == 2
+    assert (out / "steps.jsonl").read_bytes() == steps
+    (out / "summary.csv").rmdir()
+    assert main(thermal) == 0
+    assert [p.name for p in out.iterdir()] == ["summary.csv"]
+    assert len((out / "summary.csv").read_text().splitlines()) == 6
+
+
+def test_feasibility_fail_verdict_exits_3(tmp_path, capsys, discussion_doc):
+    """A fail verdict is a report, not an input error: exit 3, both files."""
+    discussion_doc["protocol"]["freefall_force_N"] = 1e-12
+    cfg = tmp_path / "pushed.json"
+    cfg.write_text(json.dumps(discussion_doc))
+    code, out = run(tmp_path, "feasibility", "--config", str(cfg))
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err == "" and "overall: fail" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "feasibility.csv", "feasibility.txt"]
+
+
 def test_protocol_beta_zero(tmp_path):
     code, out = run(tmp_path, "protocol", "--config", "discussion",
                     "--beta", "0")
@@ -355,6 +386,63 @@ def test_closed_form_command_leaves_numpy_unloaded(tmp_path, argv):
         stdout=subprocess.DEVNULL)
 
 
+_CATSIM = {"cli", "params", "classical", "gaussian", "fock_oracle",
+           "protocol", "feasibility", "verify"}
+# each command, and the catsim modules it must not load
+_FOOTPRINT = [
+    (["feasibility", "--config", "discussion"],
+     _CATSIM - {"cli", "params", "feasibility"}),
+    (["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
+      "--points", "3"], _CATSIM - {"cli", "params", "feasibility"}),
+    (["transient", "--config", "figure_transient", "--points", "4"],
+     _CATSIM - {"cli", "params", "classical"}),
+    (["protocol", "--config", "discussion", "--alpha", "1+1j"],
+     {"classical", "fock_oracle", "verify"}),
+    (["protocol", "--config", "discussion", "--thermal", "1", "--samples",
+      "3"], {"classical", "fock_oracle", "verify"}),
+    (["verify", "--quick"], {"protocol", "feasibility"}),
+]
+
+
+@pytest.mark.parametrize("argv,forbidden", _FOOTPRINT, ids=[
+    "feasibility", "sweep", "transient", "protocol", "protocol_thermal",
+    "verify"])
+def test_command_imports_only_what_it_runs(tmp_path, argv, forbidden):
+    """A fresh process running the command loads only the modules it runs."""
+    env = _env_with_src()
+    env.pop("CATSIM_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "import sys, catsim.cli; "
+         "code = catsim.cli.main(sys.argv[1:]); "
+         "assert code in (0, 1), code; "
+         "print(*sys.modules)",
+         *argv, "--out", str(tmp_path / "out")],
+        env=env, check=True, timeout=60, capture_output=True, text=True)
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "catsim.params" in loaded
+    assert not loaded & {f"catsim.{name}" for name in forbidden}
+    # records are NamedTuples, and only CATSIM_LOG configures logging
+    assert not loaded & {"dataclasses", "logging"}
+
+
+def test_package_names_resolve_on_first_use():
+    """``import catsim`` loads no submodule; each name in ``__all__``, and
+    ``import *``, imports its module when first asked for."""
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catsim; "
+         "assert not [m for m in sys.modules if m.startswith('catsim.')]; "
+         "assert set(catsim.__all__) <= set(dir(catsim)); "
+         "from catsim import *; "
+         "names = dict(vars()); "
+         "assert all(n in names for n in catsim.__all__); "
+         "assert catsim.protocol.run_protocol is run_protocol; "
+         "assert catsim.ThermalSample.__module__ == 'catsim.protocol'; "
+         "import catsim.verify; assert catsim.verify.run_all"],
+        env=_env_with_src(), check=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["feasibility", "--config", "discussion"],
     ["transient", "--config", "discussion", "--points", "4"],
@@ -501,8 +589,8 @@ def _check_outcome(argv, code, err):
         assert code == 2 and err.startswith("error: ") \
             and err.count("\n") == 1, (argv, code, err)
     else:
-        # feasibility exits 1 on a warn verdict and 2 on a fail verdict
-        assert code == 0 or (argv[0] == "feasibility" and code in (1, 2)), \
+        # feasibility exits 1 on a warn verdict and 3 on a fail verdict
+        assert code == 0 or (argv[0] == "feasibility" and code in (1, 3)), \
             (argv, code)
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,7 @@ from catsim.feasibility import (
     superposition_size,
     trap_lifetime,
 )
-from catsim.params import ParameterError
+from catsim.params import ParameterError, replace
 
 
 def test_atom_trap_frequency_value(discussion):
@@ -35,8 +34,8 @@ def test_atom_trap_frequency_scalings(discussion):
 
 
 def test_atom_trap_frequency_blue_detuned(discussion):
-    trap = replace(discussion.trap, detuning_radps=1.0)
-    object.__setattr__(trap, "detuning_radps", -1.0)
+    # _replace skips the record's own check, which would refuse this trap
+    trap = discussion.trap._replace(detuning_radps=-1.0)
     with pytest.raises(ParameterError, match="blue-detuned"):
         atom_trap_frequency(discussion.atom, trap)
 
@@ -124,7 +123,7 @@ def test_constraint_grading_thresholds(discussion):
     by_name = {v.name: v for v in report.verdicts}
     assert by_name["coupling_ceiling"].status == "fail"
     assert report.status == "fail"
-    assert report.exit_code == 2
+    assert report.exit_code == 3       # 2 is an input error
 
 
 def test_report_deterministic(discussion):

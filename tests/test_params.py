@@ -12,6 +12,7 @@ from catsim.params import (
     PhysicalScenario,
     grav_coupling,
     load_scenario,
+    replace,
     scenario_from_dict,
     zero_point_motion,
 )
@@ -180,3 +181,12 @@ def test_mass_ratio_warning(discussion_doc):
 def test_scenario_immutable(discussion):
     with pytest.raises(Exception):
         discussion.atom.mass_kg = 0.0
+
+
+def test_replace_checks_the_new_record(discussion):
+    trap = discussion.trap
+    assert replace(trap, detuning_radps=2.0) \
+        == trap._replace(detuning_radps=2.0)
+    with pytest.raises(ParameterError, match="must be below"):
+        replace(trap,
+                paul_frequency_soft_radps=trap.paul_frequency_stiff_radps)

@@ -2,7 +2,6 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from catsim.params import (
     ProtocolTimings,
     TrapConfig,
     grav_coupling,
+    replace,
     zero_point_motion,
 )
 from catsim.protocol import (
