@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import errno
 import json
 import math
 import os
@@ -44,38 +45,42 @@ def _csv(header: list[str], rows):
 
 
 def _write(out_name: str, files: dict) -> None:
-    """Create ``--out`` and stream each file into it through its writer.
-    A file whose writer is None is a stale output of another kind of run,
-    removed once every other file is written.  If anything fails, every
-    file this run opened is removed, so that a failed run leaves none of its
-    outputs behind."""
+    """Create ``--out`` and write every file into it, or none.  Each file is
+    streamed into a temporary name inside ``--out``; only once all of them
+    are written are they renamed into place.  A file whose writer is None is
+    a stale output of another kind of run, removed after the renames.  A run
+    that fails removes its temporary files and touches no other."""
     out = Path(out_name)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:      # --out is, or lies under, an existing file
         raise ConfigError(f"--out {out_name!r} is not a usable directory: "
                           f"{exc.strerror or exc}") from exc
-    opened = []
+    staged = {}                 # each output path -> its temporary name
     try:
-        # removals last, so that a run that fails removes nothing
-        for name, write in sorted(files.items(), key=lambda f: f[1] is None):
+        for name, write in files.items():
+            if write is None:
+                continue
             path = out / name
-            try:
-                if write is None:   # a directory of that name is no output
-                    if path.is_file():
-                        path.unlink()
-                    continue
-                # text with no newline translation
-                with open(path, "w", newline="", encoding="utf-8") as fh:
-                    opened.append(path)
-                    write(fh)
-            except OSError as exc:  # e.g. the name is an existing directory
-                raise ConfigError(f"cannot write output file {str(path)!r}: "
-                                  f"{exc.strerror or exc}") from exc
-    except BaseException:
-        for path in opened:
-            path.unlink(missing_ok=True)
-        raise
+            if path.is_dir():   # refused before any file is renamed
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR))
+            staged[path] = out / f".{name}.{os.getpid()}.tmp"
+            # text with no newline translation
+            with open(staged[path], "w", newline="", encoding="utf-8") as fh:
+                write(fh)
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+        for name, write in files.items():
+            path = out / name   # a directory of that name is no output
+            if write is None and path.is_file():
+                path.unlink()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {str(path)!r}: "
+                          f"{exc.strerror or exc}") from exc
+    finally:                    # after a failure, the temporary files left
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -165,9 +170,10 @@ def cmd_protocol(args) -> tuple[int, str, dict]:
     if args.seed < 0:
         raise ConfigError(
             f"--seed must be a non-negative integer, got {args.seed}")
+    alpha = _parse_alpha(args.alpha)
     thermal = args.thermal is not None
     initial = (protocol.ThermalSample(args.thermal, args.seed, args.samples)
-               if thermal else protocol.Coherent(_parse_alpha(args.alpha)))
+               if thermal else protocol.Coherent(alpha))
     run = protocol.run_protocol(scenario, initial, exact_phase=args.exact_phase,
                                 force=args.force, beta=args.beta)
     files = {}

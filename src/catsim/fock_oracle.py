@@ -3,7 +3,8 @@
 Everything here is dense and deliberately simple: the module exists to
 verify the closed-form evolutions of ``gaussian`` independently, so it
 holds no closed forms of its own (the analytic coherent overlap is
-``gaussian.coherent_overlap``).  Every unitary is the exponential of an
+``gaussian.coherent_overlap``).  A state is a plain complex array of
+number-basis amplitudes and a gate is its dense matrix.  Every unitary is the exponential of an
 anti-Hermitian generator K (-iHt, a displacement or a squeeze), which
 ``expm`` takes in the eigenbasis of the Hermitian iK: one dense ``eigh``
 per unitary, with numpy only.  All global-phase comparisons should go
@@ -14,7 +15,6 @@ per-component arguments.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,29 +27,19 @@ class TruncationError(ValueError):
     """Truncated basis too small for the requested state or operation."""
 
 
-class FockVector(NamedTuple):
-    amps: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def tail_mass(self) -> float:
-        return float(abs(self.amps[-1]) ** 2)
-
-    def check_health(self) -> None:
-        n = self.norm()
-        if abs(n - 1.0) > NORM_TOL:
-            raise TruncationError(
-                f"state norm {n:.12g} drifted beyond {NORM_TOL:g}; "
-                "increase the basis size")
-        if self.tail_mass() > TAIL_TOL:
-            raise TruncationError(
-                f"top-level occupation {self.tail_mass():.3g} exceeds "
-                f"{TAIL_TOL:g}; increase the basis size")
+def check_health(psi: np.ndarray) -> None:
+    """Raise if the state's norm drifted or its top level is occupied: the
+    truncated basis is too small for it."""
+    n = float(np.linalg.norm(psi))
+    if abs(n - 1.0) > NORM_TOL:
+        raise TruncationError(
+            f"state norm {n:.12g} drifted beyond {NORM_TOL:g}; "
+            "increase the basis size")
+    tail = float(abs(psi[-1]) ** 2)
+    if tail > TAIL_TOL:
+        raise TruncationError(
+            f"top-level occupation {tail:.3g} exceeds {TAIL_TOL:g}; "
+            "increase the basis size")
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -63,7 +53,7 @@ def required_dim(alpha: complex) -> int:
     return int(math.ceil(4.0 * abs(alpha) ** 2 + 25.0))
 
 
-def coherent_to_fock(alpha: complex, dim: int) -> FockVector:
+def coherent_to_fock(alpha: complex, dim: int) -> np.ndarray:
     """amps[n] = e^{-|a|^2/2} a^n / sqrt(n!), with the truncation rule
     dim > 4|a|^2 + 25."""
     need = required_dim(alpha)
@@ -76,18 +66,18 @@ def coherent_to_fock(alpha: complex, dim: int) -> FockVector:
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     amps *= math.exp(-0.5 * abs(alpha) ** 2)
-    return FockVector(amps)
+    return amps
 
 
-def overlap(reference: FockVector, state: FockVector) -> complex:
-    return complex(np.vdot(reference.amps, state.amps))
+def overlap(reference: np.ndarray, state: np.ndarray) -> complex:
+    return complex(np.vdot(reference, state))
 
 
-def fidelity(reference: FockVector, state: FockVector) -> float:
+def fidelity(reference: np.ndarray, state: np.ndarray) -> float:
     return abs(overlap(reference, state)) ** 2
 
 
-def overlap_phase(reference: FockVector, state: FockVector) -> float:
+def overlap_phase(reference: np.ndarray, state: np.ndarray) -> float:
     return float(np.angle(overlap(reference, state)))
 
 
@@ -105,18 +95,6 @@ def expm(generator: np.ndarray) -> np.ndarray:
 
 # --- Gates --------------------------------------------------------------------
 
-class Displace(NamedTuple):
-    alpha: complex
-
-
-class Squeeze(NamedTuple):
-    z: complex
-
-
-class Rotate(NamedTuple):
-    phi: float
-
-
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     a = annihilation(dim)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
@@ -132,17 +110,10 @@ def rotation_matrix(phi: float, dim: int) -> np.ndarray:
     return np.diag(np.exp(1j * phi * np.arange(dim)))
 
 
-def apply_gate(psi: FockVector, gate: Displace | Squeeze | Rotate) -> FockVector:
-    if isinstance(gate, Displace):
-        mat = displacement_matrix(gate.alpha, psi.dim)
-    elif isinstance(gate, Squeeze):
-        mat = squeeze_matrix(gate.z, psi.dim)
-    elif isinstance(gate, Rotate):
-        mat = rotation_matrix(gate.phi, psi.dim)
-    else:
-        raise TypeError(f"unknown gate {gate!r}")
-    out = FockVector(mat @ psi.amps)
-    out.check_health()
+def apply_gate(psi: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """``gate @ psi`` for a dense gate matrix, checked for truncation."""
+    out = gate @ psi
+    check_health(out)
     return out
 
 
@@ -173,10 +144,10 @@ def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
             + g_lin * X)
 
 
-def evolve_schrodinger(psi: FockVector, hamiltonian: np.ndarray,
-                       t: float) -> FockVector:
+def evolve_schrodinger(psi: np.ndarray, hamiltonian: np.ndarray,
+                       t: float) -> np.ndarray:
     """Propagate by expm(-i H t); ``expm`` rejects a non-Hermitian H at any
     t != 0."""
-    out = FockVector(expm(-1j * hamiltonian * t) @ psi.amps)
-    out.check_health()
+    out = expm(-1j * hamiltonian * t) @ psi
+    check_health(out)
     return out

@@ -123,9 +123,10 @@ def check_quench_decomposition(dim: int = 80) -> CheckResult:
     for t in (0.01, 0.05):
         qp = gaussian.quench_params(omega1, omega2, g2 / omega2, t)
         psi = fock_oracle.coherent_to_fock(alpha, dim)
-        psi = fock_oracle.apply_gate(psi, fock_oracle.Rotate(qp.phi))
-        psi = fock_oracle.apply_gate(psi, fock_oracle.Displace(qp.epsilon))
-        psi = fock_oracle.apply_gate(psi, fock_oracle.Squeeze(qp.z))
+        for gate in (fock_oracle.rotation_matrix(qp.phi, dim),
+                     fock_oracle.displacement_matrix(qp.epsilon, dim),
+                     fock_oracle.squeeze_matrix(qp.z, dim)):
+            psi = fock_oracle.apply_gate(psi, gate)
         h = fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim)
         numeric = fock_oracle.evolve_schrodinger(
             fock_oracle.coherent_to_fock(alpha, dim), h, t)
@@ -140,13 +141,12 @@ def check_commutation_identity(dim: int = 80) -> CheckResult:
     xi = 0.8 - 0.4j
     gamma = gaussian.commute_squeeze_displacement(z, xi)
     psi = fock_oracle.coherent_to_fock(0.2 + 0.1j, dim)
-    lhs = fock_oracle.apply_gate(
-        fock_oracle.apply_gate(psi, fock_oracle.Displace(xi)),
-        fock_oracle.Squeeze(z))
-    rhs = fock_oracle.apply_gate(
-        fock_oracle.apply_gate(psi, fock_oracle.Squeeze(z)),
-        fock_oracle.Displace(gamma))
-    diff = float(np.linalg.norm(lhs.amps - rhs.amps))
+    squeeze = fock_oracle.squeeze_matrix(z, dim)
+    lhs = fock_oracle.apply_gate(fock_oracle.apply_gate(
+        psi, fock_oracle.displacement_matrix(xi, dim)), squeeze)
+    rhs = fock_oracle.apply_gate(fock_oracle.apply_gate(psi, squeeze),
+                                 fock_oracle.displacement_matrix(gamma, dim))
+    diff = float(np.linalg.norm(lhs - rhs))
     return _result("commutation_identity", diff, 1e-7, "vector norm")
 
 

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catsim
-from catsim.cli import main
+from catsim.cli import _write, main
+from catsim.params import ConfigError
 
 
 def run(tmp_path, *argv):
@@ -186,12 +187,15 @@ _BAD_FLAGS = [
     ("protocol --beta foo", "--beta"),
     ("protocol --thermal 10 --seed True", "--seed"),
     ("protocol --thermal 10 --samples 4 --seed -1", "seed"),
-    # --samples and --seed are checked whether or not --thermal reads them
+    # --samples, --seed and --alpha are checked whether or not --thermal
+    # reads them
     ("protocol --samples 0", "--samples"),
     ("protocol --samples 1000001", "--samples"),
     ("protocol --thermal 10 --samples 1000001", "--samples"),
     ("protocol --seed -5", "--seed"),
     ("protocol --samples 0 --seed -5", "--samples"),
+    ("protocol --thermal 10 --samples 5 --alpha nan", "--alpha"),
+    ("protocol --thermal 10 --samples 5 --alpha foo", "--alpha"),
     ("protocol --alpha 1e300", "alpha"),    # would overflow the weights
     ("protocol --alpha 1e12", "alpha"),     # phi_grav lost to rounding
     ("protocol --alpha 1.7e308+1.7e308j", "alpha"),     # |alpha| overflows
@@ -361,46 +365,27 @@ def test_cli_import_leaves_scipy_unloaded():
         env=_env_with_src(), check=True, timeout=60)
 
 
-# the closed-form commands, which use math and cmath only
-_NUMPY_FREE = [
-    ["feasibility", "--config", "discussion"],
-    ["protocol", "--config", "discussion", "--alpha", "1+1j"],
-    ["transient", "--config", "figure_transient", "--points", "4"],
-    ["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
-     "--points", "3"],
-]
-
-
-@pytest.mark.parametrize("argv", _NUMPY_FREE, ids=lambda argv: argv[0])
-def test_closed_form_command_leaves_numpy_unloaded(tmp_path, argv):
-    """A fresh process pays for no numpy import unless it samples a thermal
-    state or runs the oracles."""
-    subprocess.run(
-        [sys.executable, "-W", "ignore", "-c",
-         "import sys, catsim.cli; "
-         "code = catsim.cli.main(sys.argv[1:]); "
-         "assert code in (0, 1), code; "
-         "assert 'numpy' not in sys.modules, 'numpy was imported'",
-         *argv, "--out", str(tmp_path / "out")],
-        env=_env_with_src(), check=True, timeout=60,
-        stdout=subprocess.DEVNULL)
-
-
-_CATSIM = {"cli", "params", "classical", "gaussian", "fock_oracle",
-           "protocol", "feasibility", "verify"}
-# each command, and the catsim modules it must not load
+_CATSIM = {f"catsim.{name}" for name in (
+    "cli", "params", "classical", "gaussian", "fock_oracle", "protocol",
+    "feasibility", "verify")}
+# each command, and the modules it must not load: the closed-form commands,
+# which use math and cmath only, pay for no numpy import
 _FOOTPRINT = [
     (["feasibility", "--config", "discussion"],
-     _CATSIM - {"cli", "params", "feasibility"}),
+     _CATSIM - {"catsim.cli", "catsim.params", "catsim.feasibility"}
+     | {"numpy"}),
     (["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
-      "--points", "3"], _CATSIM - {"cli", "params", "feasibility"}),
+      "--points", "3"],
+     _CATSIM - {"catsim.cli", "catsim.params", "catsim.feasibility"}
+     | {"numpy"}),
     (["transient", "--config", "figure_transient", "--points", "4"],
-     _CATSIM - {"cli", "params", "classical"}),
+     _CATSIM - {"catsim.cli", "catsim.params", "catsim.classical"}
+     | {"numpy"}),
     (["protocol", "--config", "discussion", "--alpha", "1+1j"],
-     {"classical", "fock_oracle", "verify"}),
+     {"catsim.classical", "catsim.fock_oracle", "catsim.verify", "numpy"}),
     (["protocol", "--config", "discussion", "--thermal", "1", "--samples",
-      "3"], {"classical", "fock_oracle", "verify"}),
-    (["verify", "--quick"], {"protocol", "feasibility"}),
+      "3"], {"catsim.classical", "catsim.fock_oracle", "catsim.verify"}),
+    (["verify", "--quick"], {"catsim.protocol", "catsim.feasibility"}),
 ]
 
 
@@ -421,7 +406,7 @@ def test_command_imports_only_what_it_runs(tmp_path, argv, forbidden):
         env=env, check=True, timeout=60, capture_output=True, text=True)
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "catsim.params" in loaded
-    assert not loaded & {f"catsim.{name}" for name in forbidden}
+    assert not loaded & forbidden
     # records are NamedTuples, and only CATSIM_LOG configures logging
     assert not loaded & {"dataclasses", "logging"}
 
@@ -480,6 +465,47 @@ def test_output_file_that_is_a_directory(tmp_path, capsys, argv, name):
     assert captured.err.startswith("error: ") \
         and captured.err.count("\n") == 1 and name in captured.err
     assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_failed_run_keeps_an_earlier_runs_files(tmp_path, capsys):
+    """A run that cannot write one file leaves every file of an earlier
+    run in --out as it was, and no temporary file."""
+    out = tmp_path / "out"
+    argv = ["feasibility", "--config", "discussion", "--out", str(out)]
+    assert main(argv) == 1
+    # marked, so that a rewrite with the same text would show too
+    with open(out / "feasibility.txt", "a") as fh:
+        fh.write("earlier run\n")
+    report = (out / "feasibility.txt").read_bytes()
+    (out / "feasibility.csv").unlink()
+    (out / "feasibility.csv").mkdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "feasibility.csv" in _one_line_error(capsys)
+    assert (out / "feasibility.txt").read_bytes() == report
+    assert sorted(p.name for p in out.iterdir()) == [
+        "feasibility.csv", "feasibility.txt"]
+
+
+@pytest.mark.parametrize("error,raised", [
+    (OSError(28, "No space left on device"), ConfigError),
+    (RuntimeError("writer failed"), RuntimeError),
+])
+def test_writer_that_fails_mid_file(tmp_path, error, raised):
+    """A writer that raises after writing part of its file leaves the old
+    file as it was and no temporary name behind."""
+    (tmp_path / "a.csv").write_text("old run\n")
+
+    def write(fh):
+        fh.write("new run, half written")
+        fh.flush()
+        raise error
+
+    with pytest.raises(raised):
+        _write(str(tmp_path), {"b.csv": lambda fh: fh.write("b\n"),
+                               "a.csv": write})
+    assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text() == "old run\n"
 
 
 @pytest.mark.parametrize("digits", [400, 5000])

@@ -387,13 +387,15 @@ def _fock_protocol(scenario, alpha, beta, exact_phase, dim=80):
     g1 = grav_coupling(m, omega1, scenario.constants)
     h = fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim)
     up = fock_oracle.coherent_to_fock(alpha, dim)
-    down = fock_oracle.apply_gate(up, fock_oracle.Displace(beta))
+    down = fock_oracle.apply_gate(
+        up, fock_oracle.displacement_matrix(beta, dim))
     down = fock_oracle.evolve_schrodinger(down, h, t)
     up = fock_oracle.evolve_schrodinger(up, h, t)
     c1, c2 = quench_linear_map(omega1, omega2, t)
     back = -(c1 + c2) * beta if exact_phase else -beta
-    down = fock_oracle.apply_gate(down, fock_oracle.Displace(back))
-    p_down = 0.25 * float(np.linalg.norm(down.amps + up.amps)) ** 2
+    down = fock_oracle.apply_gate(
+        down, fock_oracle.displacement_matrix(back, dim))
+    p_down = 0.25 * float(np.linalg.norm(down + up)) ** 2
     return p_down, fock_oracle.overlap_phase(down, up)
 
 
