@@ -365,24 +365,45 @@ def test_cli_import_leaves_scipy_unloaded():
         env=_env_with_src(), check=True, timeout=60)
 
 
+# the closed-form commands, which use math and cmath only
+_NUMPY_FREE = [
+    ["feasibility", "--config", "discussion"],
+    ["protocol", "--config", "discussion", "--alpha", "1+1j"],
+    ["transient", "--config", "figure_transient", "--points", "4"],
+    ["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
+     "--points", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _NUMPY_FREE, ids=lambda argv: argv[0])
+def test_closed_form_command_leaves_numpy_unloaded(tmp_path, argv):
+    """A fresh process pays for no numpy import unless it samples a thermal
+    state or runs the oracles."""
+    subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         "import sys, catsim.cli; "
+         "code = catsim.cli.main(sys.argv[1:]); "
+         "assert code in (0, 1), code; "
+         "assert 'numpy' not in sys.modules, 'numpy was imported'",
+         *argv, "--out", str(tmp_path / "out")],
+        env=_env_with_src(), check=True, timeout=60,
+        stdout=subprocess.DEVNULL)
+
+
 _CATSIM = {f"catsim.{name}" for name in (
     "cli", "params", "classical", "gaussian", "fock_oracle", "protocol",
     "feasibility", "verify")}
-# each command, and the modules it must not load: the closed-form commands,
-# which use math and cmath only, pay for no numpy import
+# each command, and the catsim modules it must not load
 _FOOTPRINT = [
     (["feasibility", "--config", "discussion"],
-     _CATSIM - {"catsim.cli", "catsim.params", "catsim.feasibility"}
-     | {"numpy"}),
+     _CATSIM - {"catsim.cli", "catsim.params", "catsim.feasibility"}),
     (["sweep", "--config", "discussion", "--min", "1e-6", "--max", "1e-4",
       "--points", "3"],
-     _CATSIM - {"catsim.cli", "catsim.params", "catsim.feasibility"}
-     | {"numpy"}),
+     _CATSIM - {"catsim.cli", "catsim.params", "catsim.feasibility"}),
     (["transient", "--config", "figure_transient", "--points", "4"],
-     _CATSIM - {"catsim.cli", "catsim.params", "catsim.classical"}
-     | {"numpy"}),
+     _CATSIM - {"catsim.cli", "catsim.params", "catsim.classical"}),
     (["protocol", "--config", "discussion", "--alpha", "1+1j"],
-     {"catsim.classical", "catsim.fock_oracle", "catsim.verify", "numpy"}),
+     {"catsim.classical", "catsim.fock_oracle", "catsim.verify"}),
     (["protocol", "--config", "discussion", "--thermal", "1", "--samples",
       "3"], {"catsim.classical", "catsim.fock_oracle", "catsim.verify"}),
     (["verify", "--quick"], {"catsim.protocol", "catsim.feasibility"}),
