@@ -36,14 +36,7 @@ _LAZY = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONSTANTS", "AtomSpec", "Coherent", "CoherentBranch", "ConfigError",
-    "DisplacementBeam", "FeasibilityReport", "NanoparticleSpec",
-    "ParameterError", "PhysicalConstants", "PhysicalScenario",
-    "ProtocolResult", "ProtocolTimings", "ThermalSample", "TrapConfig",
-    "constraint_check", "grav_coupling", "load_scenario", "run_protocol",
-    "scenario_from_dict", "zero_point_motion",
-]
+__all__ = [name for name, module in _LAZY.items() if name != module]
 
 
 def __getattr__(name: str):

@@ -82,11 +82,6 @@ class TimeDependentTrapSpec(NamedTuple):
         """Stiff balanced trap for t <= switch, soft trap with gravity after."""
         return cls(mass, omega1, omega2, 0.0, g_E, switch_time)
 
-    def at(self, t: float) -> tuple[float, float]:
-        if t <= self.switch_time:
-            return self.omega_initial, self.accel_initial
-        return self.omega_final, self.accel_final
-
 
 def _rk4_step(x, p, m: float, w2: float, accel: float, h: float):
     """One classical RK4 step of Hamilton's equations
@@ -132,16 +127,13 @@ def ode_oracle(s0: PhaseSpacePoint, spec: TimeDependentTrapSpec, t: float,
         raise ParameterError(
             f"dt={dt:g} too large: must be below 2*pi/(50*omega) = "
             f"{_RK4_STEP_FRACTION / omega_max:g}")
-    x, p = s0.x, s0.p
-    m = spec.mass
-    if 0.0 < spec.switch_time < t:
-        x, p = _rk4_segment(x, p, m, spec.omega_initial, spec.accel_initial,
-                            spec.switch_time, dt)
-        x, p = _rk4_segment(x, p, m, spec.omega_final, spec.accel_final,
-                            t - spec.switch_time, dt)
-    else:
-        omega, accel = spec.at(t)
-        x, p = _rk4_segment(x, p, m, omega, accel, t, dt)
+    # a segment of length <= 0 is skipped, so a switch outside (0, t) runs
+    # one trap for the whole of t
+    switch = min(t, max(0.0, spec.switch_time))
+    x, p = _rk4_segment(s0.x, s0.p, spec.mass, spec.omega_initial,
+                        spec.accel_initial, switch, dt)
+    x, p = _rk4_segment(x, p, spec.mass, spec.omega_final, spec.accel_final,
+                        t - switch, dt)
     return PhaseSpacePoint(x, p)
 
 

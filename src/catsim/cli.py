@@ -30,7 +30,6 @@ from .params import MAX_MAGNITUDE, MIN_MAGNITUDE, ConfigError, \
 
 _FMT = ".17g"
 MAX_POINTS = 10**6
-_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _csv(header: list[str], rows):
@@ -85,18 +84,6 @@ def _write(out_name: str, files: dict) -> None:
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(f"warning: {message}\n")
-
-
-def _configure_logging() -> None:
-    value = os.environ.get("CATSIM_LOG")
-    if value is None:           # no command needs logging, so none imports it
-        return
-    if value.upper() not in _LOG_LEVELS:
-        raise ConfigError(f"CATSIM_LOG={value!r} is not one of "
-                          + ", ".join(_LOG_LEVELS))
-    import logging
-    logging.basicConfig(level=value.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _check_count(flag: str, n: int, limit: int = MAX_POINTS) -> int:
@@ -286,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Atom-nanoparticle cat-state protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def common(p):
+        p.add_argument("--config", required=True,
                        help="scenario JSON path or preset name "
                             "(discussion, figure_transient)")
         p.add_argument("--out", default=".", help="output directory")
@@ -340,7 +327,6 @@ def main(argv: list[str] | None = None) -> int:
         # each warning is one line, like an error; the filters are untouched
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            _configure_logging()
             args = build_parser().parse_args(argv)
             code, text, files = args.func(args)
             _write(args.out, files)

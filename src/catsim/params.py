@@ -62,10 +62,9 @@ class PhysicalConstants(NamedTuple):
     c: float = 299792458.0              # m/s
     g_E: float = 9.81                   # m/s^2
     eps0: float = 8.8541878128e-12      # F/m
-    q_e: float = 1.602176634e-19        # C
 
     def _check(self):
-        for name in ("hbar", "c", "g_E", "eps0", "q_e"):
+        for name in ("hbar", "c", "g_E", "eps0"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"constant {name} must be positive")
 

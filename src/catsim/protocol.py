@@ -146,27 +146,29 @@ def run_protocol(scenario: PhysicalScenario,
         # returns inf, which the check below refuses
         amplitude = math.hypot(alpha.real, alpha.imag)
         name, value = "alpha", alpha
-    # the branch phases, ~ g1 t |alpha| rad, carry phi_grav in their
+    if beta is None:
+        beta = beam_amplitude(scenario, report.delta_x_m)
+    # the branch phases, ~ g1 t |alpha + beta| rad, carry phi_grav in their
     # difference; once their rounding passes the limit it would be lost
     # while the norm check still passes
     m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
     omega1 = scenario.trap.paul_frequency_stiff_radps
     omega2 = scenario.trap.paul_frequency_soft_radps
     dt = scenario.protocol.free_fall_duration_s
+    amplitude += abs(beta)      # bounds the displaced branch's |alpha + beta|
     phase = grav_coupling(m_total, omega1, scenario.constants) * dt * amplitude
     rounding = sys.float_info.epsilon * phase
     if not rounding <= PHASE_ROUNDING_LIMIT:        # a NaN fails too
         raise ProtocolError(
-            f"{name} {value:g}: initial |alpha| up to {amplitude:.3g} gives "
-            f"branch phases ~{phase:.3g} rad whose rounding, "
-            f"~{rounding:.3g} rad, exceeds {PHASE_ROUNDING_LIMIT:g} rad")
+            f"{name} {value:g}, beta {beta:g}: |alpha| + |beta| up to "
+            f"{amplitude:.3g} gives branch phases ~{phase:.3g} rad whose "
+            f"rounding, ~{rounding:.3g} rad, exceeds "
+            f"{PHASE_ROUNDING_LIMIT:g} rad")
     if report.eta > LAMB_DICKE_FLAG:
         warnings.warn(
             f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
             "sideband displacement beam is only marginally selective",
             stacklevel=2)
-    if beta is None:
-        beta = beam_amplitude(scenario, report.delta_x_m)
     fall_force = verdicts["freefall_force"]
     if fall_force.status == "fail":
         raise ProtocolError(

@@ -136,6 +136,19 @@ def test_ode_oracle_matches_stepwise_rk4_through_switch():
     _assert_close(num, *_rk4_loop(x, p, M, 0.5, G_E, 0.6, 12), 0.5, G_E)
 
 
+@pytest.mark.parametrize("switch", [1.0, 1.5, math.inf, 0.0, -0.3])
+def test_switch_outside_the_run_is_one_trap(switch):
+    """A switch at or after t runs the initial trap throughout, one at or
+    below 0 the final trap, exactly as a constant trap would."""
+    spec = TimeDependentTrapSpec.sudden_quench(M, 2.0, 0.5, G_E,
+                                               switch_time=switch)
+    omega, accel = (2.0, 0.0) if switch >= 1.0 else (0.5, G_E)
+    s0 = PhaseSpacePoint(1e-6, 2e-21)
+    assert (ode_oracle(s0, spec, 1.0, dt=0.0501)
+            == ode_oracle(s0, TimeDependentTrapSpec.constant(M, omega, accel),
+                          1.0, dt=0.0501))
+
+
 def test_rk4_through_switch():
     spec = TimeDependentTrapSpec.sudden_quench(M, 2.0, 0.5, G_E,
                                                switch_time=0.4)

@@ -76,7 +76,7 @@ def unit_scenario(t=0.02):
     """hbar = m = omega1 = 1, omega2 = 1/2 and g1 = 5: small enough for a
     Fock basis, with w1 t, w2 t and g1 t beta all below one."""
     const = PhysicalConstants(hbar=1.0, c=1.0, g_E=5.0 * math.sqrt(2.0),
-                              eps0=1.0, q_e=1.0)
+                              eps0=1.0)
     return PhysicalScenario(
         atom=AtomSpec(1e-7, 10.0, 1.0, 1.0),
         nanoparticle=NanoparticleSpec(1.0, 1.0),
@@ -329,6 +329,23 @@ def test_phase_rounding_limit_sits_at_its_amplitude(discussion):
     assert abs(res.phi_grav - ref.phi_grav) < PHASE_ROUNDING_LIMIT
     with pytest.raises(ProtocolError, match="alpha"):
         run_protocol(discussion, Coherent(1.001 * edge))
+
+
+def test_rejects_beta_whose_phase_rounding_exceeds_limit(discussion):
+    """The displaced branch's amplitude is alpha + beta, so beta counts
+    toward the rounding limit as much as alpha does."""
+    with pytest.raises(ProtocolError, match="beta"):
+        run_protocol(discussion, Coherent(0), beta=1e3)
+
+
+def test_large_beta_inside_the_limit_keeps_phi_grav(discussion):
+    """At beta = 100 the branch phases are ~2e5 rad: phi_grav still does
+    not depend on alpha, and P_down is still cos^2(phi_grav / 2)."""
+    ref, res = (run_protocol(discussion, Coherent(alpha), beta=100.0)
+                for alpha in (0, 3 + 2j))
+    assert abs(res.phi_grav - ref.phi_grav) < 1e-10
+    for r in (ref, res):
+        assert abs(r.p_down - math.cos(r.phi_grav / 2) ** 2) < 1e-10
 
 
 def test_run_protocol_thermal_seed_determinism(discussion):
@@ -609,25 +626,34 @@ def test_kernel_matches_scalar_path(discussion, alphas, beta):
             assert abs(got - want) < 1e-12
 
 
-def test_quench_duration_warning_names_the_caller(discussion):
-    # omega2 dt = 0.2 fails the quench_duration verdict; force only warns
-    slow = replace(discussion, protocol=replace(
+def _slow(discussion):
+    """omega2 dt = 0.2, which fails the quench_duration verdict.  Its branch
+    phases, ~1e14 rad per unit of |alpha| + |beta|, pass the rounding limit
+    only at alpha = 0 and a beta far below the preset's ~2e-4."""
+    return replace(discussion, protocol=replace(
         discussion.protocol, free_fall_duration_s=4e4))
+
+
+def test_slow_fall_at_the_preset_beta_is_refused(discussion):
+    with pytest.raises(ProtocolError, match="beta"):
+        run_protocol(_slow(discussion), Coherent(0), force=True)
+
+
+def test_quench_duration_warning_names_the_caller(discussion):
+    # force only warns
     with pytest.warns(UserWarning, match=r"omega2\*dt") as caught:
-        run_protocol(slow, Coherent(0), force=True)
+        run_protocol(_slow(discussion), Coherent(0), force=True, beta=1e-12)
     assert [w.filename for w in caught
             if "omega2*dt" in str(w.message)] == [__file__]
 
 
 def test_run_protocol_warns_once_per_run(discussion):
-    slow = replace(discussion, protocol=replace(
-        discussion.protocol, free_fall_duration_s=4e4))   # omega2 dt = 0.2
-    # the slow fall's branch phases, ~1e14 rad per unit |alpha|, pass the
-    # rounding limit only at alpha = 0, so its 200 draws are taken at nbar 0
-    for scenario, nbar, expected in ((discussion, 10.0, 0), (slow, 0.0, 1)):
+    for scenario, nbar, beta, expected in (
+            (discussion, 10.0, None, 0), (_slow(discussion), 0.0, 1e-12, 1)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_protocol(scenario, ThermalSample(nbar, 42, 200), force=True)
+            run_protocol(scenario, ThermalSample(nbar, 42, 200), force=True,
+                         beta=beta)
         messages = [str(w.message) for w in caught]
         assert sum("Lamb-Dicke" in m for m in messages) == 1
         assert sum("omega2*dt" in m for m in messages) == expected
