@@ -120,8 +120,10 @@ def _rk4_segment(x: float, p: float, m: float, omega: float, accel: float,
 def ode_oracle(s0: PhaseSpacePoint, spec: TimeDependentTrapSpec, t: float,
                dt: float) -> PhaseSpacePoint:
     """Fixed-step RK4 integration of Hamilton's equations, split at the switch."""
-    if dt <= 0:
-        raise ParameterError("dt must be positive")
+    if not dt > 0:                      # a NaN fails too
+        raise ParameterError(f"dt must be positive, got {dt:g}")
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t:g}")
     omega_max = max(spec.omega_initial, spec.omega_final)
     if omega_max > 0 and dt >= _RK4_STEP_FRACTION / omega_max:
         raise ParameterError(

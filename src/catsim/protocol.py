@@ -20,6 +20,7 @@ drops a weight.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 import warnings
@@ -110,6 +111,42 @@ def beam_amplitude(scenario: PhysicalScenario, delta_x: float) -> float:
     return delta_x / (2.0 * delta_r1)
 
 
+class _SetUp(NamedTuple):
+    """What run_protocol needs of a scenario, whatever the call."""
+    report: feasibility.FeasibilityReport
+    failed: tuple[str, ...]             # names of the failed verdicts
+    fall_force: feasibility.ConstraintVerdict
+    quench: feasibility.ConstraintVerdict
+    beta: float                         # the default, from the report's Delta x
+    g1_dt: float                        # branch phase per unit |alpha + beta|
+    couplings: tuple                    # evolve_quench's (omega1, omega2, g2, t)
+    c1: complex
+    c2: complex
+
+
+# a scan calls run_protocol on one scenario many times, so the report is
+# graded once per scenario; every cached field is immutable, so callers can
+# share it.  A test that patches feasibility.constraint_check
+# must call _set_up.cache_clear() first, or it reads a report made without
+# the patch.
+@functools.lru_cache(maxsize=8)
+def _set_up(scenario: PhysicalScenario) -> _SetUp:
+    report = feasibility.constraint_check(scenario)
+    verdicts = {v.name: v for v in report.verdicts}
+    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    omega1 = scenario.trap.paul_frequency_stiff_radps
+    omega2 = scenario.trap.paul_frequency_soft_radps
+    dt = scenario.protocol.free_fall_duration_s
+    couplings = (omega1, omega2,
+                 grav_coupling(m_total, omega2, scenario.constants), dt)
+    return _SetUp(
+        report, tuple(v.name for v in report.verdicts if v.status == "fail"),
+        verdicts["freefall_force"], verdicts["quench_duration"],
+        beam_amplitude(scenario, report.delta_x_m),
+        grav_coupling(m_total, omega1, scenario.constants) * dt, couplings,
+        *quench_linear_map(omega1, omega2, dt))
+
+
 def run_protocol(scenario: PhysicalScenario,
                  initial: Coherent | ThermalSample,
                  exact_phase: bool = True,
@@ -125,9 +162,8 @@ def run_protocol(scenario: PhysicalScenario,
     approximation.  ``force`` runs past failed feasibility constraints,
     except a failed free-fall regime, which is always refused.
     """
-    report = feasibility.constraint_check(scenario)
-    verdicts = {v.name: v for v in report.verdicts}
-    failed = [v.name for v in report.verdicts if v.status == "fail"]
+    (report, failed, fall_force, quench, default_beta, g1_dt, couplings,
+     c1, c2) = _set_up(scenario)
     if failed and not force:
         raise ConstraintViolation(
             "feasibility constraints failed: " + ", ".join(failed)
@@ -147,16 +183,12 @@ def run_protocol(scenario: PhysicalScenario,
         amplitude = math.hypot(alpha.real, alpha.imag)
         name, value = "alpha", alpha
     if beta is None:
-        beta = beam_amplitude(scenario, report.delta_x_m)
+        beta = default_beta
     # the branch phases, ~ g1 t |alpha + beta| rad, carry phi_grav in their
     # difference; once their rounding passes the limit it would be lost
     # while the norm check still passes
-    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
-    omega1 = scenario.trap.paul_frequency_stiff_radps
-    omega2 = scenario.trap.paul_frequency_soft_radps
-    dt = scenario.protocol.free_fall_duration_s
     amplitude += abs(beta)      # bounds the displaced branch's |alpha + beta|
-    phase = grav_coupling(m_total, omega1, scenario.constants) * dt * amplitude
+    phase = g1_dt * amplitude
     rounding = sys.float_info.epsilon * phase
     if not rounding <= PHASE_ROUNDING_LIMIT:        # a NaN fails too
         raise ProtocolError(
@@ -169,18 +201,13 @@ def run_protocol(scenario: PhysicalScenario,
             f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
             "sideband displacement beam is only marginally selective",
             stacklevel=2)
-    fall_force = verdicts["freefall_force"]
     if fall_force.status == "fail":
         raise ProtocolError(
             f"not in free-fall regime: residual force {fall_force.lhs:.3g} N "
             f"is not small against m g_E = {fall_force.rhs:.3g} N")
-    quench = verdicts["quench_duration"]
     if quench.status == "fail":
         warnings.warn(f"omega2*dt = {quench.lhs:.3g} not << 1; transient "
                       "free-fall approximation degrades", stacklevel=2)
-    couplings = (omega1, omega2,
-                 grav_coupling(m_total, omega2, scenario.constants), dt)
-    c1, c2 = quench_linear_map(omega1, omega2, dt)
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     if thermal:
         return ProtocolDistribution(

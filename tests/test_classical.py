@@ -88,6 +88,16 @@ def test_rk4_step_guard():
         ode_oracle(PhaseSpacePoint(0.0, 0.0), spec, 1.0, dt=0.0)
 
 
+@pytest.mark.parametrize("t, dt, name", [
+    (1.0, math.nan, "dt"), (math.nan, 1e-3, "t"), (math.inf, 1e-3, "t")])
+def test_rk4_refuses_nan_and_infinite_times(t, dt, name):
+    """A NaN dt or a NaN or infinite t is refused by name, not left to
+    fail later in the step count."""
+    spec = TimeDependentTrapSpec.constant(M, 1.0, G_E)
+    with pytest.raises(ParameterError, match=rf"^{name} must be"):
+        ode_oracle(PhaseSpacePoint(0.0, 0.0), spec, t, dt)
+
+
 def _rk4_loop(x, p, m, omega, accel, duration, n):
     """Reference: n classical RK4 steps of x'' = -w^2 x - accel, stage by
     stage in a Python loop."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from catsim import fock_oracle
+from catsim import feasibility, fock_oracle
 from catsim.feasibility import constraint_check
 from catsim.gaussian import CoherentBranch, displace_compose, evolve_quench, \
     quench_linear_map
@@ -28,6 +28,7 @@ from catsim.params import (
 from catsim.protocol import (
     _SCALAR_OPS,
     _kernel,
+    _set_up,
     PHASE_ROUNDING_LIMIT,
     RECOMBINE_TOL,
     Coherent,
@@ -657,3 +658,65 @@ def test_run_protocol_warns_once_per_run(discussion):
         messages = [str(w.message) for w in caught]
         assert sum("Lamb-Dicke" in m for m in messages) == 1
         assert sum("omega2*dt" in m for m in messages) == expected
+
+
+# --- the per-scenario set-up cache ---------------------------------------------
+
+def test_every_call_warns_on_a_cached_scenario(discussion):
+    """The set-up is cached per scenario; its warnings are not."""
+    slow = _slow(discussion)
+    for scenario, kwargs, expected in (
+            (discussion, {}, ["Lamb-Dicke"]),
+            (slow, {"force": True, "beta": 1e-12},
+             ["Lamb-Dicke", "omega2*dt"])):
+        run_protocol(scenario, Coherent(0), **kwargs)   # a cache hit below
+        for initial in (Coherent(0), ThermalSample(0.0, 3, 20), Coherent(0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_protocol(scenario, initial, **kwargs)
+            assert [m for w in caught for m in expected
+                    if m in str(w.message)] == expected
+            assert {w.filename for w in caught} == {__file__}
+
+
+@pytest.mark.parametrize("forced_first", [False, True])
+def test_failed_verdict_refuses_every_unforced_call(discussion, forced_first):
+    bad = replace(discussion, trap=replace(discussion.trap,
+                                           paul_frequency_soft_radps=1e-3))
+    _set_up.cache_clear()
+    for force in (forced_first, not forced_first) * 2:
+        if force:
+            res = run_protocol(bad, Coherent(0), force=True)
+            assert 0.0 <= res.p_down <= 1.0
+        else:
+            with pytest.raises(ConstraintViolation, match="coupling_ceiling"):
+                run_protocol(bad, Coherent(0))
+
+
+def test_a_scenario_is_graded_once(discussion, monkeypatch):
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return constraint_check(scenario)
+    monkeypatch.setattr(feasibility, "constraint_check", counting)
+    _set_up.cache_clear()       # else a report from before the patch is read
+    for initial in (Coherent(0), Coherent(1 + 1j), ThermalSample(10.0, 1, 20),
+                    Coherent(-2j)):
+        run_protocol(discussion, initial)
+    run_protocol(discussion, Coherent(0.5), beta=0.0, exact_phase=False)
+    assert calls == [discussion]
+    _set_up.cache_clear()
+
+
+def test_another_fall_duration_is_its_own_scenario(discussion):
+    longer = replace(discussion, protocol=replace(
+        discussion.protocol, free_fall_duration_s=2e-6))
+    _set_up.cache_clear()
+    base = run_protocol(discussion, Coherent(1 + 1j)).phi_grav
+    res = run_protocol(longer, Coherent(1 + 1j))
+    assert _set_up.cache_info().misses == 2
+    assert res.phi_grav == pytest.approx(constraint_check(longer).phi_grav_rad,
+                                         abs=1e-12)
+    assert res.phi_grav == pytest.approx(2.0 * base, rel=1e-9)
+    assert run_protocol(discussion, Coherent(1 + 1j)).phi_grav == base
