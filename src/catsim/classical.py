@@ -122,8 +122,8 @@ def ode_oracle(s0: PhaseSpacePoint, spec: TimeDependentTrapSpec, t: float,
     """Fixed-step RK4 integration of Hamilton's equations, split at the switch."""
     if not dt > 0:                      # a NaN fails too
         raise ParameterError(f"dt must be positive, got {dt:g}")
-    if not math.isfinite(t):
-        raise ParameterError(f"t must be finite, got {t:g}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"t must be finite and non-negative, got {t:g}")
     omega_max = max(spec.omega_initial, spec.omega_final)
     if omega_max > 0 and dt >= _RK4_STEP_FRACTION / omega_max:
         raise ParameterError(

@@ -147,7 +147,9 @@ def evolve_quench_exact(branch: CoherentBranch, omega1: float, omega2: float,
     return CoherentBranch(gamma, branch.weight * cmath.exp(1j * phase))
 
 
-@functools.lru_cache(maxsize=16)     # a run asks three times for one trap
+# each run_protocol's two evolve_quench calls ask for one trap's map; a
+# cache hit takes ~0.15 us against ~1 us to compute it (CPython 3.11)
+@functools.lru_cache(maxsize=16)
 def quench_linear_map(omega1: float, omega2: float,
                       t: float) -> tuple[complex, complex]:
     """Second-order homogeneous map (c1, c2): alpha -> c1 alpha + c2 alpha*.

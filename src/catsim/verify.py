@@ -11,7 +11,6 @@ a deliberately injected fault in a formula is caught here.
 
 from __future__ import annotations
 
-import inspect
 import math
 from typing import NamedTuple
 
@@ -53,24 +52,20 @@ def _displaced_vs_oracle(t: float, dim: int, alpha: complex = 1.0 + 0.0j,
     return branch, fock_oracle.coherent_to_fock(branch.alpha, dim), numeric
 
 
-def check_displaced_oscillator_fidelity(dim: int = 60,
-                                        quick: bool = False) -> CheckResult:
+def check_displaced_oscillator_fidelity(dim: int = 60) -> CheckResult:
     """Exact coherent evolution vs expm of the mode Hamiltonian."""
-    times = [0.1, 0.5] if quick else [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
     worst = 0.0
-    for t in times:
+    for t in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
         _, reference, numeric = _displaced_vs_oracle(t, dim)
         worst = max(worst, 1.0 - fock_oracle.fidelity(reference, numeric))
     return _result("displaced_oscillator_fidelity", worst, 1e-8,
                    f"dim={dim}, infidelity over t<=0.5")
 
 
-def check_displaced_oscillator_phase(dim: int = 60,
-                                     quick: bool = False) -> CheckResult:
+def check_displaced_oscillator_phase(dim: int = 60) -> CheckResult:
     """Global phase prefactor of the exact evolution vs the oracle."""
-    times = [0.5] if quick else [0.1, 0.3, 0.5]
     worst = 0.0
-    for t in times:
+    for t in (0.1, 0.3, 0.5):
         branch, reference, numeric = _displaced_vs_oracle(t, dim)
         measured = fock_oracle.overlap_phase(reference, numeric)
         worst = max(worst, abs(_wrap(measured - _phase(branch.weight))))
@@ -86,7 +81,7 @@ def check_truncation_stability() -> CheckResult:
                    "fidelity shift under N -> 2N")
 
 
-def check_boost_phase(dim: int = 60) -> CheckResult:
+def check_boost_phase() -> CheckResult:
     """Second-order quench phase (boost + translation) vs the oracle.
 
     At omega2 = omega1 the quench the protocol runs is the second-order
@@ -94,7 +89,7 @@ def check_boost_phase(dim: int = 60) -> CheckResult:
     between two initial amplitudes so the alpha-independent global phase
     (zero-point, drift) cancels.
     """
-    omega, g, t = 1.0, 0.2, 0.02
+    omega, g, t, dim = 1.0, 0.2, 0.02, 60
 
     def oracle_phase(alpha):
         _, reference, numeric = _displaced_vs_oracle(t, dim, alpha, omega, g)
@@ -114,9 +109,9 @@ def check_boost_phase(dim: int = 60) -> CheckResult:
                    "relative phase, 2nd-order expansion vs oracle")
 
 
-def check_quench_decomposition(dim: int = 80) -> CheckResult:
+def check_quench_decomposition() -> CheckResult:
     """S(z) D(eps) R(phi) |alpha> vs expm of the quench Hamiltonian."""
-    omega1, omega2, g2 = 1.0, 0.5, 0.2
+    omega1, omega2, g2, dim = 1.0, 0.5, 0.2, 80
     alpha = 0.5 + 0.3j
     g1 = math.sqrt(omega2 / omega1) * g2
     worst = 0.0
@@ -135,8 +130,9 @@ def check_quench_decomposition(dim: int = 80) -> CheckResult:
                    "infidelity, decomposition vs direct propagation")
 
 
-def check_commutation_identity(dim: int = 80) -> CheckResult:
+def check_commutation_identity() -> CheckResult:
     """S(z) D(xi) = D(gamma) S(z) as a vector-norm identity."""
+    dim = 80
     z = 0.3 * np.exp(0.7j)
     xi = 0.8 - 0.4j
     gamma = gaussian.commute_squeeze_displacement(z, xi)
@@ -150,7 +146,7 @@ def check_commutation_identity(dim: int = 80) -> CheckResult:
     return _result("commutation_identity", diff, 1e-7, "vector norm")
 
 
-def check_quench_second_order(quick: bool = False) -> CheckResult:
+def check_quench_second_order() -> CheckResult:
     """Second-order quench map vs the exact decomposition route.
 
     Both the coherent amplitude and the phase prefactor of the
@@ -159,9 +155,8 @@ def check_quench_second_order(quick: bool = False) -> CheckResult:
     which stays bounded by an O(1) constant at these unit-scale inputs.
     """
     omega1, omega2, g2 = 1.0, 0.5, 0.2
-    alphas = [0.5 + 0.3j] if quick else [0.0j, 0.5 + 0.3j, 1.0 - 0.2j]
     worst = 0.0
-    for alpha in alphas:
+    for alpha in (0.0j, 0.5 + 0.3j, 1.0 - 0.2j):
         for t in (0.001, 0.005, 0.01):
             approx = gaussian.evolve_quench(
                 gaussian.CoherentBranch(alpha), omega1, omega2, g2, t)
@@ -177,16 +172,15 @@ def check_quench_second_order(quick: bool = False) -> CheckResult:
 
 # --- Classical closed forms vs RK4 --------------------------------------------
 
-def check_classical_period(quick: bool = False) -> CheckResult:
+def check_classical_period() -> CheckResult:
     """Closed-form trap trajectory vs RK4 over one full period."""
     m, omega, g_E = 1e-15, 2.0, 9.81
     s0 = classical.PhaseSpacePoint(1e-6, 2e-21)
     period = 2.0 * math.pi / omega
     spec = classical.TimeDependentTrapSpec.constant(m, omega, g_E)
-    dt = period / (5000 if quick else 20000)
+    dt = period / 20000
     worst = 0.0
-    times = [period] if quick else [period / 4, period / 2, period]
-    for t in times:
+    for t in (period / 4, period / 2, period):
         num = classical.ode_oracle(s0, spec, t, dt)
         ref = classical.evolve_harmonic_gravity(s0, m, omega, g_E, t)
         scale_x = abs(s0.x) + g_E / omega**2
@@ -263,41 +257,30 @@ def check_action_phase_error() -> CheckResult:
                    "deviation from 1 - sin(2wt)/(2wt)")
 
 
-_FULL = (
-    check_displaced_oscillator_fidelity,
-    check_displaced_oscillator_phase,
-    check_truncation_stability,
-    check_boost_phase,
-    check_quench_decomposition,
-    check_commutation_identity,
-    check_quench_second_order,
-    check_classical_period,
-    check_freefall_limit,
-    check_quench_classical_switch,
-    check_mode_quadratic,
-    check_action_phase_error,
+# (check, runs in --quick), in verify.csv's order.  A quick row is the same
+# computation as its full row.
+_CHECKS = (
+    (check_displaced_oscillator_fidelity, True),
+    (check_displaced_oscillator_phase, True),
+    (check_truncation_stability, False),
+    (check_boost_phase, False),
+    (check_quench_decomposition, False),
+    (check_commutation_identity, True),
+    (check_quench_second_order, True),
+    (check_classical_period, True),
+    (check_freefall_limit, True),
+    (check_quench_classical_switch, False),
+    (check_mode_quadratic, True),
+    (check_action_phase_error, True),
 )
-
-_QUICK = (
-    check_displaced_oscillator_fidelity,
-    check_displaced_oscillator_phase,
-    check_commutation_identity,
-    check_quench_second_order,
-    check_classical_period,
-    check_freefall_limit,
-    check_mode_quadratic,
-    check_action_phase_error,
-)
+_FULL = tuple(check for check, _ in _CHECKS)
+_QUICK = tuple(check for check, quick in _CHECKS if quick)
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:
-    results = []
-    for fn in (_QUICK if quick else _FULL):
-        kwargs = {}
-        if "quick" in inspect.signature(fn).parameters:
-            kwargs["quick"] = quick
-        results.append(fn(**kwargs))
-    return results
+    # through _FULL/_QUICK as they are at call time, which a tracer may
+    # have swapped for wrappers
+    return [check() for check in (_QUICK if quick else _FULL)]
 
 
 def _wrap(phi: float) -> float:

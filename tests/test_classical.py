@@ -89,13 +89,21 @@ def test_rk4_step_guard():
 
 
 @pytest.mark.parametrize("t, dt, name", [
-    (1.0, math.nan, "dt"), (math.nan, 1e-3, "t"), (math.inf, 1e-3, "t")])
+    (1.0, math.nan, "dt"), (math.nan, 1e-3, "t"), (math.inf, 1e-3, "t"),
+    (-1.0, 1e-3, "t")])
 def test_rk4_refuses_nan_and_infinite_times(t, dt, name):
-    """A NaN dt or a NaN or infinite t is refused by name, not left to
-    fail later in the step count."""
+    """A NaN dt or a NaN, infinite or negative t is refused by name, not
+    left to fail later in the step count or, for t < 0, to skip both
+    segments and return the initial point."""
     spec = TimeDependentTrapSpec.constant(M, 1.0, G_E)
     with pytest.raises(ParameterError, match=rf"^{name} must be"):
         ode_oracle(PhaseSpacePoint(0.0, 0.0), spec, t, dt)
+
+
+def test_rk4_at_zero_time_is_the_identity():
+    s0 = PhaseSpacePoint(1e-6, 2e-21)
+    spec = TimeDependentTrapSpec.constant(M, 1.0, G_E)
+    assert ode_oracle(s0, spec, 0.0, 1e-3) == s0
 
 
 def _rk4_loop(x, p, m, omega, accel, duration, n):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import time
 
 import pytest
@@ -20,6 +21,35 @@ def test_quick_suite_is_fast_and_passes():
     assert all(r.passed for r in results)
     assert len(results) < len(verify.run_all())
     assert elapsed < 10.0
+
+
+def test_quick_rows_are_full_rows():
+    """--quick picks checks and changes none: each of its rows equals the
+    full-suite row of the same name, in every field."""
+    full = {r.name: r for r in verify.run_all()}
+    quick = verify.run_all(quick=True)
+    assert quick == [full[r.name] for r in quick]
+
+
+@pytest.mark.parametrize("quick", [False, True])
+def test_run_all_calls_the_tuples_it_finds(monkeypatch, quick):
+    """run_all calls whatever _FULL/_QUICK hold when it runs, once each in
+    table order: a tracer swaps wrappers into those tuples."""
+    calls = []
+
+    def recording(check):
+        @functools.wraps(check)
+        def wrapper():
+            calls.append(check.__name__)
+            return check()
+        return wrapper
+
+    for attr in ("_FULL", "_QUICK"):
+        monkeypatch.setattr(verify, attr, tuple(
+            recording(check) for check in getattr(verify, attr)))
+    verify.run_all(quick=quick)
+    assert calls == [check.__name__ for check, in_quick in verify._CHECKS
+                     if in_quick or not quick]
 
 
 def test_results_carry_measurements():
