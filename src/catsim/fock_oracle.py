@@ -4,23 +4,26 @@ Everything here is dense and deliberately simple: the module exists to
 verify the closed-form evolutions of ``gaussian`` independently, so it
 holds no closed forms of its own (the analytic coherent overlap is
 ``gaussian.coherent_overlap``).  A state is a plain complex array of
-number-basis amplitudes and a gate is its dense matrix.  Every unitary is the exponential of an
-anti-Hermitian generator K (-iHt, a displacement or a squeeze), which
-``expm`` takes in the eigenbasis of the Hermitian iK: one dense ``eigh``
-per unitary, with numpy only.  All global-phase comparisons should go
-through ``overlap_phase`` (the phase of <reference|state>) rather than
-per-component arguments.
+number-basis amplitudes and a gate is its dense matrix.  Unitaries are
+taken in the eigenbasis of a dense ``eigh``, with numpy only.  A gate (a
+displacement or a squeeze) is ``expm`` of its anti-Hermitian generator:
+one ``eigh`` per gate.  A Hamiltonian is a real symmetric array, so its
+``eigh`` is the real one, and ``propagator`` runs it once per
+Hamiltonian and shares it across every time and initial state.  All
+global-phase comparisons should go through ``overlap_phase`` (the phase
+of <reference|state>) rather than per-component arguments.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 NORM_TOL = 1e-8
 TAIL_TOL = 1e-10
-ANTI_HERMITIAN_TOL = 1e-12      # relative to the largest generator entry
+HERMITIAN_TOL = 1e-12           # relative to the largest entry of iK or H
 
 
 class TruncationError(ValueError):
@@ -31,26 +34,32 @@ def check_health(psi: np.ndarray) -> None:
     """Raise if the state's norm drifted or its top level is occupied: the
     truncated basis is too small for it."""
     n = float(np.linalg.norm(psi))
-    if abs(n - 1.0) > NORM_TOL:
+    if not abs(n - 1.0) <= NORM_TOL:        # a NaN fails too
         raise TruncationError(
             f"state norm {n:.12g} drifted beyond {NORM_TOL:g}; "
             "increase the basis size")
     tail = float(abs(psi[-1]) ** 2)
-    if tail > TAIL_TOL:
+    if not tail <= TAIL_TOL:
         raise TruncationError(
             f"top-level occupation {tail:.3g} exceeds {TAIL_TOL:g}; "
             "increase the basis size")
 
 
 def annihilation(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
+    """The real matrix of a, so Hamiltonians built from it stay real."""
+    a = np.zeros((dim, dim))
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
 
 
 def required_dim(alpha: complex) -> int:
-    return int(math.ceil(4.0 * abs(alpha) ** 2 + 25.0))
+    r = abs(complex(alpha))
+    need = 4.0 * r * r + 25.0       # inf, not OverflowError, on overflow
+    if not math.isfinite(need):
+        raise ValueError(
+            f"alpha must be finite with a finite 4|alpha|^2, got {alpha!r}")
+    return int(math.ceil(need))
 
 
 def coherent_to_fock(alpha: complex, dim: int) -> np.ndarray:
@@ -63,8 +72,7 @@ def coherent_to_fock(alpha: complex, dim: int) -> np.ndarray:
             f"need at least {need}")
     amps = np.empty(dim, dtype=complex)
     amps[0] = 1.0
-    for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
+    amps[1:] = np.cumprod(alpha / np.sqrt(np.arange(1.0, dim)))
     amps *= math.exp(-0.5 * abs(alpha) ** 2)
     return amps
 
@@ -81,15 +89,20 @@ def overlap_phase(reference: np.ndarray, state: np.ndarray) -> float:
     return float(np.angle(overlap(reference, state)))
 
 
+def _eigh(herm: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of ``herm``, refused if it is not
+    Hermitian; ``what`` names it in the error."""
+    dev = float(np.max(np.abs(herm - herm.conj().T)))
+    if not dev <= HERMITIAN_TOL * float(np.max(np.abs(herm))):
+        # eigh would silently read only one triangle; NaN fails here too
+        raise ValueError(f"{what} (max dev {dev:g})")
+    return np.linalg.eigh(herm)
+
+
 def expm(generator: np.ndarray) -> np.ndarray:
     """exp(K) of an anti-Hermitian K as V diag(e^{-iE}) V^dagger, where
     E, V are the eigenvalues and eigenvectors of the Hermitian iK."""
-    herm = 1j * generator
-    dev = float(np.max(np.abs(herm - herm.conj().T)))
-    if not dev <= ANTI_HERMITIAN_TOL * float(np.max(np.abs(herm))):
-        # eigh would silently read only one triangle; NaN fails here too
-        raise ValueError(f"generator not anti-Hermitian (max dev {dev:g})")
-    energies, vectors = np.linalg.eigh(herm)
+    energies, vectors = _eigh(1j * generator, "generator not anti-Hermitian")
     return (vectors * np.exp(-1j * energies)) @ vectors.conj().T
 
 
@@ -97,12 +110,12 @@ def expm(generator: np.ndarray) -> np.ndarray:
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     a = annihilation(dim)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    return expm(alpha * a.T - np.conj(alpha) * a)
 
 
 def squeeze_matrix(z: complex, dim: int) -> np.ndarray:
     a = annihilation(dim)
-    ad = a.conj().T
+    ad = a.T
     return expm(0.5 * (z * ad @ ad - np.conj(z) * a @ a))
 
 
@@ -120,9 +133,9 @@ def apply_gate(psi: np.ndarray, gate: np.ndarray) -> np.ndarray:
 # --- Hamiltonians and propagation ---------------------------------------------
 
 def mode_hamiltonian(omega: float, g: float, dim: int) -> np.ndarray:
-    """H/hbar = w ad a + g (ad + a), in rad/s."""
+    """H/hbar = w ad a + g (ad + a), in rad/s, as a real array."""
     a = annihilation(dim)
-    ad = a.conj().T
+    ad = a.T
     return omega * ad @ a + g * (ad + a)
 
 
@@ -133,21 +146,26 @@ def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
     H/hbar = (w_b/4) P^2 + (w^2 / 4 w_b) X^2 + g X with X = a + ad,
     P = i(ad - a); ``g_lin`` is the linear coupling (e.g. the gravitational
     drive) in rad/s.  Includes the zero-point offset, which only affects
-    global phase.
+    global phase.  Real, since P^2 = -(ad - a)^2.
     """
     a = annihilation(dim)
-    ad = a.conj().T
+    ad = a.T
     X = a + ad
-    P = 1j * (ad - a)
-    return (0.25 * omega_basis * P @ P
+    D = ad - a
+    return (-0.25 * omega_basis * D @ D
             + 0.25 * (omega_trap ** 2 / omega_basis) * X @ X
             + g_lin * X)
 
 
-def evolve_schrodinger(psi: np.ndarray, hamiltonian: np.ndarray,
-                       t: float) -> np.ndarray:
-    """Propagate by expm(-i H t); ``expm`` rejects a non-Hermitian H at any
-    t != 0."""
-    out = expm(-1j * hamiltonian * t) @ psi
-    check_health(out)
-    return out
+def propagator(hamiltonian: np.ndarray
+               ) -> Callable[[np.ndarray, float], np.ndarray]:
+    """``evolve(psi, t)``, the state exp(-i H t) psi checked for
+    truncation, for one Hermitian H diagonalised here once."""
+    energies, vectors = _eigh(hamiltonian, "Hamiltonian not Hermitian")
+    inverse = vectors.conj().T
+
+    def evolve(psi: np.ndarray, t: float) -> np.ndarray:
+        out = vectors @ (np.exp(-1j * energies * t) * (inverse @ psi))
+        check_health(out)
+        return out
+    return evolve

@@ -22,6 +22,17 @@ def test_required_dim_rule():
         fo.coherent_to_fock(2.0, 30)
 
 
+@pytest.mark.parametrize("alpha", [
+    math.nan, complex(math.inf, 0.0), complex(0.0, math.nan),
+    1e200,                              # 4|alpha|^2 overflows
+])
+def test_bad_alpha_is_refused_by_name(alpha):
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        fo.required_dim(alpha)
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        fo.coherent_to_fock(alpha, 60)
+
+
 def test_overlap_matches_analytic():
     a, b = 0.8 + 0.3j, -0.2 + 1.0j
     va = fo.coherent_to_fock(a, 60)
@@ -73,6 +84,7 @@ def test_squeeze_vacuum_overlap():
 
 def test_mode_hamiltonian_structure():
     h = fo.mode_hamiltonian(2.0, 0.3, 10)
+    assert h.dtype == np.float64        # so its eigh is the real one
     assert np.allclose(h, h.conj().T)
     assert h[3, 3] == pytest.approx(6.0)
     assert h[0, 1] == pytest.approx(0.3)
@@ -83,6 +95,7 @@ def test_quadratic_hamiltonian_matches_mode_form():
     dim = 12
     hq = fo.quadratic_hamiltonian(2.0, 2.0, 0.3, dim)
     hm = fo.mode_hamiltonian(2.0, 0.3, dim) + np.eye(dim)  # + w/2
+    assert hq.dtype == np.float64
     # the truncation edge corrupts the last row/column of P^2 and X^2
     assert np.allclose(hq[:-2, :-2], hm[:-2, :-2], atol=1e-12)
 
@@ -91,7 +104,28 @@ def test_evolve_schrodinger_rejects_non_hermitian():
     h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     psi = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        fo.evolve_schrodinger(psi, h, 0.1)
+        fo.propagator(h)(psi, 0.1)
+
+
+def _displacement_hamiltonian(omega, g, dim):
+    """w ad a + i g (ad - a): Hermitian, with complex eigenvectors."""
+    a = fo.annihilation(dim)
+    return omega * a.T @ a + 1j * g * (a.T - a)
+
+
+@pytest.mark.parametrize("hamiltonian", [
+    fo.mode_hamiltonian(1.0, 0.3, 40),
+    fo.quadratic_hamiltonian(1.0, 0.5, 0.2, 40),
+    _displacement_hamiltonian(1.0, 0.3, 40),
+], ids=["mode", "quadratic", "complex"])
+def test_propagator_matches_expm(hamiltonian):
+    """One diagonalisation serves every t, each time equal to the dense
+    exponential of -iHt applied to the state."""
+    psi = fo.coherent_to_fock(0.5 + 0.3j, 40)
+    evolve = fo.propagator(hamiltonian)
+    for t in (0.0, 0.1, 0.7, 2.0):
+        ref = fo.expm(-1j * hamiltonian * t) @ psi
+        assert np.max(np.abs(evolve(psi, t) - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("generator", [
@@ -124,7 +158,7 @@ def test_expm_matches_taylor_series():
 def test_evolve_schrodinger_free_rotation():
     alpha, omega, t = 0.8 + 0.0j, 2.0, 0.7
     h = fo.mode_hamiltonian(omega, 0.0, 60)
-    out = fo.evolve_schrodinger(fo.coherent_to_fock(alpha, 60), h, t)
+    out = fo.propagator(h)(fo.coherent_to_fock(alpha, 60), t)
     ref = fo.coherent_to_fock(alpha * np.exp(-1j * omega * t), 60)
     assert fo.fidelity(ref, out) == pytest.approx(1.0, abs=1e-10)
 
@@ -143,6 +177,13 @@ def test_health_check_catches_norm_drift():
         fo.check_health(amps)
 
 
+def test_nan_state_fails_the_health_check():
+    with pytest.raises(fo.TruncationError, match="norm"):
+        fo.check_health(np.full(30, np.nan))
+    with pytest.raises(fo.TruncationError, match="norm"):
+        fo.apply_gate(fo.coherent_to_fock(0, 30), np.eye(30) * np.nan)
+
+
 def test_gate_that_fills_the_top_level_raises():
     # D(3) is unitary, so the norm holds, but |3> puts ~1e-7 on level 29
     with pytest.raises(fo.TruncationError, match="top-level"):
@@ -153,4 +194,4 @@ def test_gate_that_fills_the_top_level_raises():
 def test_propagation_that_fills_the_top_level_raises():
     h = fo.mode_hamiltonian(1.0, 5.0, 30)
     with pytest.raises(fo.TruncationError, match="top-level"):
-        fo.evolve_schrodinger(fo.coherent_to_fock(0, 30), h, 1.0)
+        fo.propagator(h)(fo.coherent_to_fock(0, 30), 1.0)

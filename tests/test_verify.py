@@ -2,6 +2,7 @@ import cmath
 import functools
 import time
 
+import numpy as np
 import pytest
 
 from catsim import classical, gaussian, verify
@@ -50,6 +51,21 @@ def test_run_all_calls_the_tuples_it_finds(monkeypatch, quick):
     verify.run_all(quick=quick)
     assert calls == [check.__name__ for check, in_quick in verify._CHECKS
                      if in_quick or not quick]
+
+
+def test_run_all_diagonalises_each_matrix_once(monkeypatch):
+    """One eigh per Hamiltonian, shared by every time and initial state,
+    and one per gate: 13 in all, of which the 6 Hamiltonians are real."""
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        dtypes.append(matrix.dtype)
+        return eigh(matrix, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    verify.run_all()
+    assert len(dtypes) == 13
+    assert dtypes.count(np.float64) == 6
 
 
 def test_results_carry_measurements():
