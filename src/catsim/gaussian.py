@@ -7,9 +7,12 @@ the form the protocol kernel runs) and the branch phase differences that
 make up the interferometric observable.  Each closed form is written
 once, here.
 
-Global phases are never discarded: each branch carries a complex
-``weight`` and every evolution multiplies it by the appropriate phase
-prefactor.  The whole protocol's observable lives in these prefactors.
+Global phases are never discarded, and every evolution is a unit phase
+times a new coherent amplitude.  ``evolve_quench``, the form the protocol
+kernel runs, returns that amplitude and the real phase gained, so a
+branch's phase accumulates as a sum of reals; the oracle-facing
+evolutions return a ``CoherentBranch`` whose complex weight they multiply
+by the phase.  The whole protocol's observable lives in these phases.
 
 Conventions: D(a) = exp(a ad - a* a) (so a real displacement shifts the
 adimensional position X = <a + ad> by 2a), S(z) = exp((z ad^2 - z* a^2)/2),
@@ -46,17 +49,18 @@ def displace_compose(alpha: complex, beta: complex) -> DisplaceComposition:
     return DisplaceComposition(alpha + beta, (alpha * beta.conjugate()).imag)
 
 
-def coherent_overlap(a: complex, b: complex, exp=cmath.exp) -> complex:
-    """<a|b> = exp(-|a-b|^2/2 + i Im(a* b)); over arrays with exp=np.exp.
+def coherent_overlap(a: complex, b: complex) -> tuple[float, float]:
+    """(ln|<a|b>|, arg <a|b>) = (-|a-b|^2/2, Im(a* b)), for scalars or arrays.
 
-    The difference form avoids catastrophic cancellation between the
-    |a|^2 and a* b terms when the amplitudes are large and nearly equal,
-    which is exactly the regime after the disentangling displacement.
+    <a|b> is the exponential of the first plus i times the second.  The
+    difference form avoids catastrophic cancellation between the |a|^2 and
+    a* b terms when the amplitudes are large and nearly equal, which is
+    exactly the regime after the disentangling displacement.
     """
     d = b - a
     # Im(a* b) = Im(a* (b - a)) since Im(|a|^2) = 0
-    return exp(-0.5 * (d.real * d.real + d.imag * d.imag)
-               + 1j * (a.conjugate() * d).imag)
+    return (-0.5 * (d.real * d.real + d.imag * d.imag),
+            (a.conjugate() * d).imag)
 
 
 def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,
@@ -164,28 +168,26 @@ def quench_linear_map(omega1: float, omega2: float,
     return c1, c2
 
 
-def evolve_quench(branch: CoherentBranch, omega1: float, omega2: float,
-                  g2: float, t: float, exp=cmath.exp) -> CoherentBranch:
+def evolve_quench(alpha: complex, omega1: float, omega2: float, g2: float,
+                  t: float) -> tuple[complex, float]:
     """Second-order quench evolution with squeezing neglected.
 
     Expressed in the stiff-trap mode basis with g1 = sqrt(w2/w1) g2:
     |a> -> e^{-i(a*+a)g1 t/2} e^{(a*-a) w1 g1 t^2/4}
-           |c1 a + c2 a* - i g1 t - w1 g1 t^2/2>,
-    the boost and translation prefactors times the shifted amplitude.  At
-    omega2 = omega1 it is the second-order expansion of
-    ``evolve_displaced_oscillator``.  With exp=np.exp the branch may hold
-    arrays of amplitudes and weights.
+           |c1 a + c2 a* - i g1 t - w1 g1 t^2/2>.
+    Returns the shifted amplitude and the phase gained, the boost plus the
+    translation prefactor's; ``alpha`` may be a complex number or an array
+    of them.  At omega2 = omega1 it is the second-order expansion of
+    ``evolve_displaced_oscillator``.
     """
     if omega1 <= 0 or omega2 <= 0:
         raise ParameterError("omega1 and omega2 must be positive")
     g1 = math.sqrt(omega2 / omega1) * g2
-    alpha = branch.alpha
     c1, c2 = quench_linear_map(omega1, omega2, t)
     drift = -1j * g1 * t - 0.5 * omega1 * g1 * t * t
     boost = -alpha.real * g1 * t
     translation = -alpha.imag * omega1 * g1 * t * t / 2.0
-    return CoherentBranch(c1 * alpha + c2 * alpha.conjugate() + drift,
-                          branch.weight * exp(1j * (boost + translation)))
+    return c1 * alpha + c2 * alpha.conjugate() + drift, boost + translation
 
 
 def branch_phase_difference(beta: float, g: float, t: float,

@@ -5,8 +5,11 @@ motional coherent branch per populated level.  All motional amplitudes
 are expressed in the stiff-trap mode basis; pulses are instantaneous
 ideal maps; trap softening and release are merged into a single sudden
 quench followed by transient free fall.  ``run_protocol`` evaluates every
-step in closed form on the two branch amplitudes and weights, for one
-initial amplitude or a whole array of thermal draws at once.
+step in closed form on the two branch amplitudes and real branch phases,
+for one initial amplitude or a whole array of thermal draws at once.  A
+branch's weight is 1/sqrt(2) times e^{i theta}, so the kernel carries only
+theta, a sum of the steps' phases, and forms complex weights only for the
+step log.
 
 Displacement convention: an operator amplitude b (real) separates the
 two branches by Delta x = 2 delta_R b in physical units, so the
@@ -14,7 +17,7 @@ gravitational phase picked up over a fall of duration t is
 2 g1 t b = m g_E Delta x t / hbar.  Half of it accumulates in the
 evolution prefactors and half is released by the composition phases of
 the closing displacement, which is why the bookkeeping below never
-drops a weight.
+drops a phase.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import feasibility
 from .gaussian import (
-    CoherentBranch,
     coherent_overlap,
     displace_compose,
     evolve_quench,
@@ -42,9 +44,8 @@ from .params import LAMB_DICKE_FLAG, ConstraintViolation, ParameterError, \
 if TYPE_CHECKING:               # numpy is imported by thermal runs only
     import numpy as np
 
-NORM_TOL = 1e-10
 RECOMBINE_TOL = 1e-6
-MAX_SAMPLES = 10**6             # ~0.3 kB per sample at peak: ~0.3 GB
+MAX_SAMPLES = 10**6             # ~170 B per sample at peak: ~0.17 GB
 PHASE_ROUNDING_LIMIT = 1e-10    # rad a branch phase may lose to rounding
 
 
@@ -211,8 +212,7 @@ def run_protocol(scenario: PhysicalScenario,
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     if thermal:
         return ProtocolDistribution(
-            *_kernel(alpha, (np.exp, np.angle, np.max), beta, beta_back,
-                     couplings))
+            *_kernel(alpha, _array_ops(), beta, beta_back, couplings))
     log = [_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),))]
     observed = _kernel(alpha, _SCALAR_OPS, beta, beta_back, couplings, log)
     return ProtocolResult(*observed, log=tuple(log))
@@ -226,71 +226,83 @@ def _record(step: int, label: str, branches) -> dict:
         for level, a, w in branches]}
 
 
-# (exp, phase, worst) for one complex amplitude; a thermal run passes
-# numpy's (exp, angle, max) for a 1-D array of them
-_SCALAR_OPS = (cmath.exp, cmath.phase, float)
+# (exp, cos, worst) for one amplitude; a thermal run passes numpy's over a
+# 1-D array of them
+_SCALAR_OPS = (math.exp, math.cos, float)
+
+
+def _array_ops() -> tuple:
+    """The kernel's ops over a 1-D array: numpy's (exp, cos, max)."""
+    import numpy as np      # a coherent run is math/cmath only
+    return np.exp, np.cos, np.max
+
+
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
 def _kernel(alpha, ops, beta: float, beta_back: float, couplings: tuple,
             log: list | None = None):
-    """Steps 2-8 in closed form on the branch amplitudes and weights.
+    """Steps 2-8 in closed form on the branch amplitudes and phases.
 
+    Each branch is the amplitude _C e^{i theta} of a coherent state; every
+    step multiplies it by a unit phase, so only the real theta is carried.
     ``alpha`` is a complex number or a 1-D array, told apart only by
     ``ops``, and both run the same arithmetic in the same order.  The
     displacement ``beta`` is closed by ``beta_back``; ``couplings`` holds
     evolve_quench's (omega1, omega2, g2, t).  Returns (phi_grav, p_down,
     visibility, residual); ``log`` collects the step records.
     """
-    exp, phase, worst = ops
+    exp, cos, worst = ops
 
-    def check_norm(label, w_d, w_u):
-        dev = worst(abs(abs(w_d) ** 2 + abs(w_u) ** 2 - 1.0))
-        if not dev <= NORM_TOL:         # a NaN weight fails too
-            raise ProtocolError(f"state norm drifted by {dev:.3g} beyond "
-                                f"{NORM_TOL:g} at step {label}")
-
-    def step(number, label, a_d, w_d, a_u, w_u):
-        check_norm(label, w_d, w_u)
+    def step(number, label, a_d, th_d, a_u, th_u, changed):
+        # ``changed`` sums the values the step changed: an infinite or a NaN
+        # one makes it non-finite, and finite ones, bounded by the phase
+        # rounding limit, stay far from overflow
+        if not worst(abs(changed)) < math.inf:      # a NaN fails too
+            raise ProtocolError(f"branch amplitude or phase stopped being "
+                                f"finite at step {label}")
         if log is not None:
-            log.append(_record(number, label,
-                               (("down", a_d, w_d), ("up", a_u, w_u))))
+            log.append(_record(number, label, (
+                ("down", a_d, _C * cmath.exp(1j * th_d)),
+                ("up", a_u, _C * cmath.exp(1j * th_u)))))
 
-    def fall(a, w):                 # second-order quench, squeezing dropped
-        out = evolve_quench(CoherentBranch(a, w), *couplings, exp)
-        return out.alpha, out.weight
-
-    # the opening pi/2, like the closing one, puts each level at the
-    # weighted mean amplitude alpha |w| / |w|; divided as reals it may
+    # the opening pi/2 puts each level at the weighted mean amplitude
+    # alpha |w| / |w|; divided as reals it may
     # differ from alpha in the last bit, which g1 t |alpha| ~ 1e4 rad of
     # branch phase magnify, so the recorded outputs depend on this rounding
-    w_d = w_u = complex(_C)
-    a_d = a_u = alpha.real * _C / _C + 1j * (alpha.imag * _C / _C)
-    step(2, "pi_half", a_d, w_d, a_u, w_u)
-    comp = displace_compose(beta, a_d)          # D(beta) on |down> only
-    a_d, w_d = comp.gamma, w_d * exp(1j * comp.phase)
-    step(4, "displace", a_d, w_d, a_u, w_u)
-    a_d, w_d = fall(a_d, w_d)
-    a_u, w_u = fall(a_u, w_u)
-    step(6, "free_fall", a_d, w_d, a_u, w_u)
-    comp = displace_compose(beta_back, a_d)
-    a_d, w_d = comp.gamma, w_d * exp(1j * comp.phase)
-    step(7, "undisplace", a_d, w_d, a_u, w_u)
-    # readout; the closing pi/2 recombines at the weighted mean amplitude
+    a_u = alpha.real * _C / _C + 1j * (alpha.imag * _C / _C)
+    th_u = 0.0
+    step(2, "pi_half", a_u, th_u, a_u, th_u, a_u)
+    a_d, th_d = displace_compose(beta, a_u)     # D(beta) on |down> only
+    step(4, "displace", a_d, th_d, a_u, th_u, a_d + th_d)
+    # second-order quench, squeezing dropped
+    a_d, fall = evolve_quench(a_d, *couplings)
+    th_d = th_d + fall
+    a_u, th_u = evolve_quench(a_u, *couplings)
+    step(6, "free_fall", a_d, th_d, a_u, th_u, a_d + a_u + (th_d + th_u))
+    a_d, back = displace_compose(beta_back, a_d)
+    th_d = th_d + back
+    step(7, "undisplace", a_d, th_d, a_u, th_u, a_d + th_d)
+    # readout: <a_u|a_d> = V e^{i arg}, and the closing pi/2 gives
+    # P_down = _C^2 (1 + Re(e^{i(th_d - th_u)} <a_u|a_d>))
     residual = abs(a_d - a_u)
-    ov = coherent_overlap(a_u, a_d, exp)
-    p_down = (0.5 * (abs(w_d) ** 2 + abs(w_u) ** 2)
-              + (w_d * w_u.conjugate() * ov).real)
-    cw_d, cw_u = _C * w_d, _C * w_u
-    wc_d, wc_u = cw_d + cw_u, cw_u - cw_d
-    check_norm("pi_half_close", wc_d, wc_u)
+    log_v, arg = coherent_overlap(a_u, a_d)
+    visibility = exp(log_v)
+    p_down = _C * _C * (1.0 + visibility * cos(th_d - th_u + arg))
+    # th_u - th_d wrapped into (-pi, pi]; a phase inside is left exact, and
+    # the floor division runs only when some phase is not
+    phi = th_u - th_d
+    if not worst(abs(phi)) < math.pi:
+        phi = phi + math.tau * ((math.pi - phi) // math.tau)
     if log is not None:
+        w_d, w_u = _C * cmath.exp(1j * th_d), _C * cmath.exp(1j * th_u)
         branches = (("down", a_d, w_d), ("up", a_u, w_u))
         if residual <= RECOMBINE_TOL:       # the non-empty recombined levels
-            m_d, m_u = abs(cw_d), abs(cw_u)
-            a_c = (a_d * m_d + a_u * m_u) / (m_d + m_u)
+            # equal moduli: the weighted mean amplitude is the plain mean
+            a_c = (a_d + a_u) / 2
             branches = [(level, a_c, w) for level, w
-                        in (("down", wc_d), ("up", wc_u))
+                        in (("down", _C * (w_d + w_u)),
+                            ("up", _C * (w_u - w_d)))
                         if abs(w) ** 2 >= 1e-24]
         log.append(_record(8, "pi_half_close", branches))
-    return phase(w_u * w_d.conjugate()), p_down, abs(ov), residual
+    return phi, p_down, visibility, residual

@@ -27,6 +27,7 @@ from catsim.params import (
 )
 from catsim.protocol import (
     _SCALAR_OPS,
+    _array_ops,
     _kernel,
     _set_up,
     PHASE_ROUNDING_LIMIT,
@@ -40,8 +41,8 @@ from catsim.protocol import (
 )
 
 DOWN, UP = "down", "up"
-# the kernel's (exp, phase, worst) over a 1-D array, as a thermal run builds it
-ARRAY_OPS = (np.exp, np.angle, np.max)
+# the kernel's (exp, cos, worst) over a 1-D array, as a thermal run builds it
+ARRAY_OPS = _array_ops()
 
 
 def branches(record):
@@ -241,17 +242,19 @@ def test_run_protocol_matches_hand_composition(discussion):
     g2 = grav_coupling(m, omega2, discussion.constants)
     w = 1.0 / math.sqrt(2.0)
     comp = displace_compose(beta, alpha)
-    down = CoherentBranch(comp.gamma, w * cmath.exp(1j * comp.phase))
-    down = evolve_quench(down, omega1, omega2, g2, t)
-    up = evolve_quench(CoherentBranch(alpha, w), omega1, omega2, g2, t)
+    down, fall_d = evolve_quench(comp.gamma, omega1, omega2, g2, t)
+    up, fall_u = evolve_quench(alpha, omega1, omega2, g2, t)
     c1, c2 = quench_linear_map(omega1, omega2, t)
-    comp = displace_compose(-(c1 + c2) * beta, down.alpha)
-    w_d = down.weight * cmath.exp(1j * comp.phase)
-    assert abs(comp.gamma - up.alpha) < 1e-10
+    back = displace_compose(-(c1 + c2) * beta, down)
+    # each step multiplies the weight by its unit phase
+    w_d = (w * cmath.exp(1j * comp.phase) * cmath.exp(1j * fall_d)
+           * cmath.exp(1j * back.phase))
+    w_u = w * cmath.exp(1j * fall_u)
+    assert abs(back.gamma - up) < 1e-10
     auto = run_protocol(discussion, Coherent(alpha))
     assert auto.phi_grav == pytest.approx(
-        cmath.phase(up.weight * w_d.conjugate()), abs=1e-12)
-    assert auto.p_down == pytest.approx(0.5 * abs(w_d + up.weight) ** 2,
+        cmath.phase(w_u * w_d.conjugate()), abs=1e-12)
+    assert auto.p_down == pytest.approx(0.5 * abs(w_d + w_u) ** 2,
                                         abs=1e-12)
 
 
@@ -285,15 +288,47 @@ def test_thermal_sample_rejects_bad_seed(seed):
 
 
 def test_norm_check_catches_nan_weights(discussion):
-    """alpha = 1e300 overflows the fall's boost phase to NaN: the norm check
-    must name that step, on the scalar and on the array path.  The kernel
-    is called directly, since run_protocol rejects such an alpha first."""
+    """An amplitude or a phase that stops being finite is refused at the step
+    that made it, on the scalar and on the array path.  At alpha = 1e300 the
+    fall's boost phase overflows to -inf, and with -1e300j added the
+    translation phase to +inf, so their sum is NaN.  The kernel is called
+    directly, since run_protocol rejects such an alpha or beta first."""
+    beta = preset_beta(discussion)
+    _, beta_back, couplings = kernel_args(discussion, beta)
+    inf, nan = math.inf, math.nan
+    for alpha, beta_, back, label in (
+            (complex(inf, 0.0), beta, beta_back, "pi_half"),
+            (0j, nan, beta_back, "displace"),
+            (1e10j, 1e300, beta_back, "displace"),              # phase -inf
+            (1e300 + 0j, beta, beta_back, "free_fall"),         # phase -inf
+            (complex(1e300, -1e300), beta, beta_back, "free_fall"),   # NaN
+            (1.0 + 0j, beta, 1e306, "undisplace")):             # phase +inf
+        args = (beta_, back, couplings)
+        with pytest.raises(ProtocolError, match=f"at step {label}$"):
+            _kernel(alpha, _SCALAR_OPS, *args)
+        with pytest.raises(ProtocolError, match=f"at step {label}$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            _kernel(np.array([1.0, alpha], complex), ARRAY_OPS, *args)
+
+
+def test_kernel_runs_one_exp_and_one_cos(discussion):
+    """The readout's visibility and fringe are the kernel's only
+    transcendentals: one exp and one cos per call, whatever the batch."""
     args = kernel_args(discussion, preset_beta(discussion))
-    with pytest.raises(ProtocolError, match="at step free_fall"):
-        _kernel(1e300 + 0j, _SCALAR_OPS, *args)
-    with pytest.raises(ProtocolError, match="at step free_fall"), \
-            np.errstate(over="ignore", invalid="ignore"):
-        _kernel(np.array([1.0, 1e300], complex), ARRAY_OPS, *args)
+    calls = []
+
+    def counting(name, f):
+        def op(x):
+            calls.append(name)
+            return f(x)
+        return op
+    for alpha, (exp, cos, worst), log in (
+            (1 + 1j, _SCALAR_OPS, None), (1 + 1j, _SCALAR_OPS, []),
+            (np.linspace(-3, 3, 2000) * (1 + 0.5j), ARRAY_OPS, None)):
+        calls.clear()
+        _kernel(alpha, (counting("exp", exp), counting("cos", cos), worst),
+                *args, log)
+        assert sorted(calls) == ["cos", "exp"]
 
 
 def _branch_phase_per_alpha(scenario):
@@ -603,6 +638,63 @@ def test_step_log_golden_records(discussion, name):
             for value, expected in zip(got, w[1:]):
                 assert type(value) is float     # json writes 1.0, not 1
                 assert abs(value - expected) < 1e-11
+
+
+def _readout_from_log(record):
+    """(phi_grav, P_down) from a step-7 record's complex weights and
+    amplitudes: the phase of w_u w_d* and
+    P_down = (|w_d|^2 + |w_u|^2) / 2 + Re(w_d w_u* <a_u|a_d>)."""
+    b = branches(record)
+    (a_d, w_d), (a_u, w_u) = b[DOWN], b[UP]
+    d = a_d - a_u
+    overlap = cmath.exp(-0.5 * abs(d) ** 2 + 1j * (a_u.conjugate() * d).imag)
+    p_down = (0.5 * (abs(w_d) ** 2 + abs(w_u) ** 2)
+              + (w_d * w_u.conjugate() * overlap).real)
+    return cmath.phase(w_u * w_d.conjugate()), p_down
+
+
+def _assert_log_matches_outputs(res):
+    (record,) = [r for r in res.log if r["label"] == "undisplace"]
+    phi, p_down = _readout_from_log(record)
+    assert abs(res.phi_grav - phi) < 4e-12
+    assert abs(res.p_down - p_down) < 1e-12
+
+
+@pytest.mark.parametrize("name", list(_STEP_RUNS))
+def test_log_matches_outputs(discussion, name):
+    """The outputs read off the branch phases agree with the logged
+    complex weights under the complex-weight readout."""
+    _assert_log_matches_outputs(_STEP_RUNS[name](discussion))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alphas=st.lists(st.complex_numbers(max_magnitude=10.0,
+                                          allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=1, max_size=4),
+       u=st.floats(-1.0, 1.0), exact_phase=st.booleans())
+def test_log_matches_outputs_over_a_batch(discussion, alphas, u, exact_phase):
+    # each beta keeps phi_grav clear of the +-pi branch cut
+    for scenario, beta in ((discussion, 6e-4 * u), (unit_scenario(), 1.5 * u)):
+        for alpha in alphas:
+            _assert_log_matches_outputs(run_protocol(
+                scenario, Coherent(alpha), beta=beta, force=True,
+                exact_phase=exact_phase))
+
+
+@pytest.mark.parametrize("scale", [-5.0, 5.0, 9.0])
+def test_phi_grav_wraps_like_the_weight_phase(discussion, scale):
+    """A phi_grav past +-pi is wrapped into (-pi, pi] as the phase of
+    w_u w_d* is, on the scalar and on the array path."""
+    beta = scale * preset_beta(discussion)
+    res = run_protocol(discussion, Coherent(1 + 1j), beta=beta)
+    assert -math.pi < res.phi_grav <= math.pi
+    assert abs(res.phi_grav) < 0.9 * abs(scale) * 0.930
+    _assert_log_matches_outputs(res)
+    phi, *_ = _kernel(np.array([1 + 1j, -2j, 3.0]), ARRAY_OPS,
+                      *kernel_args(discussion, beta))
+    assert np.max(np.abs(phi - res.phi_grav)) < 4e-12
 
 
 # |beta| <= 6e-4 keeps phi_grav = 2 g1 t beta clear of the +-pi branch cut
