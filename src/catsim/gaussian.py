@@ -1,11 +1,11 @@
 """Coherent-state algebra and closed-form quantum evolutions.
 
 Implements the coherent-state overlap, the exact displaced-oscillator
-evolution, the sudden frequency-plus-equilibrium quench (exactly, through
-its squeeze-displace-rotate decomposition, and to second order in time,
-the form the protocol kernel runs) and the branch phase differences that
-make up the interferometric observable.  Each closed form is written
-once, here.
+evolution, the sudden frequency-plus-equilibrium quench (its exact
+Heisenberg map, the form the protocol kernel runs, and its
+squeeze-displace-rotate decomposition) and the branch phase differences
+that make up the interferometric observable.  Each closed form is
+written once, here.
 
 Global phases are never discarded, and every evolution is a unit phase
 times a new coherent amplitude.  ``evolve_quench``, the form the protocol
@@ -133,61 +133,55 @@ def commute_squeeze_displacement(z: complex, xi: complex) -> complex:
     return xi * math.cosh(mod) + xi.conjugate() * math.sinh(mod) * phase
 
 
-def evolve_quench_exact(branch: CoherentBranch, omega1: float, omega2: float,
-                        g2: float, t: float) -> CoherentBranch:
-    """Quench evolution via the exact operator decomposition.
-
-    |a> -> e^{i Im(eps (a e^{i phi})*)} D(gamma) S(z) |0>, valid at all t.
-    The returned branch treats the state as the coherent |gamma>, i.e. it
-    drops the squeeze z of ``quench_params``.
-    """
-    if omega2 <= 0:
-        raise ParameterError("omega2 must be positive")
-    qp = quench_params(omega1, omega2, g2 / omega2, t)
-    alpha_rot = branch.alpha * cmath.exp(1j * qp.phi)
-    xi = qp.epsilon + alpha_rot
-    gamma = commute_squeeze_displacement(qp.z, xi)
-    phase = (qp.epsilon * alpha_rot.conjugate()).imag
-    return CoherentBranch(gamma, branch.weight * cmath.exp(1j * phase))
-
-
-# each run_protocol's two evolve_quench calls ask for one trap's map; a
-# cache hit takes ~0.15 us against ~1 us to compute it (CPython 3.11)
+# each run_protocol's set-up and its two evolve_quench calls ask for one
+# trap's map; a hit takes ~0.2 us against ~2 us to compute (CPython 3.11)
 @functools.lru_cache(maxsize=16)
-def quench_linear_map(omega1: float, omega2: float,
-                      t: float) -> tuple[complex, complex]:
-    """Second-order homogeneous map (c1, c2): alpha -> c1 alpha + c2 alpha*.
+def quench_linear_map(omega1: float, omega2: float, g2: float, t: float
+                      ) -> tuple[complex, complex, complex, float, float]:
+    """The quench's exact Heisenberg map a -> c1 a + c2 ad + d.
 
-    c1 = 1 - i (w1^2 + w2^2) t / (2 w1) - w2^2 t^2 / 2
-    c2 = i (w1^2 - w2^2) t / (2 w1)
-    (the alpha* term has no t^2 contribution at this order).
-    """
-    c1 = (1.0 - 1j * (omega1**2 + omega2**2) * t / (2.0 * omega1)
-          - 0.5 * omega2**2 * t * t)
-    c2 = 1j * (omega1**2 - omega2**2) * t / (2.0 * omega1)
-    return c1, c2
-
-
-def evolve_quench(alpha: complex, omega1: float, omega2: float, g2: float,
-                  t: float) -> tuple[complex, float]:
-    """Second-order quench evolution with squeezing neglected.
-
-    Expressed in the stiff-trap mode basis with g1 = sqrt(w2/w1) g2:
-    |a> -> e^{-i(a*+a)g1 t/2} e^{(a*-a) w1 g1 t^2/4}
-           |c1 a + c2 a* - i g1 t - w1 g1 t^2/2>.
-    Returns the shifted amplitude and the phase gained, the boost plus the
-    translation prefactor's; ``alpha`` may be a complex number or an array
-    of them.  At omega2 = omega1 it is the second-order expansion of
-    ``evolve_displaced_oscillator``.
+    In the stiff-trap mode basis the quench Hamiltonian is
+    H/hbar = (w1/4) P^2 + (w2^2 / 4 w1) X^2 + g1 X with g1 = sqrt(w2/w1) g2.
+    With s = w2 t, S = sin(s)/w2 and C = (1 - cos s)/w2^2:
+      c1 = cos s - i (w1^2 + w2^2) S / (2 w1),
+      c2 = i (w1^2 - w2^2) S / (2 w1),
+      d = -w1 g1 C - i g1 S.
+    Returns (c1, c2, d, k_re, k_im), where the phase Im(gamma* d) of
+    gamma = c1 a + c2 a* is k_re Re(a) + k_im Im(a).  S and C are written
+    as t sinc(s) and (t^2/2) sinc(s/2)^2: at the preset s ~ 5e-12, where
+    1 - cos s rounds to 0, they are exactly t and t^2/2.
     """
     if omega1 <= 0 or omega2 <= 0:
         raise ParameterError("omega1 and omega2 must be positive")
     g1 = math.sqrt(omega2 / omega1) * g2
-    c1, c2 = quench_linear_map(omega1, omega2, t)
-    drift = -1j * g1 * t - 0.5 * omega1 * g1 * t * t
-    boost = -alpha.real * g1 * t
-    translation = -alpha.imag * omega1 * g1 * t * t / 2.0
-    return c1 * alpha + c2 * alpha.conjugate() + drift, boost + translation
+    s = omega2 * t
+    S = t * _sinc(s)
+    C = 0.5 * t * t * _sinc(0.5 * s) ** 2
+    c1 = math.cos(s) - 1j * (omega1**2 + omega2**2) * S / (2.0 * omega1)
+    c2 = 1j * (omega1**2 - omega2**2) * S / (2.0 * omega1)
+    d = -omega1 * g1 * C - 1j * g1 * S
+    return (c1, c2, d, ((c1 + c2).conjugate() * d).imag,
+            ((c2 - c1).conjugate() * d).real)
+
+
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x else 1.0
+
+
+def evolve_quench(alpha: complex, omega1: float, omega2: float, g2: float,
+                  t: float) -> tuple[complex, float]:
+    """Exact quench evolution of a coherent amplitude, squeeze dropped.
+
+    |a> -> e^{i Im(gamma* d)} |gamma + d>, gamma = c1 a + c2 a*, with the
+    map of ``quench_linear_map``; the state also carries a squeeze and a
+    phase that do not depend on a, the same on every branch.  Returns the
+    new amplitude and the phase gained; ``alpha`` may be a complex number
+    or an array of them.  At omega2 = omega1 it is
+    ``evolve_displaced_oscillator`` up to that a-independent phase.
+    """
+    c1, c2, d, k_re, k_im = quench_linear_map(omega1, omega2, g2, t)
+    return (c1 * alpha + c2 * alpha.conjugate() + d,
+            k_re * alpha.real + k_im * alpha.imag)
 
 
 def branch_phase_difference(beta: float, g: float, t: float,

@@ -145,7 +145,7 @@ def _set_up(scenario: PhysicalScenario) -> _SetUp:
         verdicts["freefall_force"], verdicts["quench_duration"],
         beam_amplitude(scenario, report.delta_x_m),
         grav_coupling(m_total, omega1, scenario.constants) * dt, couplings,
-        *quench_linear_map(omega1, omega2, dt))
+        *quench_linear_map(*couplings)[:2])
 
 
 def run_protocol(scenario: PhysicalScenario,
@@ -207,8 +207,8 @@ def run_protocol(scenario: PhysicalScenario,
             f"not in free-fall regime: residual force {fall_force.lhs:.3g} N "
             f"is not small against m g_E = {fall_force.rhs:.3g} N")
     if quench.status == "fail":
-        warnings.warn(f"omega2*dt = {quench.lhs:.3g} not << 1; transient "
-                      "free-fall approximation degrades", stacklevel=2)
+        warnings.warn(f"omega2*dt = {quench.lhs:.3g} not << 1; phi_grav "
+                      "departs from m g_E dx dt / hbar", stacklevel=2)
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     if thermal:
         return ProtocolDistribution(
@@ -275,7 +275,7 @@ def _kernel(alpha, ops, beta: float, beta_back: float, couplings: tuple,
     step(2, "pi_half", a_u, th_u, a_u, th_u, a_u)
     a_d, th_d = displace_compose(beta, a_u)     # D(beta) on |down> only
     step(4, "displace", a_d, th_d, a_u, th_u, a_d + th_d)
-    # second-order quench, squeezing dropped
+    # the quench's squeeze is the same on both branches and is dropped
     a_d, fall = evolve_quench(a_d, *couplings)
     th_d = th_d + fall
     a_u, th_u = evolve_quench(a_u, *couplings)

@@ -13,10 +13,10 @@ from catsim.gaussian import (
     displace_compose,
     evolve_displaced_oscillator,
     evolve_quench,
-    evolve_quench_exact,
     quench_linear_map,
     quench_params,
 )
+from catsim import fock_oracle
 from catsim.params import ParameterError
 
 complexes = st.builds(
@@ -68,40 +68,42 @@ def test_displaced_oscillator_composes():
 
 
 def test_quadratic_expansion_matches_exact_at_small_t():
-    """At omega2 = omega1 the quench is the second-order expansion of the
-    exact displaced-oscillator evolution."""
+    """At omega2 = omega1 the quench is the exact displaced-oscillator
+    evolution, less that evolution's alpha-independent phase."""
     omega, g, t = 1.0, 0.3, 1e-3
     b0 = CoherentBranch(0.5 - 0.7j)
     alpha, phase = evolve_quench(b0.alpha, omega, omega, g, t)
     exact = evolve_displaced_oscillator(b0, omega, g, t)
-    assert abs(alpha - exact.alpha) < 5e-10
-    assert abs(cmath.phase(cmath.exp(1j * phase) / exact.weight)) < 5e-10
+    common = (g / omega) ** 2 * (omega * t - math.sin(omega * t))
+    assert abs(alpha - exact.alpha) < 1e-15
+    assert abs(phase + common - cmath.phase(exact.weight)) < 1e-15
 
 
-def test_quadratic_expansion_phases():
-    """Boost -Re(a) g1 t plus translation -Im(a) w1 g1 t^2/2, and the
-    source term -i g1 t of the amplitude."""
-    omega1, omega2, g2, t = 1.0, 0.25, 0.3, 0.01
+def test_quench_phase_coefficients():
+    """The phase gained is Im(gamma* d), gamma = c1 a + c2 a*, which is
+    -g1 S Re(a) - w1 g1 C Im(a) with S = sin(s)/w2, C = (1 - cos s)/w2^2."""
+    omega1, omega2, g2, t = 1.0, 0.25, 0.3, 2.0
     g1 = math.sqrt(omega2 / omega1) * g2
-    a = 2.0 + 1.0j
-    _, phase = evolve_quench(a, omega1, omega2, g2, t)
-    boost, translation = -a.real * g1 * t, -a.imag * omega1 * g1 * t * t / 2.0
-    assert phase == pytest.approx(boost + translation, rel=1e-14)
-    source, _ = evolve_quench(0.0j, omega1, omega2, g2, t)
-    assert source == pytest.approx(-1j * g1 * t - 0.5 * omega1 * g1 * t * t,
-                                   rel=1e-15)
+    s = omega2 * t
+    _, _, d, k_re, k_im = quench_linear_map(omega1, omega2, g2, t)
+    assert k_re == pytest.approx(-g1 * math.sin(s) / omega2, rel=1e-14)
+    assert k_im == pytest.approx(-omega1 * g1 * (1.0 - math.cos(s))
+                                 / omega2**2, rel=1e-14)
+    for a in (2.0 + 1.0j, -0.3 + 0.8j):
+        alpha, phase = evolve_quench(a, omega1, omega2, g2, t)
+        gamma = alpha - d
+        assert phase == pytest.approx((gamma.conjugate() * d).imag, rel=1e-14)
+    assert evolve_quench(0.0j, omega1, omega2, g2, t) == (d, 0.0)
 
 
-def test_quadratic_expansion_converges_cubically():
-    errs = []
-    for t in (0.02, 0.01):
-        b0 = CoherentBranch(0.7 - 0.2j)
-        approx, _ = evolve_quench(b0.alpha, 1.0, 1.0, 0.3, t)
-        exact = evolve_displaced_oscillator(b0, 1.0, 0.3, t)
-        errs.append(abs(approx - exact.alpha))
-    assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.15)
-
-
+def test_quench_amplitude_composes():
+    """The map is the exact Heisenberg map of one Hamiltonian, so falling
+    t1 then t2 moves the amplitude as falling t1 + t2 does."""
+    omega1, omega2, g2, a = 1.0, 0.5, 0.2, 0.7 - 0.2j
+    once, _ = evolve_quench(a, omega1, omega2, g2, 0.8)
+    mid, _ = evolve_quench(a, omega1, omega2, g2, 0.3)
+    twice, _ = evolve_quench(mid, omega1, omega2, g2, 0.5)
+    assert abs(twice - once) < 1e-15
 def test_quench_params_at_zero_time():
     qp = quench_params(1.0, 0.5, 0.3, 0.0)
     assert qp.z == 0.0
@@ -124,35 +126,52 @@ def test_commute_squeeze_displacement_real_squeeze():
     assert commute_squeeze_displacement(0.0, xi) == xi
 
 
-def test_quench_reduces_to_quadratic_at_equal_frequencies():
-    """At omega2 = omega1 the map is a(1 - iwt - w^2t^2/2) - igt - wgt^2/2."""
-    omega, g, t = 1.0, 0.3, 0.01
-    a = 0.5 - 0.7j
-    quench, _ = evolve_quench(a, omega, omega, g, t)
-    wt = omega * t
-    assert quench == pytest.approx(
-        a * (1.0 - 1j * wt - 0.5 * wt * wt) - 1j * g * t
-        - 0.5 * omega * g * t * t, rel=1e-14)
-    assert quench_linear_map(omega, omega, t)[1] == 0.0
+def test_quench_reduces_to_displaced_oscillator_at_equal_frequencies():
+    """At omega2 = omega1 the map is a e^{-iwt} + (g/w)(e^{-iwt} - 1) at
+    any t."""
+    omega, g = 0.7, 0.3
+    for t in (0.01, 1.0, 3.0):
+        rot = cmath.exp(-1j * omega * t)
+        c1, c2, d, _, _ = quench_linear_map(omega, omega, g, t)
+        assert c1 == pytest.approx(rot, rel=1e-15)
+        assert c2 == 0.0
+        assert d == pytest.approx((g / omega) * (rot - 1.0), rel=1e-14)
 
 
 def test_quench_linear_map_coefficients():
-    omega1, omega2, t = 1.0, 0.5, 0.01
-    c1, c2 = quench_linear_map(omega1, omega2, t)
-    assert c1 == pytest.approx(
-        1.0 - 1j * (omega1**2 + omega2**2) * t / (2.0 * omega1)
-        - 0.5 * omega2**2 * t * t, rel=1e-15)
+    """c1, c2 and the drift d at s = w2 t = 0.5, and |c1|^2 - |c2|^2 = 1:
+    the map is symplectic at every t."""
+    omega1, omega2, g2, t = 1.0, 0.5, 0.2, 1.0
+    g1 = math.sqrt(omega2 / omega1) * g2
+    s = omega2 * t
+    S, C = math.sin(s) / omega2, (1.0 - math.cos(s)) / omega2**2
+    c1, c2, d, _, _ = quench_linear_map(omega1, omega2, g2, t)
+    assert c1 == pytest.approx(math.cos(s) - 1j * (
+        omega1**2 + omega2**2) * S / (2.0 * omega1), rel=1e-15)
     assert c2 == pytest.approx(
-        1j * (omega1**2 - omega2**2) * t / (2.0 * omega1), rel=1e-15)
+        1j * (omega1**2 - omega2**2) * S / (2.0 * omega1), rel=1e-15)
+    assert d == pytest.approx(-omega1 * g1 * C - 1j * g1 * S, rel=1e-14)
+    for t in (1e-6, 0.01, 1.0, 5.0):
+        c1, c2, *_ = quench_linear_map(omega1, omega2, g2, t)
+        assert abs(abs(c1) ** 2 - abs(c2) ** 2 - 1.0) < 1e-14
 
 
 def test_quench_matches_exact_route():
-    omega1, omega2, g2, t = 1.0, 0.5, 0.2, 0.005
-    b0 = CoherentBranch(0.4 + 0.2j)
-    alpha, phase = evolve_quench(b0.alpha, omega1, omega2, g2, t)
-    exact = evolve_quench_exact(b0, omega1, omega2, g2, t)
-    assert abs(alpha - exact.alpha) < 1e-6
-    assert abs(cmath.phase(cmath.exp(1j * phase) / exact.weight)) < 1e-6
+    """The quench's amplitude is the mean <a> of the Fock-propagated quench
+    Hamiltonian, and its phase the overlap phase less alpha = 0's."""
+    omega1, omega2, g2, t, dim = 1.0, 0.5, 0.2, 0.7, 60
+    g1 = math.sqrt(omega2 / omega1) * g2
+    evolve = fock_oracle.propagator(
+        fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim))
+    lower = fock_oracle.annihilation(dim)
+    phases = []
+    for a in (0.0j, 0.4 + 0.2j):
+        alpha, phase = evolve_quench(a, omega1, omega2, g2, t)
+        psi = evolve(fock_oracle.coherent_to_fock(a, dim), t)
+        assert abs(alpha - np.vdot(psi, lower @ psi)) < 1e-14
+        phases.append(fock_oracle.overlap_phase(
+            fock_oracle.coherent_to_fock(alpha, dim), psi) - phase)
+    assert abs(phases[1] - phases[0]) < 1e-14
 
 
 def test_quench_over_arrays_matches_scalars():

@@ -1,4 +1,5 @@
 import functools
+import math
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from catsim import classical, gaussian, verify
 from catsim.gaussian import CoherentBranch
+from catsim.protocol import _set_up
 
 
 def test_full_suite_passes():
@@ -54,7 +56,7 @@ def test_run_all_calls_the_tuples_it_finds(monkeypatch, quick):
 
 def test_run_all_diagonalises_each_matrix_once(monkeypatch):
     """One eigh per Hamiltonian, shared by every time and initial state,
-    and one per gate: 13 in all, of which the 6 Hamiltonians are real."""
+    and one per gate: 14 in all, of which the 7 Hamiltonians are real."""
     dtypes = []
     eigh = np.linalg.eigh
 
@@ -63,8 +65,8 @@ def test_run_all_diagonalises_each_matrix_once(monkeypatch):
         return eigh(matrix, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigh", counting)
     verify.run_all()
-    assert len(dtypes) == 13
-    assert dtypes.count(np.float64) == 6
+    assert len(dtypes) == 14
+    assert dtypes.count(np.float64) == 7
 
 
 def test_results_carry_measurements():
@@ -120,3 +122,72 @@ def test_mutation_rk4_step_second_order_error(monkeypatch, check):
 
     monkeypatch.setattr(classical, "_rk4_step", sloppy)
     assert not check().passed
+
+
+def _mutant_map(S, C, keep_c2=True):
+    """quench_linear_map's formulas with S(t, s, w2) and C(t, s, w2) given
+    and c2 kept or dropped, s = w2 t."""
+    def mutant(omega1, omega2, g2, t):
+        g1 = math.sqrt(omega2 / omega1) * g2
+        s = omega2 * t
+        S_, C_ = S(t, s, omega2), C(t, s, omega2)
+        c1 = math.cos(s) - 1j * (omega1**2 + omega2**2) * S_ / (2.0 * omega1)
+        c2 = (1j * (omega1**2 - omega2**2) * S_ / (2.0 * omega1) if keep_c2
+              else 0j)
+        d = -omega1 * g1 * C_ - 1j * g1 * S_
+        return (c1, c2, d, ((c1 + c2).conjugate() * d).imag,
+                ((c2 - c1).conjugate() * d).real)
+    return mutant
+
+
+def _sin_over_w(t, s, w):
+    return math.sin(s) / w
+
+
+def _half_angle(t, s, w):
+    return 0.5 * t * t * (math.sin(0.5 * s) / (0.5 * s)) ** 2
+
+
+def test_preset_quench_keeps_its_drift(discussion):
+    """At the preset s = w2 t ~ 5e-12, where 1 - cos s rounds to 0, the
+    quench's drift is -w1 g1 t^2/2 - i g1 t to rounding."""
+    omega1, omega2, g2, t = _set_up(discussion).couplings
+    g1 = math.sqrt(omega2 / omega1) * g2
+    drift, _ = gaussian.evolve_quench(0j, omega1, omega2, g2, t)
+    assert drift.real == pytest.approx(-omega1 * g1 * t * t / 2, rel=1e-15)
+    assert drift.imag == pytest.approx(-g1 * t, rel=1e-15)
+
+
+@pytest.mark.parametrize("mutant,failing", [
+    # t in place of S = sin(s)/w2
+    (_mutant_map(lambda t, s, w: t, _half_angle),
+     {"boost_phase", "quench_second_order"}),
+    # the squeezing term c2 a* dropped
+    (_mutant_map(_sin_over_w, _half_angle, keep_c2=False),
+     {"quench_second_order"}),
+], ids=["t_for_S", "no_c2"])
+def test_mutation_quench_map_fails_its_rows(monkeypatch, mutant, failing):
+    monkeypatch.setattr(gaussian, "quench_linear_map", mutant)
+    failed = {r.name for r in verify.run_all() if not r.passed}
+    assert failing <= failed
+
+
+def test_mutation_full_angle_drift_fails_at_the_preset(monkeypatch,
+                                                       discussion):
+    """C = (1 - cos s)/w2^2 is the half-angle form's value, but at the
+    preset it rounds to 0 and takes the drift's real part with it."""
+    monkeypatch.setattr(gaussian, "quench_linear_map", _mutant_map(
+        _sin_over_w, lambda t, s, w: (1.0 - math.cos(s)) / w**2))
+    with pytest.raises(AssertionError):
+        test_preset_quench_keeps_its_drift(discussion)
+
+
+def test_wrap_keeps_a_phase_inside_pi():
+    """A phase error below pi is kept exactly, however small; one past it
+    loses the multiple of 2 pi."""
+    assert verify._wrap(1e-17) == 1e-17
+    assert verify._wrap(-1e-17) == -1e-17
+    assert abs(verify._wrap(3 * math.pi)) == math.pi
+    assert abs(verify._wrap(-3 * math.pi)) == math.pi
+    assert verify._wrap(2.5) == 2.5
+    assert verify._wrap(4.0) == pytest.approx(4.0 - math.tau, rel=1e-15)
