@@ -6,18 +6,25 @@ holds no closed forms of its own (the analytic coherent overlap is
 ``gaussian.coherent_overlap``).  A state is a plain complex array of
 number-basis amplitudes and a gate is its dense matrix.  Unitaries are
 taken in the eigenbasis of a dense ``eigh``, with numpy only.  A gate (a
-displacement or a squeeze) is ``expm`` of its anti-Hermitian generator:
-one ``eigh`` per gate.  A Hamiltonian is a real symmetric array, so its
-``eigh`` is the real one, and ``propagator`` runs it once per
-Hamiltonian and shares it across every time and initial state.  All
-global-phase comparisons should go through ``overlap_phase`` (the phase
-of <reference|state>) rather than per-component arguments.
+displacement, k = 1, or a squeeze, k = 2) is a rotated quadrature
+exponential: with R(phi) = diag(e^{i phi n}), exactly in the truncated
+basis, exp((z ad^k - z* a^k)/k) = R(phi) exp(-i (|z|/k) Q_k) R(phi)^dagger
+with phi = (arg z + pi/2)/k and the real symmetric Q_k = a^k + ad^k.  The
+real ``eigh`` of Q_k is cached per (k, dim), so every gate of a basis
+shares two diagonalisations.  A Hamiltonian is a real symmetric array, so
+its ``eigh`` is the real one, and ``propagator`` caches it by the
+matrix's content: it runs once per Hamiltonian and is shared across every
+time and initial state.  All global-phase comparisons should go through
+``overlap_phase`` (the phase of <reference|state>) rather than
+per-component arguments.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,24 +106,43 @@ def _eigh(herm: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(herm)
 
 
-def expm(generator: np.ndarray) -> np.ndarray:
-    """exp(K) of an anti-Hermitian K as V diag(e^{-iE}) V^dagger, where
-    E, V are the eigenvalues and eigenvectors of the Hermitian iK."""
-    energies, vectors = _eigh(1j * generator, "generator not anti-Hermitian")
-    return (vectors * np.exp(-1j * energies)) @ vectors.conj().T
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays`` made read-only, since a cache hands them to every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 # --- Gates --------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _quadrature(power: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real eigenvectors of Q_k = a^k + ad^k, k = ``power``."""
+    lower = np.linalg.matrix_power(annihilation(dim), power)
+    return _frozen(*_eigh(lower + lower.T, "quadrature not Hermitian"))
+
+
+def _gate(z: complex, power: int, dim: int) -> np.ndarray:
+    """exp((z ad^k - z* a^k)/k), k = ``power``, as R(phi) exp(-i (|z|/k) Q_k)
+    R(phi)^dagger with phi = (arg z + pi/2)/k: R(phi) a^k R(phi)^dagger =
+    e^{-ik phi} a^k holds exactly in the truncated basis."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(
+            f"{'alpha' if power == 1 else 'z'} must be finite, got {z!r}")
+    energies, vectors = _quadrature(power, dim)
+    turn = np.exp(1j * ((cmath.phase(z) + 0.5 * math.pi) / power)
+                  * np.arange(dim))
+    inner = (vectors * np.exp(-1j * (abs(z) / power) * energies)) @ vectors.T
+    return turn[:, None] * inner * turn.conj()
+
+
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    a = annihilation(dim)
-    return expm(alpha * a.T - np.conj(alpha) * a)
+    return _gate(alpha, 1, dim)
 
 
 def squeeze_matrix(z: complex, dim: int) -> np.ndarray:
-    a = annihilation(dim)
-    ad = a.T
-    return expm(0.5 * (z * ad @ ad - np.conj(z) * a @ a))
+    return _gate(z, 2, dim)
 
 
 def rotation_matrix(phi: float, dim: int) -> np.ndarray:
@@ -157,12 +183,23 @@ def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
             + g_lin * X)
 
 
+@lru_cache(maxsize=8)
+def _eigenbasis(shape: tuple[int, ...], dtype: str, content: bytes
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors and their adjoint of the Hamiltonian whose
+    shape, dtype and bytes are given: a key on its content, so a changed
+    matrix is diagonalised anew."""
+    hamiltonian = np.frombuffer(content, dtype=dtype).reshape(shape)
+    energies, vectors = _eigh(hamiltonian, "Hamiltonian not Hermitian")
+    return _frozen(energies, vectors, vectors.conj().T)
+
+
 def propagator(hamiltonian: np.ndarray
                ) -> Callable[[np.ndarray, float], np.ndarray]:
     """``evolve(psi, t)``, the state exp(-i H t) psi checked for
-    truncation, for one Hermitian H diagonalised here once."""
-    energies, vectors = _eigh(hamiltonian, "Hamiltonian not Hermitian")
-    inverse = vectors.conj().T
+    truncation, for one Hermitian H diagonalised once per content."""
+    energies, vectors, inverse = _eigenbasis(
+        hamiltonian.shape, hamiltonian.dtype.str, hamiltonian.tobytes())
 
     def evolve(psi: np.ndarray, t: float) -> np.ndarray:
         out = vectors @ (np.exp(-1j * energies * t) * (inverse @ psi))

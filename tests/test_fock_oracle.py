@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,11 +103,43 @@ def test_quadratic_hamiltonian_matches_mode_form():
     assert np.allclose(hq[:-2, :-2], hm[:-2, :-2], atol=1e-12)
 
 
+@pytest.mark.parametrize("z", [
+    math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+    complex(math.inf, -math.inf), complex(0.5, math.nan),
+])
+@pytest.mark.parametrize("gate,name", [(fo.displacement_matrix, "alpha"),
+                                       (fo.squeeze_matrix, "z")])
+def test_gate_refuses_a_non_finite_argument(gate, name, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no NaN arithmetic first
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gate(z, 20)
+
+
 def test_evolve_schrodinger_rejects_non_hermitian():
-    h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    """Each refusal raises again on a second call: it is not cached."""
     psi = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        fo.propagator(h)(psi, 0.1)
+    for h in (np.array([[0.0, 1.0], [0.0, 0.0]]),       # one triangle only
+              np.array([[0.0, 1j], [1j, 0.0]]),         # anti-Hermitian
+              np.array([[1j, 0.0], [0.0, -1j]]),        # imaginary diagonal
+              np.array([[0.0, np.nan], [np.nan, 0.0]])):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Hermitian"):
+                fo.propagator(h)(psi, 0.1)
+
+
+def _series_expm(generator):
+    """exp(K) from its power series, summed after halving K until its
+    1-norm is below 1/2 and squared back."""
+    halvings = int(np.linalg.norm(generator, 1)).bit_length() + 1
+    small = generator / 2**halvings
+    term = series = np.eye(len(generator), dtype=complex)
+    for n in range(1, 25):
+        term = term @ small / n
+        series = series + term
+    for _ in range(halvings):
+        series = series @ series
+    return series
 
 
 def _displacement_hamiltonian(omega, g, dim):
@@ -121,40 +154,47 @@ def _displacement_hamiltonian(omega, g, dim):
     _displacement_hamiltonian(1.0, 0.3, 40),
 ], ids=["mode", "quadratic", "complex"])
 def test_propagator_matches_expm(hamiltonian):
-    """One diagonalisation serves every t, each time equal to the dense
-    exponential of -iHt applied to the state."""
+    """One diagonalisation serves every t, each time equal to the power
+    series of exp(-iHt) applied to the state."""
     psi = fo.coherent_to_fock(0.5 + 0.3j, 40)
     evolve = fo.propagator(hamiltonian)
     for t in (0.0, 0.1, 0.7, 2.0):
-        ref = fo.expm(-1j * hamiltonian * t) @ psi
+        ref = _series_expm(-1j * hamiltonian * t) @ psi
         assert np.max(np.abs(evolve(psi, t) - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("generator", [
-    np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),    # one triangle only
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),    # Hermitian
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),   # real diagonal
-    np.array([[0.0, np.nan], [np.nan, 0.0]], dtype=complex),
-])
-def test_expm_rejects_non_anti_hermitian(generator):
-    with pytest.raises(ValueError, match="anti-Hermitian"):
-        fo.expm(generator)
-
-
 def test_expm_matches_taylor_series():
-    """The eigenbasis exponential against the power series, summed after
-    halving the generator 2^6 times and squared back."""
-    rng = np.random.default_rng(3)
-    b = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    k = b - b.conj().T                  # anti-Hermitian, norm ~ 10
-    small = k / 2**6
-    term = series = np.eye(12, dtype=complex)
-    for n in range(1, 25):
-        term = term @ small / n
-        series = series + term
-    for _ in range(6):
-        series = series @ series
-    assert np.max(np.abs(fo.expm(k) - series)) < 1e-12
+    """Each gate, a rotated quadrature exponential, against the power
+    series of its generator (z ad^k - z* a^k)/k, for z in every quadrant,
+    on both axes and at 0."""
+    for dim in (12, 40):
+        a = fo.annihilation(dim)
+        for z in (0.0, 0.5 + 0.2j, -1.3 + 0.1j, -2j, 3.0,
+                  0.3 * cmath.exp(0.7j)):
+            for gate, k in ((fo.displacement_matrix, 1),
+                            (fo.squeeze_matrix, 2)):
+                lower = np.linalg.matrix_power(a, k)
+                series = _series_expm((z * lower.T - np.conj(z) * lower) / k)
+                assert np.max(np.abs(gate(z, dim) - series)) < 1e-12
+
+
+def test_propagator_caches_by_content():
+    """The cached eigenbases are read-only, and a Hamiltonian changed in
+    place, or another of the same shape, is diagonalised anew."""
+    h = fo.mode_hamiltonian(1.0, 0.3, 30)
+    psi = fo.coherent_to_fock(0.5, 30)
+    before = fo.propagator(h)(psi, 0.7)
+    energies, vectors, inverse = fo._eigenbasis(h.shape, h.dtype.str,
+                                                h.tobytes())
+    for cached in (energies, vectors, inverse, *fo._quadrature(1, 30)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    other = fo.propagator(fo.mode_hamiltonian(1.0, 0.2, 30))(psi, 0.7)
+    h[0, 1] = h[1, 0] = 0.2
+    changed = fo.propagator(h)(psi, 0.7)
+    assert np.max(np.abs(other - before)) > 1e-3
+    assert np.max(np.abs(changed - before)) > 1e-3
+    assert np.array_equal(fo.propagator(h)(psi, 0.7), changed)
 
 
 def test_evolve_schrodinger_free_rotation():

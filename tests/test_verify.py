@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from catsim import classical, gaussian, verify
+from catsim import classical, fock_oracle, gaussian, verify
 from catsim.gaussian import CoherentBranch
 from catsim.protocol import _set_up
 
@@ -55,8 +55,11 @@ def test_run_all_calls_the_tuples_it_finds(monkeypatch, quick):
 
 
 def test_run_all_diagonalises_each_matrix_once(monkeypatch):
-    """One eigh per Hamiltonian, shared by every time and initial state,
-    and one per gate: 14 in all, of which the 7 Hamiltonians are real."""
+    """One real eigh per Hamiltonian, shared by every time and initial
+    state, and one per gate quadrature and basis size: 6 in all from cold
+    caches, and none when the caches are warm."""
+    fock_oracle._quadrature.cache_clear()
+    fock_oracle._eigenbasis.cache_clear()
     dtypes = []
     eigh = np.linalg.eigh
 
@@ -65,8 +68,27 @@ def test_run_all_diagonalises_each_matrix_once(monkeypatch):
         return eigh(matrix, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigh", counting)
     verify.run_all()
-    assert len(dtypes) == 14
-    assert dtypes.count(np.float64) == 7
+    assert dtypes == [np.float64] * 6
+    verify.run_all()
+    assert len(dtypes) == 6
+
+
+_GATE = fock_oracle._gate
+
+
+@pytest.mark.parametrize("mutant", [
+    # arg(-iz) = arg z - pi/2: phi without its pi/2
+    lambda z, k, dim: _GATE(-1j * complex(z), k, dim),
+    lambda z, k, dim: _GATE(k * complex(z), k, dim),   # |z| without its 1/k
+    lambda z, k, dim: _GATE(z, k, dim).T,
+], ids=["no_quarter_turn", "no_one_over_k", "transposed"])
+@pytest.mark.parametrize("check", [verify.check_commutation_identity,
+                                   verify.check_quench_decomposition])
+def test_mutation_gate_formula(monkeypatch, check, mutant):
+    """A wrong rotation, angle or orientation in the gates is caught by
+    both rows that build gates."""
+    monkeypatch.setattr(fock_oracle, "_gate", mutant)
+    assert not check().passed
 
 
 def test_results_carry_measurements():
