@@ -7,9 +7,9 @@ mode amplitudes live in ``gaussian``.
 
 The RK4 oracle takes n = ceil(duration/dt) classical RK4 steps on each
 constant-coefficient segment.  One such step is an affine map of (x, p),
-so its 3x3 augmented matrix, read off the stage formulas of ``_rk4_step``,
-is raised to the n-th power by repeated squaring instead of being applied
-in a loop; the discretisation is the same, only the rounding differs.
+a 2x2 matrix and an offset read off the stage formulas of ``_rk4_step``,
+raised to the n-th power by squaring in plain floats instead of applied in
+a loop: the discretisation is the same, only the rounding differs.
 
 Sign convention: the Hamiltonian is H = p^2/2m + m w^2 x^2 / 2 + m g_E x,
 so gravity pulls toward negative x and the displaced equilibrium sits at
@@ -85,7 +85,7 @@ class TimeDependentTrapSpec(NamedTuple):
 
 def _rk4_step(x, p, m: float, w2: float, accel: float, h: float):
     """One classical RK4 step of Hamilton's equations
-    dx/dt = p/m, dp/dt = -m w^2 x - m accel; x and p may be arrays."""
+    dx/dt = p/m, dp/dt = -m w^2 x - m accel."""
     k1x = p / m
     k1p = -m * (w2 * x + accel)
     k2x = (p + 0.5 * h * k1p) / m
@@ -102,19 +102,22 @@ def _rk4_segment(x: float, p: float, m: float, omega: float, accel: float,
                  duration: float, dt: float) -> tuple[float, float]:
     if duration <= 0:
         return x, p
-    import numpy as np          # the closed forms above are math only
     n = max(1, math.ceil(duration / dt))
     h = duration / n
-    # with constant coefficients one step is an affine map; its augmented
-    # matrix has the images of (1, 0) and (0, 1), less that of the origin,
-    # as columns, then the image of the origin
-    xs, ps = _rk4_step(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
-                       m, omega * omega, accel, h)
-    step = np.array([[xs[1] - xs[0], xs[2] - xs[0], xs[0]],
-                     [ps[1] - ps[0], ps[2] - ps[0], ps[0]],
-                     [0.0, 0.0, 1.0]])
-    x, p, _ = np.linalg.matrix_power(step, n) @ np.array([x, p, 1.0])
-    return float(x), float(p)
+    # with constant coefficients one step is an affine map: the image of the
+    # origin is its offset, those of (1, 0) and (0, 1) less it its columns
+    (x0, p0), (xx, px), (xp, pp) = (
+        _rk4_step(*point, m, omega * omega, accel, h)
+        for point in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
+    xx, px, xp, pp = xx - x0, px - p0, xp - x0, pp - p0
+    while n:        # (x, p) through the map's n-th power, by squaring it
+        if n & 1:
+            x, p = xx * x + xp * p + x0, px * x + pp * p + p0
+        xx, xp, px, pp, x0, p0 = (
+            xx * xx + xp * px, xx * xp + xp * pp, px * xx + pp * px,
+            px * xp + pp * pp, xx * x0 + xp * p0 + x0, px * x0 + pp * p0 + p0)
+        n >>= 1
+    return x, p
 
 
 def ode_oracle(s0: PhaseSpacePoint, spec: TimeDependentTrapSpec, t: float,

@@ -218,7 +218,7 @@ def cmd_transient(args) -> tuple[int, str, dict]:
 # --- verify -------------------------------------------------------------------
 
 def cmd_verify(args) -> tuple[int, str, dict]:
-    from . import verify    # the dense oracles, which no other command needs
+    from . import verify    # the oracles, which no other command needs
     results = verify.run_all(quick=args.quick)
     failures = sum(not r.passed for r in results)
     text = "".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured "

@@ -1,22 +1,19 @@
 """Truncated number-basis simulator used as a brute-force oracle.
 
-Everything here is dense and deliberately simple: the module exists to
-verify the closed-form evolutions of ``gaussian`` independently, so it
-holds no closed forms of its own (the analytic coherent overlap is
-``gaussian.coherent_overlap``).  A state is a plain complex array of
-number-basis amplitudes and a gate is its dense matrix.  Unitaries are
-taken in the eigenbasis of a dense ``eigh``, with numpy only.  A gate (a
-displacement, k = 1, or a squeeze, k = 2) is a rotated quadrature
-exponential: with R(phi) = diag(e^{i phi n}), exactly in the truncated
-basis, exp((z ad^k - z* a^k)/k) = R(phi) exp(-i (|z|/k) Q_k) R(phi)^dagger
-with phi = (arg z + pi/2)/k and the real symmetric Q_k = a^k + ad^k.  The
-real ``eigh`` of Q_k is cached per (k, dim), so every gate of a basis
-shares two diagonalisations.  A Hamiltonian is a real symmetric array, so
-its ``eigh`` is the real one, and ``propagator`` caches it by the
-matrix's content: it runs once per Hamiltonian and is shared across every
-time and initial state.  All global-phase comparisons should go through
-``overlap_phase`` (the phase of <reference|state>) rather than
-per-component arguments.
+The module exists to verify the closed-form evolutions of ``gaussian``
+independently, so it holds no closed forms of its own (the analytic
+coherent overlap is ``gaussian.coherent_overlap``) and uses numpy only.
+A state is a plain complex array of number-basis amplitudes.  A gate is
+applied to it, never built, and every gate's image passes ``apply_gate``'s
+truncation check.  A displacement (k = 1) or squeeze (k = 2) is a rotated
+quadrature exponential: with R(phi) = diag(e^{i phi n}), exactly in the
+truncated basis, exp((z ad^k - z* a^k)/k) = R(phi) exp(-i (|z|/k) Q_k)
+R(phi)^dagger with phi = (arg z + pi/2)/k and the real symmetric
+Q_k = a^k + ad^k, whose ``eigh`` is cached per (k, dim).  A Hamiltonian
+is a real symmetric array written from its bands, and ``propagator``
+caches its real ``eigh`` by the matrix's content, once for every time and
+initial state.  Global phases are compared through ``overlap_phase``
+(the phase of <reference|state>), never per component.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 
 NORM_TOL = 1e-8
 TAIL_TOL = 1e-10
-HERMITIAN_TOL = 1e-12           # relative to the largest entry of iK or H
+HERMITIAN_TOL = 1e-12           # relative to the largest entry of Q_k or H
 
 
 class TruncationError(ValueError):
@@ -53,11 +50,20 @@ def check_health(psi: np.ndarray) -> None:
 
 
 def annihilation(dim: int) -> np.ndarray:
-    """The real matrix of a, so Hamiltonians built from it stay real."""
-    a = np.zeros((dim, dim))
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
+    """The real matrix of a: the upper band of a + ad."""
+    return np.triu(_banded(np.zeros(dim), 1.0))
+
+
+def _banded(diagonal: np.ndarray, *couplings: float) -> np.ndarray:
+    """diag(``diagonal``) + sum_k c_k (a^k + ad^k), c_k = ``couplings[k-1]``,
+    written band by band: <n-k| a^k |n> = sqrt(n) <n-k| a^(k-1) |n-1>."""
+    h = np.diag(np.asarray(diagonal, dtype=float))
+    ns = np.arange(len(h))
+    band = np.ones(len(h))
+    for k, c in enumerate(couplings, 1):
+        band = np.sqrt(ns[k:]) * band[:-1]
+        h[ns[:-k], ns[k:]] = h[ns[k:], ns[:-k]] = c * band
+    return h
 
 
 def required_dim(alpha: complex) -> int:
@@ -118,51 +124,60 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=8)
 def _quadrature(power: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and real eigenvectors of Q_k = a^k + ad^k, k = ``power``."""
-    lower = np.linalg.matrix_power(annihilation(dim), power)
-    return _frozen(*_eigh(lower + lower.T, "quadrature not Hermitian"))
+    return _frozen(*_eigh(_banded(np.zeros(dim), *[0.0] * (power - 1), 1.0),
+                          "quadrature not Hermitian"))
 
 
-def _gate(z: complex, power: int, dim: int) -> np.ndarray:
-    """exp((z ad^k - z* a^k)/k), k = ``power``, as R(phi) exp(-i (|z|/k) Q_k)
-    R(phi)^dagger with phi = (arg z + pi/2)/k: R(phi) a^k R(phi)^dagger =
-    e^{-ik phi} a^k holds exactly in the truncated basis."""
+def _real_product(real: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``real @ states`` for complex states: their real and imaginary parts
+    go through the real matrix side by side, with no complex cast of it."""
+    parts = np.ascontiguousarray(states).view(np.float64)
+    return np.dot(real, parts.reshape(len(states), -1)).view(complex).reshape(
+        states.shape)
+
+
+def _gate(states: np.ndarray, z: complex, power: int) -> np.ndarray:
+    """exp((z ad^k - z* a^k)/k) ``states``, k = ``power``, for one vector or
+    a (dim, n) block, as R(phi) V exp(-i (|z|/k) E) V^T R(phi)^dagger with
+    (E, V) the eigenbasis of Q_k and phi = (arg z + pi/2)/k: R(phi) a^k
+    R(phi)^dagger = e^{-ik phi} a^k holds exactly in the truncated basis."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(
             f"{'alpha' if power == 1 else 'z'} must be finite, got {z!r}")
-    energies, vectors = _quadrature(power, dim)
+    column = (len(states),) + (1,) * (states.ndim - 1)  # down each column
+    energies, vectors = _quadrature(power, len(states))
     turn = np.exp(1j * ((cmath.phase(z) + 0.5 * math.pi) / power)
-                  * np.arange(dim))
-    inner = (vectors * np.exp(-1j * (abs(z) / power) * energies)) @ vectors.T
-    return turn[:, None] * inner * turn.conj()
+                  * np.arange(len(states))).reshape(column)
+    inner = (np.exp(-1j * (abs(z) / power) * energies).reshape(column)
+             * _real_product(vectors.T, turn.conj() * states))
+    return turn * _real_product(vectors, inner)
 
 
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    return _gate(alpha, 1, dim)
-
-
-def squeeze_matrix(z: complex, dim: int) -> np.ndarray:
-    return _gate(z, 2, dim)
-
-
-def rotation_matrix(phi: float, dim: int) -> np.ndarray:
-    return np.diag(np.exp(1j * phi * np.arange(dim)))
-
-
-def apply_gate(psi: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """``gate @ psi`` for a dense gate matrix, checked for truncation."""
-    out = gate @ psi
+def apply_gate(out: np.ndarray) -> np.ndarray:
+    """A gate's image ``out`` of a state, once checked for truncation."""
     check_health(out)
     return out
+
+
+def displace(psi: np.ndarray, alpha: complex) -> np.ndarray:
+    return apply_gate(_gate(psi, alpha, 1))
+
+
+def squeeze(psi: np.ndarray, z: complex) -> np.ndarray:
+    """S(z) psi = exp((z ad^2 - z* a^2)/2) psi."""
+    return apply_gate(_gate(psi, z, 2))
+
+
+def rotate(psi: np.ndarray, phi: float) -> np.ndarray:
+    return apply_gate(np.exp(1j * phi * np.arange(len(psi))) * psi)
 
 
 # --- Hamiltonians and propagation ---------------------------------------------
 
 def mode_hamiltonian(omega: float, g: float, dim: int) -> np.ndarray:
     """H/hbar = w ad a + g (ad + a), in rad/s, as a real array."""
-    a = annihilation(dim)
-    ad = a.T
-    return omega * ad @ a + g * (ad + a)
+    return _banded(omega * np.arange(dim), g)
 
 
 def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
@@ -172,15 +187,13 @@ def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
     H/hbar = (w_b/4) P^2 + (w^2 / 4 w_b) X^2 + g X with X = a + ad,
     P = i(ad - a); ``g_lin`` is the linear coupling (e.g. the gravitational
     drive) in rad/s.  Includes the zero-point offset, which only affects
-    global phase.  Real, since P^2 = -(ad - a)^2.
+    global phase.  Real: (w_b/4 + c)(ad a + a ad) + (c - w_b/4)(a^2 + ad^2)
+    + g X with c = w^2 / 4 w_b, and a ad = n + 1 below the top level, 0 on it.
     """
-    a = annihilation(dim)
-    ad = a.T
-    X = a + ad
-    D = ad - a
-    return (-0.25 * omega_basis * D @ D
-            + 0.25 * (omega_trap ** 2 / omega_basis) * X @ X
-            + g_lin * X)
+    c = 0.25 * omega_trap ** 2 / omega_basis
+    both_orders = np.append(2.0 * np.arange(dim - 1) + 1.0, dim - 1.0)
+    return _banded((0.25 * omega_basis + c) * both_orders, g_lin,
+                   c - 0.25 * omega_basis)
 
 
 @lru_cache(maxsize=8)

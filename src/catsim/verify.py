@@ -1,8 +1,8 @@
 """Oracle-equivalence suite: closed forms vs brute-force propagation.
 
 Every check pits a closed-form result from ``classical`` or ``gaussian``
-against an independent oracle (truncated Fock-space matrix exponentials,
-or fixed-step RK4) and reports the measured deviation next to its
+against an independent oracle (gates and propagators in a truncated Fock
+space, or fixed-step RK4) and reports the measured deviation next to its
 tolerance.  ``gaussian.evolve_quench`` is the quench the protocol kernel
 runs, so the three rows that check it test the code behind ``phi_grav``.
 Checks always call through the module namespaces so a deliberately
@@ -141,11 +141,8 @@ def check_quench_decomposition() -> CheckResult:
     worst = 0.0
     for t in (0.01, 0.05):
         qp = gaussian.quench_params(omega1, omega2, g2 / omega2, t)
-        psi = start
-        for gate in (fock_oracle.rotation_matrix(qp.phi, dim),
-                     fock_oracle.displacement_matrix(qp.epsilon, dim),
-                     fock_oracle.squeeze_matrix(qp.z, dim)):
-            psi = fock_oracle.apply_gate(psi, gate)
+        psi = fock_oracle.squeeze(fock_oracle.displace(
+            fock_oracle.rotate(start, qp.phi), qp.epsilon), qp.z)
         worst = max(worst, 1.0 - fock_oracle.fidelity(psi, evolve(start, t)))
     return _result("quench_decomposition", worst, 1e-6,
                    "infidelity, decomposition vs direct propagation")
@@ -158,11 +155,8 @@ def check_commutation_identity() -> CheckResult:
     xi = 0.8 - 0.4j
     gamma = gaussian.commute_squeeze_displacement(z, xi)
     psi = fock_oracle.coherent_to_fock(0.2 + 0.1j, dim)
-    squeeze = fock_oracle.squeeze_matrix(z, dim)
-    lhs = fock_oracle.apply_gate(fock_oracle.apply_gate(
-        psi, fock_oracle.displacement_matrix(xi, dim)), squeeze)
-    rhs = fock_oracle.apply_gate(fock_oracle.apply_gate(psi, squeeze),
-                                 fock_oracle.displacement_matrix(gamma, dim))
+    lhs = fock_oracle.squeeze(fock_oracle.displace(psi, xi), z)
+    rhs = fock_oracle.displace(fock_oracle.squeeze(psi, z), gamma)
     diff = float(np.linalg.norm(lhs - rhs))
     return _result("commutation_identity", diff, 1e-7, "vector norm")
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catsim
+from catsim import classical
 from catsim.cli import _write, main
 from catsim.params import ConfigError
 
@@ -373,6 +374,22 @@ def test_closed_form_command_leaves_numpy_unloaded(tmp_path, argv):
          *argv, "--out", str(tmp_path / "out")],
         env=_env_with_src(), check=True, timeout=60,
         stdout=subprocess.DEVNULL)
+
+
+def test_ode_oracle_runs_without_numpy():
+    """The RK4 oracle is math only: in a process where numpy cannot be
+    imported it runs a quench and returns the same point as here."""
+    spec = classical.TimeDependentTrapSpec.sudden_quench(
+        1e-15, 2.0, 0.5, 9.81, switch_time=0.4)
+    args = (classical.PhaseSpacePoint(1e-6, 2e-21), spec, 1.0, 1e-3)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None; "
+         "from catsim.classical import *; "
+         f"print(repr(tuple(ode_oracle{args!r})))"],
+        env=_env_with_src(), check=True, timeout=60, capture_output=True,
+        text=True)
+    assert proc.stdout.strip() == repr(tuple(classical.ode_oracle(*args)))
 
 
 _CATSIM = {f"catsim.{name}" for name in (

@@ -52,24 +52,32 @@ def test_ladder_operator_algebra():
     assert np.allclose(np.diag(comm)[:-1], 1.0)
 
 
+def displacement_matrix(alpha, dim):
+    """D(alpha)'s matrix: the gate kernel applied to every basis vector."""
+    return fo._gate(np.eye(dim), alpha, 1)
+
+
+def squeeze_matrix(z, dim):
+    return fo._gate(np.eye(dim), z, 2)
+
+
 def test_displacement_generates_coherent_state():
     alpha = 0.7 - 0.4j
     vac = np.eye(60, dtype=complex)[0]
-    out = fo.apply_gate(vac, fo.displacement_matrix(alpha, 60))
+    out = fo.displace(vac, alpha)
     ref = fo.coherent_to_fock(alpha, 60)
     assert fo.fidelity(ref, out) == pytest.approx(1.0, abs=1e-12)
     assert abs(fo.overlap_phase(ref, out)) < 1e-12
 
 
 def test_displacement_unitary():
-    d = fo.displacement_matrix(0.5 + 0.2j, 40)
+    d = displacement_matrix(0.5 + 0.2j, 40)
     assert np.allclose(d @ d.conj().T, np.eye(40), atol=1e-10)
 
 
 def test_rotation_on_coherent_state():
     alpha, phi = 0.9 + 0.1j, 0.6
-    out = fo.apply_gate(fo.coherent_to_fock(alpha, 60),
-                        fo.rotation_matrix(phi, 60))
+    out = fo.rotate(fo.coherent_to_fock(alpha, 60), phi)
     ref = fo.coherent_to_fock(alpha * np.exp(1j * phi), 60)
     assert fo.fidelity(ref, out) == pytest.approx(1.0, abs=1e-12)
 
@@ -78,7 +86,7 @@ def test_squeeze_vacuum_overlap():
     # <0|S(z)|0> = 1/sqrt(cosh |z|)
     z = 0.5
     vac = np.eye(80, dtype=complex)[0]
-    out = fo.apply_gate(vac, fo.squeeze_matrix(z, 80))
+    out = fo.squeeze(vac, z)
     assert abs(out[0]) == pytest.approx(1.0 / math.sqrt(math.cosh(z)),
                                              abs=1e-10)
     # squeezed vacuum only populates even levels
@@ -91,6 +99,31 @@ def test_mode_hamiltonian_structure():
     assert np.allclose(h, h.conj().T)
     assert h[3, 3] == pytest.approx(6.0)
     assert h[0, 1] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("dim", [2, 10, 60])
+def test_hamiltonians_match_their_ladder_products(dim):
+    """Each Hamiltonian, written from its bands, is a real, exactly
+    symmetric array equal to its ladder-operator products, including the
+    truncation edge, where a ad is 0 on the top level."""
+    a = fo.annihilation(dim)
+    ad = a.T
+    X, D = a + ad, ad - a
+    for h, products in (
+            (fo.mode_hamiltonian(1.3, -0.4, dim), 1.3 * ad @ a - 0.4 * X),
+            (fo.quadratic_hamiltonian(1.0, 0.5, 0.2, dim),
+             -0.25 * D @ D + 0.0625 * X @ X + 0.2 * X),
+            (fo.quadratic_hamiltonian(0.5, 2.0, -0.3, dim),
+             -0.125 * D @ D + 2.0 * X @ X - 0.3 * X)):
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert (np.max(np.abs(h - products))
+                <= 1e-13 * np.max(np.abs(products)))
+    # the edge: a ad = diag(1, ..., dim - 1, 0), so the top diagonal entry
+    # of X^2 and P^2 is dim - 1, not 2 dim - 1
+    assert (a @ ad)[-1, -1] == 0.0
+    assert fo.quadratic_hamiltonian(1.0, 1.0, 0.0, dim)[-1, -1] == (
+        pytest.approx(0.5 * (dim - 1)))
 
 
 def test_quadratic_hamiltonian_matches_mode_form():
@@ -107,8 +140,8 @@ def test_quadratic_hamiltonian_matches_mode_form():
     math.nan, math.inf, -math.inf, complex(0.0, math.inf),
     complex(math.inf, -math.inf), complex(0.5, math.nan),
 ])
-@pytest.mark.parametrize("gate,name", [(fo.displacement_matrix, "alpha"),
-                                       (fo.squeeze_matrix, "z")])
+@pytest.mark.parametrize("gate,name", [(displacement_matrix, "alpha"),
+                                       (squeeze_matrix, "z")])
 def test_gate_refuses_a_non_finite_argument(gate, name, z):
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # no NaN arithmetic first
@@ -116,7 +149,7 @@ def test_gate_refuses_a_non_finite_argument(gate, name, z):
             gate(z, 20)
 
 
-def test_evolve_schrodinger_rejects_non_hermitian():
+def test_propagator_rejects_non_hermitian():
     """Each refusal raises again on a second call: it is not cached."""
     psi = np.array([1.0, 0.0], dtype=complex)
     for h in (np.array([[0.0, 1.0], [0.0, 0.0]]),       # one triangle only
@@ -163,19 +196,23 @@ def test_propagator_matches_expm(hamiltonian):
         assert np.max(np.abs(evolve(psi, t) - ref)) < 1e-12
 
 
-def test_expm_matches_taylor_series():
-    """Each gate, a rotated quadrature exponential, against the power
-    series of its generator (z ad^k - z* a^k)/k, for z in every quadrant,
-    on both axes and at 0."""
+def test_gate_matches_taylor_series():
+    """Each gate, a rotated quadrature exponential applied to every basis
+    vector at once, against the power series of its generator
+    (z ad^k - z* a^k)/k, for z in every quadrant, on both axes and at 0;
+    one vector takes the same gate as a block of them."""
     for dim in (12, 40):
         a = fo.annihilation(dim)
+        vector = np.linspace(1.0, 2.0, dim) * (1.0 - 0.5j)
         for z in (0.0, 0.5 + 0.2j, -1.3 + 0.1j, -2j, 3.0,
                   0.3 * cmath.exp(0.7j)):
-            for gate, k in ((fo.displacement_matrix, 1),
-                            (fo.squeeze_matrix, 2)):
+            for k in (1, 2):
                 lower = np.linalg.matrix_power(a, k)
                 series = _series_expm((z * lower.T - np.conj(z) * lower) / k)
-                assert np.max(np.abs(gate(z, dim) - series)) < 1e-12
+                gate = fo._gate(np.eye(dim), z, k)
+                assert np.max(np.abs(gate - series)) < 1e-12
+                assert np.max(np.abs(fo._gate(vector, z, k)
+                                     - gate @ vector)) < 1e-13
 
 
 def test_propagator_caches_by_content():
@@ -197,7 +234,7 @@ def test_propagator_caches_by_content():
     assert np.array_equal(fo.propagator(h)(psi, 0.7), changed)
 
 
-def test_evolve_schrodinger_free_rotation():
+def test_propagator_free_rotation():
     alpha, omega, t = 0.8 + 0.0j, 2.0, 0.7
     h = fo.mode_hamiltonian(omega, 0.0, 60)
     out = fo.propagator(h)(fo.coherent_to_fock(alpha, 60), t)
@@ -223,14 +260,13 @@ def test_nan_state_fails_the_health_check():
     with pytest.raises(fo.TruncationError, match="norm"):
         fo.check_health(np.full(30, np.nan))
     with pytest.raises(fo.TruncationError, match="norm"):
-        fo.apply_gate(fo.coherent_to_fock(0, 30), np.eye(30) * np.nan)
+        fo.apply_gate(fo.coherent_to_fock(0, 30) * np.nan)
 
 
 def test_gate_that_fills_the_top_level_raises():
     # D(3) is unitary, so the norm holds, but |3> puts ~1e-7 on level 29
     with pytest.raises(fo.TruncationError, match="top-level"):
-        fo.apply_gate(fo.coherent_to_fock(0, 30),
-                      fo.displacement_matrix(3.0, 30))
+        fo.displace(fo.coherent_to_fock(0, 30), 3.0)
 
 
 def test_propagation_that_fills_the_top_level_raises():

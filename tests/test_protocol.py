@@ -443,15 +443,13 @@ def _fock_protocol(scenario, alpha, beta, exact_phase, dim=80):
     evolve = fock_oracle.propagator(
         fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim))
     up = fock_oracle.coherent_to_fock(alpha, dim)
-    down = fock_oracle.apply_gate(
-        up, fock_oracle.displacement_matrix(beta, dim))
+    down = fock_oracle.displace(up, beta)
     down = evolve(down, t)
     up = evolve(up, t)
     c1, c2, *_ = quench_linear_map(
         omega1, omega2, grav_coupling(m, omega2, scenario.constants), t)
     back = -(c1 + c2) * beta if exact_phase else -beta
-    down = fock_oracle.apply_gate(
-        down, fock_oracle.displacement_matrix(back, dim))
+    down = fock_oracle.displace(down, back)
     p_down = 0.25 * float(np.linalg.norm(down + up)) ** 2
     return p_down, fock_oracle.overlap_phase(down, up)
 

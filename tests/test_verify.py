@@ -78,9 +78,11 @@ _GATE = fock_oracle._gate
 
 @pytest.mark.parametrize("mutant", [
     # arg(-iz) = arg z - pi/2: phi without its pi/2
-    lambda z, k, dim: _GATE(-1j * complex(z), k, dim),
-    lambda z, k, dim: _GATE(k * complex(z), k, dim),   # |z| without its 1/k
-    lambda z, k, dim: _GATE(z, k, dim).T,
+    lambda states, z, k: _GATE(states, -1j * complex(z), k),
+    # |z| without its 1/k
+    lambda states, z, k: _GATE(states, k * complex(z), k),
+    # the gate's matrix, from the kernel on every basis vector, transposed
+    lambda states, z, k: _GATE(np.eye(len(states)), z, k).T @ states,
 ], ids=["no_quarter_turn", "no_one_over_k", "transposed"])
 @pytest.mark.parametrize("check", [verify.check_commutation_identity,
                                    verify.check_quench_decomposition])
