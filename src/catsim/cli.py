@@ -188,7 +188,7 @@ def cmd_transient(args) -> tuple[int, str, dict]:
     scenario = load_scenario(args.config)
     n = _check_count("--points", args.points)
     const = scenario.constants
-    m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    m = scenario.total_mass_kg
     omega = scenario.trap.paul_frequency_soft_radps
     dx = scenario.protocol.superposition_size_m
     if not dx:                  # None, or 0: no free-fall phase to divide by

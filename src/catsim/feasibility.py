@@ -33,7 +33,6 @@ _GAS_TEMPERATURE_K = 300.0
 
 class AtomTrapResult(NamedTuple):
     omega_a_radps: float
-    trap_width_m: float
 
 
 def atom_trap_frequency(atom: AtomSpec, trap: TrapConfig,
@@ -56,7 +55,7 @@ def atom_trap_frequency(atom: AtomSpec, trap: TrapConfig,
            / (atom.mass_kg * w * w * omega_e ** 3)
            * trap.intensity_W_per_m2 * atom.linewidth_radps
            / trap.detuning_radps)
-    return AtomTrapResult(omega_a_radps=math.sqrt(val), trap_width_m=w)
+    return AtomTrapResult(omega_a_radps=math.sqrt(val))
 
 
 def trap_lifetime(atom: AtomSpec, trap: TrapConfig,
@@ -101,7 +100,7 @@ def superposition_size(scenario: PhysicalScenario, omega_n: float,
         scenario.atom, scenario.beam.intensity_W_per_m2,
         scenario.trap.raman_detuning_radps, const)
     k = scenario.trap.raman_wavevector_radpm
-    m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    m = scenario.total_mass_kg
     return const.hbar * k * omega_gg * delta_t / (2.0 * m * omega_n)
 
 
@@ -172,7 +171,7 @@ def constraint_check(scenario: PhysicalScenario) -> FeasibilityReport:
     if delta_x is None:
         delta_x = superposition_size(scenario, omega_n,
                                      scenario.beam.duration_s)
-    m_total = nano.mass_kg + atom.mass_kg
+    m_total = scenario.total_mass_kg
     eta = trap.raman_wavevector_radpm * zero_point_motion(m_total, omega_n,
                                                           const)
     phi_grav = m_total * const.g_E * delta_x * dt / const.hbar

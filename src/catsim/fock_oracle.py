@@ -3,17 +3,18 @@
 The module exists to verify the closed-form evolutions of ``gaussian``
 independently, so it holds no closed forms of its own (the analytic
 coherent overlap is ``gaussian.coherent_overlap``) and uses numpy only.
-A state is a plain complex array of number-basis amplitudes.  A gate is
-applied to it, never built, and every gate's image passes ``apply_gate``'s
-truncation check.  A displacement (k = 1) or squeeze (k = 2) is a rotated
-quadrature exponential: with R(phi) = diag(e^{i phi n}), exactly in the
-truncated basis, exp((z ad^k - z* a^k)/k) = R(phi) exp(-i (|z|/k) Q_k)
-R(phi)^dagger with phi = (arg z + pi/2)/k and the real symmetric
-Q_k = a^k + ad^k, whose ``eigh`` is cached per (k, dim).  A Hamiltonian
-is a real symmetric array written from its bands, and ``propagator``
-caches its real ``eigh`` by the matrix's content, once for every time and
-initial state.  Global phases are compared through ``overlap_phase``
-(the phase of <reference|state>), never per component.
+A state is a plain complex array of number-basis amplitudes.  A real
+symmetric operator is held as its ``Bands``, diag(d) + sum_k c_k (a^k +
+ad^k), a tuple record that keys the one eigenbasis cache, and every
+unitary exp(-i t A) is applied to a state, never built, by ``_spectral``
+in that cached real eigenbasis.  A Hamiltonian's ``propagator`` serves
+every time and initial state from one ``eigh``.  A displacement (k = 1)
+or squeeze (k = 2) is a rotated quadrature exponential: with R(phi) =
+diag(e^{i phi n}), exactly in the truncated basis, exp((z ad^k - z* a^k)/k)
+= R(phi) exp(-i (|z|/k) Q_k) R(phi)^dagger with phi = (arg z + pi/2)/k and
+Q_k = a^k + ad^k; every gate's image passes ``apply_gate``'s truncation
+check.  Global phases are compared through ``overlap_phase`` (the phase
+of <reference|state>), never per component.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import cmath
 import math
 from collections.abc import Callable
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 NORM_TOL = 1e-8
 TAIL_TOL = 1e-10
-HERMITIAN_TOL = 1e-12           # relative to the largest entry of Q_k or H
 
 
 class TruncationError(ValueError):
@@ -49,21 +50,28 @@ def check_health(psi: np.ndarray) -> None:
             "increase the basis size")
 
 
+class Bands(NamedTuple):
+    """diag(``diagonal``) + sum_k c_k (a^k + ad^k), c_k = ``couplings[k-1]``,
+    in a basis of len(``diagonal``) levels: real and symmetric by
+    construction, and immutable, so it keys the eigenbasis cache."""
+    diagonal: tuple[float, ...]
+    couplings: tuple[float, ...]
+
+    def matrix(self) -> np.ndarray:
+        """The dense array, written band by band:
+        <n-k| a^k |n> = sqrt(n) <n-k| a^(k-1) |n-1>."""
+        h = np.diag(np.array(self.diagonal, dtype=float))
+        ns = np.arange(len(h))
+        band = np.ones(len(h))
+        for k, c in enumerate(self.couplings, 1):
+            band = np.sqrt(ns[k:]) * band[:-1]
+            h[ns[:-k], ns[k:]] = h[ns[k:], ns[:-k]] = c * band
+        return h
+
+
 def annihilation(dim: int) -> np.ndarray:
     """The real matrix of a: the upper band of a + ad."""
-    return np.triu(_banded(np.zeros(dim), 1.0))
-
-
-def _banded(diagonal: np.ndarray, *couplings: float) -> np.ndarray:
-    """diag(``diagonal``) + sum_k c_k (a^k + ad^k), c_k = ``couplings[k-1]``,
-    written band by band: <n-k| a^k |n> = sqrt(n) <n-k| a^(k-1) |n-1>."""
-    h = np.diag(np.asarray(diagonal, dtype=float))
-    ns = np.arange(len(h))
-    band = np.ones(len(h))
-    for k, c in enumerate(couplings, 1):
-        band = np.sqrt(ns[k:]) * band[:-1]
-        h[ns[:-k], ns[k:]] = h[ns[k:], ns[:-k]] = c * band
-    return h
+    return np.triu(Bands((0.0,) * dim, (1.0,)).matrix())
 
 
 def required_dim(alpha: complex) -> int:
@@ -102,56 +110,51 @@ def overlap_phase(reference: np.ndarray, state: np.ndarray) -> float:
     return float(np.angle(overlap(reference, state)))
 
 
-def _eigh(herm: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of ``herm``, refused if it is not
-    Hermitian; ``what`` names it in the error."""
-    dev = float(np.max(np.abs(herm - herm.conj().T)))
-    if not dev <= HERMITIAN_TOL * float(np.max(np.abs(herm))):
-        # eigh would silently read only one triangle; NaN fails here too
-        raise ValueError(f"{what} (max dev {dev:g})")
-    return np.linalg.eigh(herm)
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``arrays`` made read-only, since a cache hands them to every caller."""
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
-# --- Gates --------------------------------------------------------------------
+# --- Unitaries ----------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _quadrature(power: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and real eigenvectors of Q_k = a^k + ad^k, k = ``power``."""
-    return _frozen(*_eigh(_banded(np.zeros(dim), *[0.0] * (power - 1), 1.0),
-                          "quadrature not Hermitian"))
+def _eigenbasis(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real eigenvectors of ``bands``' matrix, read-only,
+    since the cache hands them to every caller."""
+    if not all(map(math.isfinite, bands.diagonal + bands.couplings)):
+        raise ValueError("bands must be finite")    # eigh would return NaN
+    energies, vectors = np.linalg.eigh(bands.matrix())
+    energies.flags.writeable = vectors.flags.writeable = False
+    return energies, vectors
 
 
 def _real_product(real: np.ndarray, states: np.ndarray) -> np.ndarray:
     """``real @ states`` for complex states: their real and imaginary parts
     go through the real matrix side by side, with no complex cast of it."""
-    parts = np.ascontiguousarray(states).view(np.float64)
+    parts = np.ascontiguousarray(states, dtype=complex).view(np.float64)
     return np.dot(real, parts.reshape(len(states), -1)).view(complex).reshape(
         states.shape)
 
 
+def _spectral(states: np.ndarray, bands: Bands, t: float) -> np.ndarray:
+    """exp(-i t A) ``states`` = V exp(-i t E) V^T ``states``, with (E, V) the
+    cached eigenbasis of A = ``bands``' matrix, for one vector or a (dim, n)
+    block."""
+    energies, vectors = _eigenbasis(bands)
+    column = (len(states),) + (1,) * (states.ndim - 1)  # down each column
+    return _real_product(vectors, np.exp(-1j * t * energies).reshape(column)
+                         * _real_product(vectors.T, states))
+
+
 def _gate(states: np.ndarray, z: complex, power: int) -> np.ndarray:
     """exp((z ad^k - z* a^k)/k) ``states``, k = ``power``, for one vector or
-    a (dim, n) block, as R(phi) V exp(-i (|z|/k) E) V^T R(phi)^dagger with
-    (E, V) the eigenbasis of Q_k and phi = (arg z + pi/2)/k: R(phi) a^k
-    R(phi)^dagger = e^{-ik phi} a^k holds exactly in the truncated basis."""
+    a (dim, n) block, as R(phi) exp(-i (|z|/k) Q_k) R(phi)^dagger with
+    phi = (arg z + pi/2)/k: R(phi) a^k R(phi)^dagger = e^{-ik phi} a^k holds
+    exactly in the truncated basis."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(
             f"{'alpha' if power == 1 else 'z'} must be finite, got {z!r}")
-    column = (len(states),) + (1,) * (states.ndim - 1)  # down each column
-    energies, vectors = _quadrature(power, len(states))
+    dim = len(states)
+    quadrature = Bands((0.0,) * dim, (0.0,) * (power - 1) + (1.0,))
     turn = np.exp(1j * ((cmath.phase(z) + 0.5 * math.pi) / power)
-                  * np.arange(len(states))).reshape(column)
-    inner = (np.exp(-1j * (abs(z) / power) * energies).reshape(column)
-             * _real_product(vectors.T, turn.conj() * states))
-    return turn * _real_product(vectors, inner)
+                  * np.arange(dim)).reshape((dim,) + (1,) * (states.ndim - 1))
+    return turn * _spectral(turn.conj() * states, quadrature, abs(z) / power)
 
 
 def apply_gate(out: np.ndarray) -> np.ndarray:
@@ -175,13 +178,13 @@ def rotate(psi: np.ndarray, phi: float) -> np.ndarray:
 
 # --- Hamiltonians and propagation ---------------------------------------------
 
-def mode_hamiltonian(omega: float, g: float, dim: int) -> np.ndarray:
-    """H/hbar = w ad a + g (ad + a), in rad/s, as a real array."""
-    return _banded(omega * np.arange(dim), g)
+def mode_hamiltonian(omega: float, g: float, dim: int) -> Bands:
+    """H/hbar = w ad a + g (ad + a), in rad/s."""
+    return Bands(tuple((omega * np.arange(dim)).tolist()), (float(g),))
 
 
 def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
-                          dim: int) -> np.ndarray:
+                          dim: int) -> Bands:
     """Trap Hamiltonian in the mode basis of ``omega_basis``.
 
     H/hbar = (w_b/4) P^2 + (w^2 / 4 w_b) X^2 + g X with X = a + ad,
@@ -192,30 +195,18 @@ def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
     """
     c = 0.25 * omega_trap ** 2 / omega_basis
     both_orders = np.append(2.0 * np.arange(dim - 1) + 1.0, dim - 1.0)
-    return _banded((0.25 * omega_basis + c) * both_orders, g_lin,
-                   c - 0.25 * omega_basis)
+    return Bands(tuple(((0.25 * omega_basis + c) * both_orders).tolist()),
+                 (float(g_lin), float(c - 0.25 * omega_basis)))
 
 
-@lru_cache(maxsize=8)
-def _eigenbasis(shape: tuple[int, ...], dtype: str, content: bytes
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvectors and their adjoint of the Hamiltonian whose
-    shape, dtype and bytes are given: a key on its content, so a changed
-    matrix is diagonalised anew."""
-    hamiltonian = np.frombuffer(content, dtype=dtype).reshape(shape)
-    energies, vectors = _eigh(hamiltonian, "Hamiltonian not Hermitian")
-    return _frozen(energies, vectors, vectors.conj().T)
-
-
-def propagator(hamiltonian: np.ndarray
-               ) -> Callable[[np.ndarray, float], np.ndarray]:
+def propagator(bands: Bands) -> Callable[[np.ndarray, float], np.ndarray]:
     """``evolve(psi, t)``, the state exp(-i H t) psi checked for
-    truncation, for one Hermitian H diagonalised once per content."""
-    energies, vectors, inverse = _eigenbasis(
-        hamiltonian.shape, hamiltonian.dtype.str, hamiltonian.tobytes())
+    truncation, for the Hamiltonian H = ``bands``' matrix, diagonalised
+    once for every time and state."""
+    _eigenbasis(bands)          # refuse non-finite bands here, not per call
 
     def evolve(psi: np.ndarray, t: float) -> np.ndarray:
-        out = vectors @ (np.exp(-1j * energies * t) * (inverse @ psi))
+        out = _spectral(psi, bands, t)
         check_health(out)
         return out
     return evolve

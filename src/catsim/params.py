@@ -169,6 +169,11 @@ class PhysicalScenario(NamedTuple):
     protocol: ProtocolTimings
     constants: PhysicalConstants = CONSTANTS
 
+    @property
+    def total_mass_kg(self) -> float:
+        """Nanoparticle plus atom: the mass that falls and is trapped."""
+        return self.nanoparticle.mass_kg + self.atom.mass_kg
+
     def _check(self):
         check_mass_hierarchy(self)
 

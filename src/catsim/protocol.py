@@ -106,7 +106,7 @@ class ProtocolDistribution:
 def beam_amplitude(scenario: PhysicalScenario, delta_x: float) -> float:
     """Displacement-operator amplitude b = Delta x / (2 delta_R(omega1))
     in the stiff-trap basis."""
-    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    m_total = scenario.total_mass_kg
     delta_r1 = zero_point_motion(
         m_total, scenario.trap.paul_frequency_stiff_radps, scenario.constants)
     return delta_x / (2.0 * delta_r1)
@@ -134,7 +134,7 @@ class _SetUp(NamedTuple):
 def _set_up(scenario: PhysicalScenario) -> _SetUp:
     report = feasibility.constraint_check(scenario)
     verdicts = {v.name: v for v in report.verdicts}
-    m_total = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
+    m_total = scenario.total_mass_kg
     omega1 = scenario.trap.paul_frequency_stiff_radps
     omega2 = scenario.trap.paul_frequency_soft_radps
     dt = scenario.protocol.free_fall_duration_s

@@ -40,13 +40,13 @@ def _result(name: str, measured: float, tolerance: float,
 
 # --- Quantum closed forms vs Fock oracle --------------------------------------
 
-def _vs_oracle(hamiltonian: np.ndarray, evolution, times: tuple[float, ...],
-               alphas: tuple[complex, ...]):
+def _vs_oracle(hamiltonian: fock_oracle.Bands, evolution,
+               times: tuple[float, ...], alphas: tuple[complex, ...]):
     """(closed-form amplitude, its phase, the amplitude's Fock vector, the
     Fock-propagated state) of ``evolution(alpha, t)`` from |alpha> under
     ``hamiltonian``, for each alpha and then each t; one propagator serves
     them all."""
-    dim = len(hamiltonian)
+    dim = len(hamiltonian.diagonal)
     evolve = fock_oracle.propagator(hamiltonian)
     out = []
     for alpha in alphas:

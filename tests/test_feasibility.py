@@ -14,7 +14,6 @@ from catsim.params import ParameterError, replace
 
 def test_atom_trap_frequency_value(discussion):
     res = atom_trap_frequency(discussion.atom, discussion.trap)
-    assert res.trap_width_m == pytest.approx(5e-7)
     # order of magnitude of the quoted 5e6 rad/s design value
     assert 5e6 / 3 < res.omega_a_radps < 5e6 * 3
 
@@ -29,6 +28,12 @@ def test_atom_trap_frequency_scalings(discussion):
     trap4d = replace(discussion.trap, detuning_radps=4.0
                      * discussion.trap.detuning_radps)
     assert atom_trap_frequency(discussion.atom, trap4d
+                               ).omega_a_radps == pytest.approx(0.5 * base,
+                                                                rel=1e-12)
+    # omega_a ~ 1/w, with the trap width w a fixed share of the wavelength
+    trap2w = replace(discussion.trap, wavelength_m=2.0
+                     * discussion.trap.wavelength_m)
+    assert atom_trap_frequency(discussion.atom, trap2w
                                ).omega_a_radps == pytest.approx(0.5 * base,
                                                                 rel=1e-12)
 

@@ -94,7 +94,7 @@ def test_squeeze_vacuum_overlap():
 
 
 def test_mode_hamiltonian_structure():
-    h = fo.mode_hamiltonian(2.0, 0.3, 10)
+    h = fo.mode_hamiltonian(2.0, 0.3, 10).matrix()
     assert h.dtype == np.float64        # so its eigh is the real one
     assert np.allclose(h, h.conj().T)
     assert h[3, 3] == pytest.approx(6.0)
@@ -109,12 +109,13 @@ def test_hamiltonians_match_their_ladder_products(dim):
     a = fo.annihilation(dim)
     ad = a.T
     X, D = a + ad, ad - a
-    for h, products in (
+    for bands, products in (
             (fo.mode_hamiltonian(1.3, -0.4, dim), 1.3 * ad @ a - 0.4 * X),
             (fo.quadratic_hamiltonian(1.0, 0.5, 0.2, dim),
              -0.25 * D @ D + 0.0625 * X @ X + 0.2 * X),
             (fo.quadratic_hamiltonian(0.5, 2.0, -0.3, dim),
              -0.125 * D @ D + 2.0 * X @ X - 0.3 * X)):
+        h = bands.matrix()
         assert h.dtype == np.float64
         assert np.array_equal(h, h.T)
         assert (np.max(np.abs(h - products))
@@ -122,15 +123,15 @@ def test_hamiltonians_match_their_ladder_products(dim):
     # the edge: a ad = diag(1, ..., dim - 1, 0), so the top diagonal entry
     # of X^2 and P^2 is dim - 1, not 2 dim - 1
     assert (a @ ad)[-1, -1] == 0.0
-    assert fo.quadratic_hamiltonian(1.0, 1.0, 0.0, dim)[-1, -1] == (
+    assert fo.quadratic_hamiltonian(1.0, 1.0, 0.0, dim).matrix()[-1, -1] == (
         pytest.approx(0.5 * (dim - 1)))
 
 
 def test_quadratic_hamiltonian_matches_mode_form():
     # at omega_basis = omega_trap the quadratic form is w(ad a + 1/2) + g X
     dim = 12
-    hq = fo.quadratic_hamiltonian(2.0, 2.0, 0.3, dim)
-    hm = fo.mode_hamiltonian(2.0, 0.3, dim) + np.eye(dim)  # + w/2
+    hq = fo.quadratic_hamiltonian(2.0, 2.0, 0.3, dim).matrix()
+    hm = fo.mode_hamiltonian(2.0, 0.3, dim).matrix() + np.eye(dim)  # + w/2
     assert hq.dtype == np.float64
     # the truncation edge corrupts the last row/column of P^2 and X^2
     assert np.allclose(hq[:-2, :-2], hm[:-2, :-2], atol=1e-12)
@@ -149,16 +150,21 @@ def test_gate_refuses_a_non_finite_argument(gate, name, z):
             gate(z, 20)
 
 
-def test_propagator_rejects_non_hermitian():
-    """Each refusal raises again on a second call: it is not cached."""
-    psi = np.array([1.0, 0.0], dtype=complex)
-    for h in (np.array([[0.0, 1.0], [0.0, 0.0]]),       # one triangle only
-              np.array([[0.0, 1j], [1j, 0.0]]),         # anti-Hermitian
-              np.array([[1j, 0.0], [0.0, -1j]]),        # imaginary diagonal
-              np.array([[0.0, np.nan], [np.nan, 0.0]])):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_propagator_refuses_non_finite_bands(bad):
+    """A NaN or infinite entry on the diagonal or in either coupling is
+    refused by propagator and by a gate's spectral product alike, and
+    again on a second call: the refusal is not cached."""
+    finite = fo.quadratic_hamiltonian(1.0, 0.5, 0.2, 4)
+    psi = np.eye(4, dtype=complex)[0]
+    for bands in (finite._replace(diagonal=(0.0, bad, 1.0, 2.0)),
+                  finite._replace(couplings=(bad, 0.1)),
+                  finite._replace(couplings=(0.1, bad))):
         for _ in range(2):
-            with pytest.raises(ValueError, match="Hermitian"):
-                fo.propagator(h)(psi, 0.1)
+            with pytest.raises(ValueError, match="^bands must be finite"):
+                fo.propagator(bands)
+            with pytest.raises(ValueError, match="^bands must be finite"):
+                fo._spectral(psi, bands, 0.1)
 
 
 def _series_expm(generator):
@@ -175,24 +181,17 @@ def _series_expm(generator):
     return series
 
 
-def _displacement_hamiltonian(omega, g, dim):
-    """w ad a + i g (ad - a): Hermitian, with complex eigenvectors."""
-    a = fo.annihilation(dim)
-    return omega * a.T @ a + 1j * g * (a.T - a)
-
-
-@pytest.mark.parametrize("hamiltonian", [
+@pytest.mark.parametrize("bands", [
     fo.mode_hamiltonian(1.0, 0.3, 40),
     fo.quadratic_hamiltonian(1.0, 0.5, 0.2, 40),
-    _displacement_hamiltonian(1.0, 0.3, 40),
-], ids=["mode", "quadratic", "complex"])
-def test_propagator_matches_expm(hamiltonian):
+], ids=["mode", "quadratic"])
+def test_propagator_matches_expm(bands):
     """One diagonalisation serves every t, each time equal to the power
     series of exp(-iHt) applied to the state."""
     psi = fo.coherent_to_fock(0.5 + 0.3j, 40)
-    evolve = fo.propagator(hamiltonian)
+    evolve = fo.propagator(bands)
     for t in (0.0, 0.1, 0.7, 2.0):
-        ref = _series_expm(-1j * hamiltonian * t) @ psi
+        ref = _series_expm(-1j * bands.matrix() * t) @ psi
         assert np.max(np.abs(evolve(psi, t) - ref)) < 1e-12
 
 
@@ -215,23 +214,33 @@ def test_gate_matches_taylor_series():
                                      - gate @ vector)) < 1e-13
 
 
-def test_propagator_caches_by_content():
-    """The cached eigenbases are read-only, and a Hamiltonian changed in
-    place, or another of the same shape, is diagonalised anew."""
-    h = fo.mode_hamiltonian(1.0, 0.3, 30)
+def test_propagator_caches_by_content(monkeypatch):
+    """The cached eigenbasis is read-only, two different bands of one size
+    evolve differently, and a gate and a propagator of the same quadrature
+    Q_1 = a + ad share one eigh."""
+    bands = fo.mode_hamiltonian(1.0, 0.3, 30)
     psi = fo.coherent_to_fock(0.5, 30)
-    before = fo.propagator(h)(psi, 0.7)
-    energies, vectors, inverse = fo._eigenbasis(h.shape, h.dtype.str,
-                                                h.tobytes())
-    for cached in (energies, vectors, inverse, *fo._quadrature(1, 30)):
+    before = fo.propagator(bands)(psi, 0.7)
+    for cached in fo._eigenbasis(bands):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
     other = fo.propagator(fo.mode_hamiltonian(1.0, 0.2, 30))(psi, 0.7)
-    h[0, 1] = h[1, 0] = 0.2
-    changed = fo.propagator(h)(psi, 0.7)
     assert np.max(np.abs(other - before)) > 1e-3
-    assert np.max(np.abs(changed - before)) > 1e-3
-    assert np.array_equal(fo.propagator(h)(psi, 0.7), changed)
+
+    fo._eigenbasis.cache_clear()
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    quadrature = fo.Bands((0.0,) * 30, (1.0,))
+    # D(alpha) = exp(-i |alpha| Q_1) for alpha = -i |alpha|, where phi = 0
+    gated = fo.displace(psi, -0.4j)
+    propagated = fo.propagator(quadrature)(psi, 0.4)
+    assert calls == [(30, 30)]
+    assert np.max(np.abs(gated - propagated)) < 1e-14
 
 
 def test_propagator_free_rotation():

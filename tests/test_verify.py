@@ -58,7 +58,6 @@ def test_run_all_diagonalises_each_matrix_once(monkeypatch):
     """One real eigh per Hamiltonian, shared by every time and initial
     state, and one per gate quadrature and basis size: 6 in all from cold
     caches, and none when the caches are warm."""
-    fock_oracle._quadrature.cache_clear()
     fock_oracle._eigenbasis.cache_clear()
     dtypes = []
     eigh = np.linalg.eigh
