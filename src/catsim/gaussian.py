@@ -49,18 +49,19 @@ def displace_compose(alpha: complex, beta: complex) -> DisplaceComposition:
     return DisplaceComposition(alpha + beta, (alpha * beta.conjugate()).imag)
 
 
-def coherent_overlap(a: complex, b: complex) -> tuple[float, float]:
-    """(ln|<a|b>|, arg <a|b>) = (-|a-b|^2/2, Im(a* b)), for scalars or arrays.
+def coherent_overlap(a: complex, shift: complex) -> tuple[float, float]:
+    """(ln|<a|a+shift>|, arg <a|a+shift>) = (-|shift|^2/2, Im(a* shift)), for
+    scalars or arrays.
 
-    <a|b> is the exponential of the first plus i times the second.  The
-    difference form avoids catastrophic cancellation between the |a|^2 and
-    a* b terms when the amplitudes are large and nearly equal, which is
-    exactly the regime after the disentangling displacement.
+    <a|a+shift> is the exponential of the first plus i times the second.
+    Taking the shift itself, not the second amplitude a + shift, avoids
+    catastrophic cancellation between the |a|^2 and a* (a + shift) terms
+    when the two amplitudes are large and nearly equal, which is exactly
+    the regime after the disentangling displacement.
     """
-    d = b - a
-    # Im(a* b) = Im(a* (b - a)) since Im(|a|^2) = 0
-    return (-0.5 * (d.real * d.real + d.imag * d.imag),
-            (a.conjugate() * d).imag)
+    # Im(a* (a + shift)) = Im(a* shift) since Im(|a|^2) = 0
+    return (-0.5 * (shift.real * shift.real + shift.imag * shift.imag),
+            (a.conjugate() * shift).imag)
 
 
 def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,

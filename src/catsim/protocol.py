@@ -5,10 +5,14 @@ motional coherent branch per populated level.  All motional amplitudes
 are expressed in the stiff-trap mode basis; pulses are instantaneous
 ideal maps; trap softening and release are merged into a single sudden
 quench followed by transient free fall.  ``run_protocol`` evaluates every
-step in closed form on the two branch amplitudes and real branch phases,
-for one initial amplitude or a whole array of thermal draws at once.  A
-branch's weight is 1/sqrt(2) times e^{i theta}, so the kernel carries only
-theta, a sum of the steps' phases, and forms complex weights only for the
+step in closed form, for one initial amplitude or a whole array of thermal
+draws at once.  A branch's weight is 1/sqrt(2) times e^{i theta}, so a
+branch is its amplitude and the real theta, a sum of the steps' phases.
+The kernel carries the up branch (a_u, theta_u) and the branch
+differences (delta, dtheta) = (a_d - a_u, theta_d - theta_u): only a_u and
+the phases depend on the initial amplitude, delta is one number per run,
+and phi_grav = -dtheta keeps its precision at any thermal occupation.
+Each branch's own amplitude and complex weight are formed only for the
 step log.
 
 Displacement convention: an operator amplitude b (real) separates the
@@ -119,10 +123,13 @@ class _SetUp(NamedTuple):
     fall_force: feasibility.ConstraintVerdict
     quench: feasibility.ConstraintVerdict
     beta: float                         # the default, from the report's Delta x
-    g1_dt: float                        # branch phase per unit |alpha + beta|
     couplings: tuple                    # evolve_quench's (omega1, omega2, g2, t)
     c1: complex
     c2: complex
+    # the fall's a -> c1 a + c2 a* + d, in the sizes the rounding guard reads
+    spread: float                       # |c1| + |c2|: its largest scaling
+    drift: float                        # |d|: its shift of every branch
+    shift_per_beta: float               # max(1, |c1 + c2|): see run_protocol
 
 
 # a scan calls run_protocol on one scenario many times, so the report is
@@ -140,12 +147,12 @@ def _set_up(scenario: PhysicalScenario) -> _SetUp:
     dt = scenario.protocol.free_fall_duration_s
     couplings = (omega1, omega2,
                  grav_coupling(m_total, omega2, scenario.constants), dt)
+    c1, c2, d, *_ = quench_linear_map(*couplings)
     return _SetUp(
         report, tuple(v.name for v in report.verdicts if v.status == "fail"),
         verdicts["freefall_force"], verdicts["quench_duration"],
-        beam_amplitude(scenario, report.delta_x_m),
-        grav_coupling(m_total, omega1, scenario.constants) * dt, couplings,
-        *quench_linear_map(*couplings)[:2])
+        beam_amplitude(scenario, report.delta_x_m), couplings, c1, c2,
+        abs(c1) + abs(c2), abs(d), max(1.0, abs(c1 + c2)))
 
 
 def run_protocol(scenario: PhysicalScenario,
@@ -163,8 +170,8 @@ def run_protocol(scenario: PhysicalScenario,
     approximation.  ``force`` runs past failed feasibility constraints,
     except a failed free-fall regime, which is always refused.
     """
-    (report, failed, fall_force, quench, default_beta, g1_dt, couplings,
-     c1, c2) = _set_up(scenario)
+    (report, failed, fall_force, quench, default_beta, couplings, c1, c2,
+     spread, drift, shift_per_beta) = _set_up(scenario)
     if failed and not force:
         raise ConstraintViolation(
             "feasibility constraints failed: " + ", ".join(failed)
@@ -173,9 +180,10 @@ def run_protocol(scenario: PhysicalScenario,
     if thermal:
         import numpy as np      # a coherent run is math/cmath only
         rng = np.random.default_rng(initial.seed)
-        draws = rng.normal(size=(initial.count, 2)) * math.sqrt(initial.nbar / 2)
-        alpha = draws[:, 0] + 1j * draws[:, 1]
-        amplitude = float(np.max(np.abs(alpha)))
+        # each row's two normals are one draw's real and imaginary parts
+        alpha = (rng.normal(size=(initial.count, 2))
+                 * math.sqrt(initial.nbar / 2)).view(np.complex128).ravel()
+        amplitude = float(np.abs(alpha).max())
         name, value = "thermal nbar", initial.nbar
     else:
         alpha = complex(initial.alpha)
@@ -185,16 +193,19 @@ def run_protocol(scenario: PhysicalScenario,
         name, value = "alpha", alpha
     if beta is None:
         beta = default_beta
-    # the branch phases, ~ g1 t |alpha + beta| rad, carry phi_grav in their
-    # difference; once their rounding passes the limit it would be lost
-    # while the norm check still passes
-    amplitude += abs(beta)      # bounds the displaced branch's |alpha + beta|
-    phase = g1_dt * amplitude
+    # each of the kernel's phase terms that grow with the amplitudes is a
+    # displacement (beta, gamma(beta) = (c1 + c2) beta or beta_back, one of
+    # the two: up to ``shift``) times a branch amplitude, which the fall
+    # takes up to ``reach``; phi_grav is their sum, so once their rounding
+    # passes the limit it would be lost while every step stays finite
+    shift = shift_per_beta * abs(beta)
+    reach = spread * amplitude + drift + shift
+    phase = shift * reach
     rounding = sys.float_info.epsilon * phase
     if not rounding <= PHASE_ROUNDING_LIMIT:        # a NaN fails too
         raise ProtocolError(
-            f"{name} {value:g}, beta {beta:g}: |alpha| + |beta| up to "
-            f"{amplitude:.3g} gives branch phases ~{phase:.3g} rad whose "
+            f"{name} {value:g}, beta {beta:g}: branch amplitudes up to "
+            f"{reach:.3g} give phase terms ~{phase:.3g} rad whose "
             f"rounding, ~{rounding:.3g} rad, exceeds "
             f"{PHASE_ROUNDING_LIMIT:g} rad")
     if report.eta > LAMB_DICKE_FLAG:
@@ -211,8 +222,12 @@ def run_protocol(scenario: PhysicalScenario,
                       "departs from m g_E dx dt / hbar", stacklevel=2)
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     if thermal:
+        phi, p_down, visibility, residual = _kernel(
+            alpha, _array_ops(), beta, beta_back, couplings)
+        # one visibility and residual for every draw: only a_u depends on alpha
         return ProtocolDistribution(
-            *_kernel(alpha, _array_ops(), beta, beta_back, couplings))
+            phi, p_down, np.full(initial.count, visibility),
+            np.full(initial.count, residual))
     log = [_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),))]
     observed = _kernel(alpha, _SCALAR_OPS, beta, beta_back, couplings, log)
     return ProtocolResult(*observed, log=tuple(log))
@@ -226,76 +241,95 @@ def _record(step: int, label: str, branches) -> dict:
         for level, a, w in branches]}
 
 
-# (exp, cos, worst) for one amplitude; a thermal run passes numpy's over a
-# 1-D array of them
-_SCALAR_OPS = (math.exp, math.cos, float)
+# (cos, worst) for one amplitude; a thermal run passes numpy's over a 1-D
+# array of them
+_SCALAR_OPS = (math.cos, float)
 
 
 def _array_ops() -> tuple:
-    """The kernel's ops over a 1-D array: numpy's (exp, cos, max)."""
+    """The kernel's ops over a 1-D array: numpy's (cos, max)."""
     import numpy as np      # a coherent run is math/cmath only
-    return np.exp, np.cos, np.max
+    return np.cos, np.maximum.reduce
 
 
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
-def _kernel(alpha, ops, beta: float, beta_back: float, couplings: tuple,
+def _kernel(alpha, ops, beta: float, beta_back: complex, couplings: tuple,
             log: list | None = None):
-    """Steps 2-8 in closed form on the branch amplitudes and phases.
+    """Steps 2-8 in closed form on the up branch and the branch differences.
 
     Each branch is the amplitude _C e^{i theta} of a coherent state; every
     step multiplies it by a unit phase, so only the real theta is carried.
+    The kernel carries the up branch (a_u, th_u), the amplitude difference
+    delta = a_d - a_u and the phase difference dth = th_d - th_u.  Every
+    step's map is affine in the amplitude and its phase is linear in it, so
+    the differences evolve on their own: the fall's drift d cancels from
+    delta, delta never depends on alpha, and phi_grav = -dth is never the
+    difference of two branch phases ~ g1 t |alpha|.
+
     ``alpha`` is a complex number or a 1-D array, told apart only by
-    ``ops``, and both run the same arithmetic in the same order.  The
+    ``ops``, and both run the same arithmetic in the same order; delta, the
+    visibility and the residual stay one number either way.  The
     displacement ``beta`` is closed by ``beta_back``; ``couplings`` holds
     evolve_quench's (omega1, omega2, g2, t).  Returns (phi_grav, p_down,
-    visibility, residual); ``log`` collects the step records.
+    visibility, residual); ``log`` collects the step records, each branch
+    with its own amplitude and weight.
     """
-    exp, cos, worst = ops
+    cos, worst = ops
+    omega1, omega2, _, t = couplings
+    d = quench_linear_map(*couplings)[2]
 
-    def step(number, label, a_d, th_d, a_u, th_u, changed):
-        # ``changed`` sums the values the step changed: an infinite or a NaN
-        # one makes it non-finite, and finite ones, bounded by the phase
-        # rounding limit, stay far from overflow
+    def step(number, label, changed):
+        # ``changed`` sums the real and imaginary parts of the values the
+        # step changed: an infinite or a NaN one makes it non-finite, and
+        # finite ones, bounded by the phase rounding limit, stay far from
+        # overflow
         if not worst(abs(changed)) < math.inf:      # a NaN fails too
             raise ProtocolError(f"branch amplitude or phase stopped being "
                                 f"finite at step {label}")
-        if log is not None:
+        if log is not None:     # the down weight is w_u e^{i dth}
             log.append(_record(number, label, (
-                ("down", a_d, _C * cmath.exp(1j * th_d)),
-                ("up", a_u, _C * cmath.exp(1j * th_u)))))
+                ("down", a_u + delta, w_u * cmath.exp(1j * dth)),
+                ("up", a_u, w_u))))
 
-    # the opening pi/2 puts each level at the weighted mean amplitude
-    # alpha |w| / |w|; divided as reals it may
-    # differ from alpha in the last bit, which g1 t |alpha| ~ 1e4 rad of
-    # branch phase magnify, so the recorded outputs depend on this rounding
-    a_u = alpha.real * _C / _C + 1j * (alpha.imag * _C / _C)
-    th_u = 0.0
-    step(2, "pi_half", a_u, th_u, a_u, th_u, a_u)
-    a_d, th_d = displace_compose(beta, a_u)     # D(beta) on |down> only
-    step(4, "displace", a_d, th_d, a_u, th_u, a_d + th_d)
-    # the quench's squeeze is the same on both branches and is dropped
-    a_d, fall = evolve_quench(a_d, *couplings)
-    th_d = th_d + fall
+    # the opening pi/2 puts both levels at alpha with equal weights
+    a_u, th_u, delta, dth, w_u = alpha, 0.0, 0j, 0.0, _C + 0j
+    step(2, "pi_half", a_u.real + a_u.imag)
+    # D(beta) on |down> = |a_u>: delta = beta, and dth is its composition
+    # phase Im(beta a_u*)
+    delta, dth = beta, (beta * a_u.conjugate()).imag
+    step(4, "displace", dth + (delta.real + delta.imag))
+    # the quench's squeeze is the same on both branches and is dropped; its
+    # drift too, for delta, which runs the map at g2 = 0; dth gains the
+    # difference of the branches' phases, Im(gamma(delta)* d)
     a_u, th_u = evolve_quench(a_u, *couplings)
-    step(6, "free_fall", a_d, th_d, a_u, th_u, a_d + a_u + (th_d + th_u))
-    a_d, back = displace_compose(beta_back, a_d)
-    th_d = th_d + back
-    step(7, "undisplace", a_d, th_d, a_u, th_u, a_d + th_d)
-    # readout: <a_u|a_d> = V e^{i arg}, and the closing pi/2 gives
-    # P_down = _C^2 (1 + Re(e^{i(th_d - th_u)} <a_u|a_d>))
-    residual = abs(a_d - a_u)
-    log_v, arg = coherent_overlap(a_u, a_d)
-    visibility = exp(log_v)
-    p_down = _C * _C * (1.0 + visibility * cos(th_d - th_u + arg))
-    # th_u - th_d wrapped into (-pi, pi]; a phase inside is left exact, and
-    # the floor division runs only when some phase is not
-    phi = th_u - th_d
+    if log is not None:         # the up weight changes only here
+        w_u = _C * cmath.exp(1j * th_u)
+    delta, _ = evolve_quench(delta, omega1, omega2, 0.0, t)
+    dth = dth + (delta.conjugate() * d).imag
+    step(6, "free_fall",
+         a_u.real + a_u.imag + th_u + (dth + (delta.real + delta.imag)))
+    # D(beta_back) on |down> = |a_u + delta>: dth gains its composition
+    # phase Im(beta_back (a_u + delta)*), whose delta part is one number
+    delta, back = displace_compose(beta_back, delta)
+    dth = dth + (back + (beta_back * a_u.conjugate()).imag)
+    step(7, "undisplace", dth + (delta.real + delta.imag))
+    # readout: <a_u|a_u + delta> = V e^{i arg}, and the closing pi/2 gives
+    # P_down = (1 + Re(e^{i dth} <a_u|a_d>)) / 2
+    residual = abs(delta)
+    log_v, arg = coherent_overlap(a_u, delta)
+    visibility = math.exp(log_v)
+    p_down = 0.5 * (1.0 + visibility * cos(dth + arg))
+    # -dth wrapped into (-pi, pi]; a phase inside is left exact, and the
+    # floor division runs only when some phase is not.  0 - dth, not -dth,
+    # reads a zero phase as +0
+    phi = 0.0 - dth
     if not worst(abs(phi)) < math.pi:
         phi = phi + math.tau * ((math.pi - phi) // math.tau)
     if log is not None:
-        w_d, w_u = _C * cmath.exp(1j * th_d), _C * cmath.exp(1j * th_u)
+        a_d = a_u + delta
+        w_d = w_u * cmath.exp(1j * dth)
         branches = (("down", a_d, w_d), ("up", a_u, w_u))
         if residual <= RECOMBINE_TOL:       # the non-empty recombined levels
             # equal moduli: the weighted mean amplitude is the plain mean

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from catsim import feasibility, fock_oracle
+from catsim import feasibility, fock_oracle, protocol
 from catsim.feasibility import constraint_check
 from catsim.gaussian import CoherentBranch, displace_compose, evolve_quench, \
     quench_linear_map
@@ -282,6 +282,49 @@ def test_run_protocol_thermal_spread(discussion):
     assert spread < 1e-10
 
 
+def test_room_temperature_batch_keeps_phi_grav(discussion):
+    """At nbar 4e11, k_B T / (hbar omega1) at room temperature, the draws
+    reach |alpha| ~ 3e6, yet every draw reads the alpha = 0 fringe: the
+    kernel carries the branch differences, which never depend on alpha."""
+    dist = run_protocol(discussion, ThermalSample(4e11, 42, 2000))
+    phi, p_down = dist.phi_grav_values, dist.p_down_values
+    assert float(np.max(phi) - np.min(phi)) < 1e-12
+    assert float(np.max(np.abs(p_down - np.cos(phi / 2) ** 2))) < 1e-12
+    ref = run_protocol(discussion, Coherent(0))
+    assert float(np.max(np.abs(phi - ref.phi_grav))) < 1e-12
+
+
+def test_thermal_draws_are_the_normal_pairs(discussion, monkeypatch):
+    """Each draw is one row of rng.normal(size=(count, 2)) scaled by
+    sqrt(nbar / 2), as real and imaginary part, bit for bit."""
+    seen = []
+
+    def capturing(alpha, *args):
+        seen.append(alpha.copy())
+        return _kernel(alpha, *args)
+    monkeypatch.setattr(protocol, "_kernel", capturing)
+    run_protocol(discussion, ThermalSample(10.0, 42, 2000))
+    draws = np.random.default_rng(42).normal(size=(2000, 2)) * math.sqrt(5.0)
+    want = draws[:, 0] + 1j * draws[:, 1]
+    assert seen[0].dtype == want.dtype
+    assert seen[0].tobytes() == want.tobytes()
+
+
+def test_thermal_run_is_the_coherent_runs_bit_for_bit(discussion):
+    """A thermal run's columns are, value for value, the coherent runs of
+    its draws: the array and the scalar kernel run the same arithmetic."""
+    dist = run_protocol(discussion, ThermalSample(10.0, 42, 300))
+    draws = np.random.default_rng(42).normal(size=(300, 2)) * math.sqrt(5.0)
+    differ = 0
+    for row, (re, im) in zip(zip(dist.phi_grav_values, dist.p_down_values,
+                                 dist.visibility_values,
+                                 dist.residual_values), draws.tolist()):
+        res = run_protocol(discussion, Coherent(complex(re, im)))
+        differ += sum(a != b for a, b in zip(
+            row, (res.phi_grav, res.p_down, res.visibility, res.residual)))
+    assert differ == 0
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_thermal_sample_rejects_bad_seed(seed):
     with pytest.raises(ParameterError, match="seed"):
@@ -292,9 +335,10 @@ def test_norm_check_catches_nan_weights(discussion):
     """An amplitude or a phase that stops being finite is refused at the step
     that made it, on the scalar and on the array path.  At the preset the
     fall's phase is ~ -2e3 Re(alpha): at alpha = 1e306 it overflows to -inf,
-    and with beta = -3e306 the displaced branch's overflows to +inf, so the
-    two branch phases sum to NaN.  The kernel is called directly, since
-    run_protocol rejects such an alpha or beta first."""
+    and with beta = -3e306 the phase difference's Im(gamma(beta)* d)
+    overflows to +inf as well, so the step's values sum to NaN.  The kernel
+    is called directly, since run_protocol rejects such an alpha or beta
+    first."""
     beta = preset_beta(discussion)
     _, beta_back, couplings = kernel_args(discussion, beta)
     inf, nan = math.inf, math.nan
@@ -313,9 +357,10 @@ def test_norm_check_catches_nan_weights(discussion):
             _kernel(np.array([1.0, alpha], complex), ARRAY_OPS, *args)
 
 
-def test_kernel_runs_one_exp_and_one_cos(discussion):
+def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
     """The readout's visibility and fringe are the kernel's only
-    transcendentals: one exp and one cos per call, whatever the batch."""
+    transcendentals: one exp, of the one number delta, and one cos per call,
+    whatever the batch."""
     args = kernel_args(discussion, preset_beta(discussion))
     calls = []
 
@@ -324,29 +369,31 @@ def test_kernel_runs_one_exp_and_one_cos(discussion):
             calls.append(name)
             return f(x)
         return op
-    for alpha, (exp, cos, worst), log in (
+    monkeypatch.setattr(math, "exp", counting("exp", math.exp))
+    for alpha, (cos, worst), log in (
             (1 + 1j, _SCALAR_OPS, None), (1 + 1j, _SCALAR_OPS, []),
             (np.linspace(-3, 3, 2000) * (1 + 0.5j), ARRAY_OPS, None)):
         calls.clear()
-        _kernel(alpha, (counting("exp", exp), counting("cos", cos), worst),
-                *args, log)
+        _kernel(alpha, (counting("cos", cos), worst), *args, log)
         assert sorted(calls) == ["cos", "exp"]
 
 
-def _branch_phase_per_alpha(scenario):
-    """g1 t: the branch phase in rad per unit of initial |alpha|."""
-    omega1 = scenario.trap.paul_frequency_stiff_radps
-    omega2 = scenario.trap.paul_frequency_soft_radps
-    m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
-    return (math.sqrt(omega2 / omega1)
-            * grav_coupling(m, omega2, scenario.constants)
-            * scenario.protocol.free_fall_duration_s)
+def _rounding_edge(scenario, beta):
+    """The largest |alpha| run_protocol accepts: the phase terms, up to
+    shift * reach rad, round by eps times that.  shift is the largest
+    displacement, max(1, |c1 + c2|) |beta|, and reach the largest branch
+    amplitude after the fall, (|c1| + |c2|) |alpha| + |d| + shift."""
+    _, _, couplings = kernel_args(scenario, beta)
+    c1, c2, d, *_ = quench_linear_map(*couplings)
+    shift = max(1.0, abs(c1 + c2)) * abs(beta)
+    reach = PHASE_ROUNDING_LIMIT / (sys.float_info.epsilon * shift)
+    return (reach - abs(d) - shift) / (abs(c1) + abs(c2))
 
 
-@pytest.mark.parametrize("alpha", [1e12, -3e3j, 1e300, complex("nan")])
+@pytest.mark.parametrize("alpha", [1e12, -3e9j, 1e300, complex("nan")])
 def test_rejects_alpha_whose_phase_rounding_exceeds_limit(discussion, alpha):
-    """phi_grav is the difference of branch phases ~ g1 t |alpha|; once
-    their rounding passes the limit the run is refused, not let through."""
+    """phi_grav sums phase terms ~ |beta| (|alpha| + |d|); once their
+    rounding passes the limit the run is refused, not let through."""
     with pytest.raises(ProtocolError, match="alpha"):
         run_protocol(discussion, Coherent(alpha))
 
@@ -357,11 +404,11 @@ def test_rejects_nbar_whose_phase_rounding_exceeds_limit(discussion):
 
 
 def test_phase_rounding_limit_sits_at_its_amplitude(discussion):
-    """Accepted just below |alpha| = limit / (eps g1 t), refused above, and
-    phi_grav is still right at the largest accepted amplitude."""
-    edge = PHASE_ROUNDING_LIMIT / (sys.float_info.epsilon
-                                   * _branch_phase_per_alpha(discussion))
-    assert 50.0 < edge < 1e4        # nbar 10 draws stay far inside
+    """Accepted just below the edge amplitude, refused above, and phi_grav
+    is still right at the largest accepted amplitude."""
+    edge = _rounding_edge(discussion, preset_beta(discussion))
+    # room-temperature draws, |alpha| ~ 3e6 at nbar 4e11, stay far inside
+    assert 1e8 < edge < 1e11
     ref = run_protocol(discussion, Coherent(0))
     res = run_protocol(discussion, Coherent(0.999 * edge * 1j))
     assert abs(res.phi_grav - ref.phi_grav) < PHASE_ROUNDING_LIMIT
@@ -741,38 +788,44 @@ def test_kernel_matches_scalar_path(discussion, alphas, beta):
     assert np.max(phi) - np.min(phi) < 1e-10
     for i, alpha in enumerate(alphas):
         scalar = run_protocol(discussion, Coherent(alpha), beta=beta)
-        # branch weights carry phases ~ g1 t |alpha| ~ 1e4 rad
-        assert abs(scalar.phi_grav - phi[i]) < 4e-12
-        for got, want in zip((scalar.p_down, scalar.visibility,
-                              scalar.residual),
-                             (p_down[i], vis[i], residual[i])):
-            assert abs(got - want) < 1e-12
+        assert abs(scalar.phi_grav - phi[i]) < 1e-12
+        assert abs(scalar.p_down - p_down[i]) < 1e-12
+        # delta never depends on alpha: one visibility and residual per batch
+        assert (scalar.visibility, scalar.residual) == (vis, residual)
 
 
 def _slow(discussion):
-    """omega2 dt = 0.2, which fails the quench_duration verdict.  Its branch
-    phases, ~1e14 rad per unit of |alpha| + |beta|, pass the rounding limit
-    only at alpha = 0 and a beta far below the preset's ~2e-4."""
+    """omega2 dt = 0.2, which fails the quench_duration verdict.  Its fall
+    shifts every branch by |d| ~ 1.7e20, so the phase terms ~ |beta| |d|
+    pass the rounding limit only at a beta below ~2.6e-15, far below the
+    preset's ~2e-4; _SLOW_BETA is such a beta."""
     return replace(discussion, protocol=replace(
         discussion.protocol, free_fall_duration_s=4e4))
 
 
+_SLOW_BETA = 1e-16
+
+
 def test_slow_fall_at_the_preset_beta_is_refused(discussion):
-    with pytest.raises(ProtocolError, match="beta"):
-        run_protocol(_slow(discussion), Coherent(0), force=True)
+    for beta in (None, 1e3 * _SLOW_BETA):
+        with pytest.raises(ProtocolError, match="beta"):
+            run_protocol(_slow(discussion), Coherent(0), force=True,
+                         beta=beta)
 
 
 def test_quench_duration_warning_names_the_caller(discussion):
     # force only warns
     with pytest.warns(UserWarning, match=r"omega2\*dt") as caught:
-        run_protocol(_slow(discussion), Coherent(0), force=True, beta=1e-12)
+        run_protocol(_slow(discussion), Coherent(0), force=True,
+                     beta=_SLOW_BETA)
     assert [w.filename for w in caught
             if "omega2*dt" in str(w.message)] == [__file__]
 
 
 def test_run_protocol_warns_once_per_run(discussion):
     for scenario, nbar, beta, expected in (
-            (discussion, 10.0, None, 0), (_slow(discussion), 0.0, 1e-12, 1)):
+            (discussion, 10.0, None, 0),
+            (_slow(discussion), 0.0, _SLOW_BETA, 1)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             run_protocol(scenario, ThermalSample(nbar, 42, 200), force=True,
@@ -789,7 +842,7 @@ def test_every_call_warns_on_a_cached_scenario(discussion):
     slow = _slow(discussion)
     for scenario, kwargs, expected in (
             (discussion, {}, ["Lamb-Dicke"]),
-            (slow, {"force": True, "beta": 1e-12},
+            (slow, {"force": True, "beta": _SLOW_BETA},
              ["Lamb-Dicke", "omega2*dt"])):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
