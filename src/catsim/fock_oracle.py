@@ -69,11 +69,6 @@ class Bands(NamedTuple):
         return h
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """The real matrix of a: the upper band of a + ad."""
-    return np.triu(Bands((0.0,) * dim, (1.0,)).matrix())
-
-
 def required_dim(alpha: complex) -> int:
     r = abs(complex(alpha))
     need = 4.0 * r * r + 25.0       # inf, not OverflowError, on overflow
@@ -131,11 +126,11 @@ def _real_product(real: np.ndarray, states: np.ndarray) -> np.ndarray:
         states.shape)
 
 
-def _spectral(states: np.ndarray, bands: Bands, t: float) -> np.ndarray:
-    """exp(-i t A) ``states`` = V exp(-i t E) V^T ``states``, with (E, V) the
-    cached eigenbasis of A = ``bands``' matrix, for one vector or a (dim, n)
-    block."""
-    energies, vectors = _eigenbasis(bands)
+def _spectral(states: np.ndarray, energies: np.ndarray, vectors: np.ndarray,
+              t: float) -> np.ndarray:
+    """exp(-i t A) ``states`` = V exp(-i t E) V^T ``states``, with (E, V) =
+    (``energies``, ``vectors``) the eigenbasis of a real symmetric A, for
+    one vector or a (dim, n) block."""
     column = (len(states),) + (1,) * (states.ndim - 1)  # down each column
     return _real_product(vectors, np.exp(-1j * t * energies).reshape(column)
                          * _real_product(vectors.T, states))
@@ -154,7 +149,8 @@ def _gate(states: np.ndarray, z: complex, power: int) -> np.ndarray:
     quadrature = Bands((0.0,) * dim, (0.0,) * (power - 1) + (1.0,))
     turn = np.exp(1j * ((cmath.phase(z) + 0.5 * math.pi) / power)
                   * np.arange(dim)).reshape((dim,) + (1,) * (states.ndim - 1))
-    return turn * _spectral(turn.conj() * states, quadrature, abs(z) / power)
+    return turn * _spectral(turn.conj() * states, *_eigenbasis(quadrature),
+                            abs(z) / power)
 
 
 def apply_gate(out: np.ndarray) -> np.ndarray:
@@ -203,10 +199,10 @@ def propagator(bands: Bands) -> Callable[[np.ndarray, float], np.ndarray]:
     """``evolve(psi, t)``, the state exp(-i H t) psi checked for
     truncation, for the Hamiltonian H = ``bands``' matrix, diagonalised
     once for every time and state."""
-    _eigenbasis(bands)          # refuse non-finite bands here, not per call
+    energies, vectors = _eigenbasis(bands)  # refuses non-finite bands
 
     def evolve(psi: np.ndarray, t: float) -> np.ndarray:
-        out = _spectral(psi, bands, t)
+        out = _spectral(psi, energies, vectors, t)
         check_health(out)
         return out
     return evolve

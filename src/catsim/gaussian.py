@@ -8,11 +8,10 @@ that make up the interferometric observable.  Each closed form is
 written once, here.
 
 Global phases are never discarded, and every evolution is a unit phase
-times a new coherent amplitude.  ``evolve_quench``, the form the protocol
-kernel runs, returns that amplitude and the real phase gained, so a
-branch's phase accumulates as a sum of reals; the oracle-facing
-evolutions return a ``CoherentBranch`` whose complex weight they multiply
-by the phase.  The whole protocol's observable lives in these phases.
+times a new coherent amplitude: each returns that amplitude and the real
+phase gained, so a branch's phase accumulates as a sum of reals.  The
+whole protocol's observable lives in these phases.  ``CoherentBranch`` is
+the (amplitude, complex weight) record of one branch in the step log.
 
 Conventions: D(a) = exp(a ad - a* a) (so a real displacement shifts the
 adimensional position X = <a + ad> by 2a), S(z) = exp((z ad^2 - z* a^2)/2),
@@ -31,7 +30,8 @@ from .params import ParameterError
 
 
 class CoherentBranch(NamedTuple):
-    """A coherent amplitude plus its accumulated complex weight."""
+    """A coherent amplitude plus its accumulated complex weight, as one
+    branch of a step-log record."""
     alpha: complex
     weight: complex = 1.0 + 0.0j
 
@@ -64,8 +64,8 @@ def coherent_overlap(a: complex, shift: complex) -> tuple[float, float]:
             (a.conjugate() * shift).imag)
 
 
-def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,
-                                t: float) -> CoherentBranch:
+def evolve_displaced_oscillator(alpha: complex, omega: float, g: float,
+                                t: float) -> tuple[complex, float]:
     """Exact evolution under H/hbar = w ad a + g (ad + a).
 
     |a> -> e^{(g/2w)[a*(1 - e^{iwt}) - a (1 - e^{-iwt})]}
@@ -73,16 +73,16 @@ def evolve_displaced_oscillator(branch: CoherentBranch, omega: float, g: float,
     times the state-independent phase e^{i (g/w)^2 (wt - sin wt)} from the
     shifted ground-state energy -g^2/w (it cancels between interferometer
     branches but is kept so the evolution is exactly unitary-equivalent
-    to the Schrodinger propagator).
+    to the Schrodinger propagator).  Returns the new amplitude and the
+    phase gained.
     """
     if omega <= 0:
         raise ParameterError("omega must be positive")
-    alpha = branch.alpha
     rot = cmath.exp(-1j * omega * t)
     amplitude = alpha * rot + (g / omega) * (rot - 1.0)
     phase = (g / omega) * (alpha.conjugate() * (1.0 - rot.conjugate())).imag
     phase += (g / omega) ** 2 * (omega * t - math.sin(omega * t))
-    return CoherentBranch(amplitude, branch.weight * cmath.exp(1j * phase))
+    return amplitude, phase
 
 
 # --- Sudden frequency + equilibrium quench ------------------------------------

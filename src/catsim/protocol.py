@@ -223,13 +223,13 @@ def run_protocol(scenario: PhysicalScenario,
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     if thermal:
         phi, p_down, visibility, residual = _kernel(
-            alpha, _array_ops(), beta, beta_back, couplings)
+            alpha, beta, beta_back, couplings)
         # one visibility and residual for every draw: only a_u depends on alpha
         return ProtocolDistribution(
             phi, p_down, np.full(initial.count, visibility),
             np.full(initial.count, residual))
     log = [_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),))]
-    observed = _kernel(alpha, _SCALAR_OPS, beta, beta_back, couplings, log)
+    observed = _kernel(alpha, beta, beta_back, couplings, log)
     return ProtocolResult(*observed, log=tuple(log))
 
 
@@ -241,21 +241,10 @@ def _record(step: int, label: str, branches) -> dict:
         for level, a, w in branches]}
 
 
-# (cos, worst) for one amplitude; a thermal run passes numpy's over a 1-D
-# array of them
-_SCALAR_OPS = (math.cos, float)
-
-
-def _array_ops() -> tuple:
-    """The kernel's ops over a 1-D array: numpy's (cos, max)."""
-    import numpy as np      # a coherent run is math/cmath only
-    return np.cos, np.maximum.reduce
-
-
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
-def _kernel(alpha, ops, beta: float, beta_back: complex, couplings: tuple,
+def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
             log: list | None = None):
     """Steps 2-8 in closed form on the up branch and the branch differences.
 
@@ -268,15 +257,21 @@ def _kernel(alpha, ops, beta: float, beta_back: complex, couplings: tuple,
     delta, delta never depends on alpha, and phi_grav = -dth is never the
     difference of two branch phases ~ g1 t |alpha|.
 
-    ``alpha`` is a complex number or a 1-D array, told apart only by
-    ``ops``, and both run the same arithmetic in the same order; delta, the
+    ``alpha`` is a complex number or a 1-D array, told apart by its type:
+    a complex number takes math's cos, and anything else, a one-draw array
+    too, numpy's, with the largest value as the array's finiteness test.
+    Both paths run the same arithmetic in the same order; delta, the
     visibility and the residual stay one number either way.  The
     displacement ``beta`` is closed by ``beta_back``; ``couplings`` holds
     evolve_quench's (omega1, omega2, g2, t).  Returns (phi_grav, p_down,
     visibility, residual); ``log`` collects the step records, each branch
     with its own amplitude and weight.
     """
-    cos, worst = ops
+    if isinstance(alpha, complex):
+        cos, worst = math.cos, float
+    else:
+        import numpy as np      # a coherent run is math/cmath only
+        cos, worst = np.cos, np.maximum.reduce
     omega1, omega2, _, t = couplings
     d = quench_linear_map(*couplings)[2]
 

@@ -126,10 +126,16 @@ def test_protocol_thermal_rows_independent_of_sample_count(tmp_path):
                    "--thermal", "10", "--samples", "8", "--seed", "1")
     _, long = run(tmp_path / "l", "protocol", "--config", "discussion",
                   "--thermal", "10", "--samples", "50", "--seed", "1")
+    _, one = run(tmp_path / "o", "protocol", "--config", "discussion",
+                 "--thermal", "10", "--samples", "1", "--seed", "1")
     short_rows = (short / "summary.csv").read_bytes().splitlines()
     long_rows = (long / "summary.csv").read_bytes().splitlines()
+    one_rows = (one / "summary.csv").read_bytes().splitlines()
     assert len(short_rows) == 9 and len(long_rows) == 51
     assert short_rows == long_rows[:9]
+    # one draw is still a thermal run: its row, and no step log
+    assert one_rows == long_rows[:2]
+    assert not (one / "steps.jsonl").exists()
 
 
 def test_thermal_columns_are_results_and_summary_rows(tmp_path,

@@ -26,8 +26,6 @@ from catsim.params import (
     zero_point_motion,
 )
 from catsim.protocol import (
-    _SCALAR_OPS,
-    _array_ops,
     _kernel,
     _set_up,
     PHASE_ROUNDING_LIMIT,
@@ -41,8 +39,6 @@ from catsim.protocol import (
 )
 
 DOWN, UP = "down", "up"
-# the kernel's (exp, cos, worst) over a 1-D array, as a thermal run builds it
-ARRAY_OPS = _array_ops()
 
 
 def branches(record):
@@ -312,17 +308,23 @@ def test_thermal_draws_are_the_normal_pairs(discussion, monkeypatch):
 
 def test_thermal_run_is_the_coherent_runs_bit_for_bit(discussion):
     """A thermal run's columns are, value for value, the coherent runs of
-    its draws: the array and the scalar kernel run the same arithmetic."""
-    dist = run_protocol(discussion, ThermalSample(10.0, 42, 300))
-    draws = np.random.default_rng(42).normal(size=(300, 2)) * math.sqrt(5.0)
-    differ = 0
-    for row, (re, im) in zip(zip(dist.phi_grav_values, dist.p_down_values,
-                                 dist.visibility_values,
-                                 dist.residual_values), draws.tolist()):
-        res = run_protocol(discussion, Coherent(complex(re, im)))
-        differ += sum(a != b for a, b in zip(
-            row, (res.phi_grav, res.p_down, res.visibility, res.residual)))
-    assert differ == 0
+    its draws: the array and the scalar kernel run the same arithmetic.  A
+    one-draw run is still an array, and takes the array path."""
+    for count in (300, 1):
+        dist = run_protocol(discussion, ThermalSample(10.0, 42, count))
+        assert isinstance(dist.phi_grav_values, np.ndarray)
+        draws = (np.random.default_rng(42).normal(size=(count, 2))
+                 * math.sqrt(5.0))
+        differ = 0
+        for row, (re, im) in zip(zip(dist.phi_grav_values,
+                                     dist.p_down_values,
+                                     dist.visibility_values,
+                                     dist.residual_values), draws.tolist()):
+            res = run_protocol(discussion, Coherent(complex(re, im)))
+            differ += sum(a != b for a, b in zip(
+                row, (res.phi_grav, res.p_down, res.visibility,
+                      res.residual)))
+        assert differ == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
@@ -351,16 +353,16 @@ def test_norm_check_catches_nan_weights(discussion):
             (1.0 + 0j, beta, 1e306, "undisplace")):             # phase +inf
         args = (beta_, back, couplings)
         with pytest.raises(ProtocolError, match=f"at step {label}$"):
-            _kernel(alpha, _SCALAR_OPS, *args)
+            _kernel(alpha, *args)
         with pytest.raises(ProtocolError, match=f"at step {label}$"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            _kernel(np.array([1.0, alpha], complex), ARRAY_OPS, *args)
+            _kernel(np.array([1.0, alpha], complex), *args)
 
 
 def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
     """The readout's visibility and fringe are the kernel's only
     transcendentals: one exp, of the one number delta, and one cos per call,
-    whatever the batch."""
+    whatever the batch: math's for a complex alpha, numpy's for an array."""
     args = kernel_args(discussion, preset_beta(discussion))
     calls = []
 
@@ -369,12 +371,14 @@ def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
             calls.append(name)
             return f(x)
         return op
+    _kernel(1 + 1j, *args)      # caches the fall's maps, which take a cos
     monkeypatch.setattr(math, "exp", counting("exp", math.exp))
-    for alpha, (cos, worst), log in (
-            (1 + 1j, _SCALAR_OPS, None), (1 + 1j, _SCALAR_OPS, []),
-            (np.linspace(-3, 3, 2000) * (1 + 0.5j), ARRAY_OPS, None)):
+    monkeypatch.setattr(math, "cos", counting("cos", math.cos))
+    monkeypatch.setattr(np, "cos", counting("cos", np.cos))
+    for alpha, log in ((1 + 1j, None), (1 + 1j, []),
+                       (np.linspace(-3, 3, 2000) * (1 + 0.5j), None)):
         calls.clear()
-        _kernel(alpha, (counting("cos", cos), worst), *args, log)
+        _kernel(alpha, *args, log)
         assert sorted(calls) == ["cos", "exp"]
 
 
@@ -768,7 +772,7 @@ def test_phi_grav_wraps_like_the_weight_phase(discussion, scale):
     assert -math.pi < res.phi_grav <= math.pi
     assert abs(res.phi_grav) < 0.9 * abs(scale) * 0.930
     _assert_log_matches_outputs(res)
-    phi, *_ = _kernel(np.array([1 + 1j, -2j, 3.0]), ARRAY_OPS,
+    phi, *_ = _kernel(np.array([1 + 1j, -2j, 3.0]),
                       *kernel_args(discussion, beta))
     assert np.max(np.abs(phi - res.phi_grav)) < 4e-12
 
@@ -783,7 +787,7 @@ def test_phi_grav_wraps_like_the_weight_phase(discussion, scale):
        beta=st.floats(-6e-4, 6e-4))
 def test_kernel_matches_scalar_path(discussion, alphas, beta):
     phi, p_down, vis, residual = _kernel(
-        np.array(alphas, complex), ARRAY_OPS, *kernel_args(discussion, beta))
+        np.array(alphas, complex), *kernel_args(discussion, beta))
     # the Scala et al. thermal insensitivity, over the whole batch
     assert np.max(phi) - np.min(phi) < 1e-10
     for i, alpha in enumerate(alphas):
