@@ -20,6 +20,7 @@ from .params import (
     PhysicalConstants,
     PhysicalScenario,
     TrapConfig,
+    cubic_phase,
     zero_point_motion,
 )
 
@@ -175,7 +176,7 @@ def constraint_check(scenario: PhysicalScenario) -> FeasibilityReport:
     eta = trap.raman_wavevector_radpm * zero_point_motion(m_total, omega_n,
                                                           const)
     phi_grav = m_total * const.g_E * delta_x * dt / const.hbar
-    phi3 = -phi_grav * (omega_n * dt) ** 2 / 6.0
+    phi3 = cubic_phase(phi_grav, omega_n, dt)
 
     lamb_dicke_floor = const.hbar / (2.0 * nano.mass_kg * trap.wavelength_m ** 2)
     coupling_ceiling = atom.mass_kg / nano.mass_kg * omega_a

@@ -1,17 +1,17 @@
 """Coherent-state algebra and closed-form quantum evolutions.
 
-Implements the coherent-state overlap, the exact displaced-oscillator
-evolution, the sudden frequency-plus-equilibrium quench (its exact
-Heisenberg map, the form the protocol kernel runs, and its
-squeeze-displace-rotate decomposition) and the branch phase differences
-that make up the interferometric observable.  Each closed form is
-written once, here.
+Implements the coherent-state overlap, the sudden frequency-plus-
+equilibrium quench and the branch phase differences that make up the
+interferometric observable.  The quench is derived once, as the exact
+Heisenberg map the protocol kernel runs (``quench_linear_map``); its
+squeeze-displace-rotate decomposition and the displaced oscillator, the
+quench at equal frequencies, are read off that map.
 
 Global phases are never discarded, and every evolution is a unit phase
 times a new coherent amplitude: each returns that amplitude and the real
 phase gained, so a branch's phase accumulates as a sum of reals.  The
 whole protocol's observable lives in these phases.  ``CoherentBranch`` is
-the (amplitude, complex weight) record of one branch in the step log.
+an (amplitude, complex weight) record kept for the public API only.
 
 Conventions: D(a) = exp(a ad - a* a) (so a real displacement shifts the
 adimensional position X = <a + ad> by 2a), S(z) = exp((z ad^2 - z* a^2)/2),
@@ -26,12 +26,12 @@ import functools
 import math
 from typing import NamedTuple
 
-from .params import ParameterError
+from .params import ParameterError, cubic_phase
 
 
 class CoherentBranch(NamedTuple):
-    """A coherent amplitude plus its accumulated complex weight, as one
-    branch of a step-log record."""
+    """A coherent amplitude plus its accumulated complex weight, kept for
+    the public API: nothing in catsim builds one (the step log holds dicts)."""
     alpha: complex
     weight: complex = 1.0 + 0.0j
 
@@ -73,16 +73,12 @@ def evolve_displaced_oscillator(alpha: complex, omega: float, g: float,
     times the state-independent phase e^{i (g/w)^2 (wt - sin wt)} from the
     shifted ground-state energy -g^2/w (it cancels between interferometer
     branches but is kept so the evolution is exactly unitary-equivalent
-    to the Schrodinger propagator).  Returns the new amplitude and the
-    phase gained.
+    to the Schrodinger propagator).  This is the quench at omega2 = omega1,
+    plus that phase.  Returns the new amplitude and the phase gained.
     """
-    if omega <= 0:
-        raise ParameterError("omega must be positive")
-    rot = cmath.exp(-1j * omega * t)
-    amplitude = alpha * rot + (g / omega) * (rot - 1.0)
-    phase = (g / omega) * (alpha.conjugate() * (1.0 - rot.conjugate())).imag
-    phase += (g / omega) ** 2 * (omega * t - math.sin(omega * t))
-    return amplitude, phase
+    amplitude, phase = evolve_quench(alpha, omega, omega, g, t)
+    return amplitude, phase + (g / omega) ** 2 * (omega * t
+                                                  - math.sin(omega * t))
 
 
 # --- Sudden frequency + equilibrium quench ------------------------------------
@@ -91,35 +87,23 @@ class QuenchParams(NamedTuple):
     z: complex          # dynamical squeeze, |z| e^{i theta}
     epsilon: complex    # displacement
     phi: float          # rotation angle
-    r: float            # static squeeze, r = ln(w2/w1)/2
 
 
-def quench_params(omega1: float, omega2: float, delta: float,
+def quench_params(omega1: float, omega2: float, g2: float,
                   t: float) -> QuenchParams:
-    """Time-dependent squeeze-displace-rotate parameters of the sudden quench.
+    """The sudden quench as S(z) D(epsilon) R(phi), read off its map.
 
-    ``delta`` is the shifted equilibrium in adimensional units, g2/w2.
-    The dynamical squeeze is recovered from e^{i theta} tanh|z| on the
-    principal branch, theta in (-pi, pi].
+    With a -> c1 a + c2 ad + d from ``quench_linear_map``, phi = arg c1 and
+    z = asinh|c2| e^{i(arg c2 + phi)}, so that c1 = e^{i phi} cosh|z| and
+    c2 = e^{i(theta - phi)} sinh|z| with theta = arg z.  The drift obeys
+    S(z) D(epsilon) = D(d) S(z), and S(z)^dagger = S(-z), so epsilon is
+    ``commute_squeeze_displacement(-z, d)``.
     """
-    if omega1 <= 0 or omega2 <= 0:
-        raise ParameterError("omega1 and omega2 must be positive")
-    r = 0.5 * math.log(omega2 / omega1)
-    th = math.tanh(r)
-    e_m2 = cmath.exp(-2j * omega2 * t)
-    rhs = (e_m2 - 1.0) * th / (1.0 - e_m2 * th * th)
-    mod = abs(rhs)
-    if mod >= 1.0:
-        raise ParameterError(
-            f"squeeze relation |tanh z| = {mod:g} >= 1; quench parameters "
-            "undefined for these inputs")
-    z = 0.0j if mod == 0.0 else math.atanh(mod) * rhs / mod
-    num = 1.0 - cmath.exp(2j * omega2 * t) * th * th
-    eiphi = num / abs(num) * cmath.exp(-1j * omega2 * t)
-    phi = cmath.phase(eiphi)
-    epsilon = (delta * eiphi * (1.0 - cmath.exp(1j * omega2 * t))
-               * (math.cosh(r) + cmath.exp(-1j * omega2 * t) * math.sinh(r)))
-    return QuenchParams(z=z, epsilon=epsilon, phi=phi, r=r)
+    c1, c2, d, _, _ = quench_linear_map(omega1, omega2, g2, t)
+    mod = abs(c2)
+    z = 0.0j if mod == 0.0 else math.asinh(mod) * (c2 / mod) * (c1 / abs(c1))
+    return QuenchParams(z=z, epsilon=commute_squeeze_displacement(-z, d),
+                        phi=cmath.phase(c1))
 
 
 def commute_squeeze_displacement(z: complex, xi: complex) -> complex:
@@ -191,8 +175,7 @@ def branch_phase_difference(beta: float, g: float, t: float,
 
     ``beta`` is the adimensional branch separation Delta x / delta_R (twice
     the displacement-operator amplitude).  Returns (phi_grav, phi3) with
-    phi3 = -(1/6) g w2^2 t^3 beta; |phi3/phi_grav| = (w2 t)^2 / 6.
+    phi3 = -(1/6) g w2^2 t^3 beta from ``params.cubic_phase``.
     """
     phi_grav = g * t * beta
-    phi3 = -(g * omega2**2 * t**3 * beta) / 6.0
-    return phi_grav, phi3
+    return phi_grav, cubic_phase(phi_grav, omega2, t)

@@ -199,6 +199,12 @@ def grav_coupling(mass_kg: float, omega_radps: float,
         (mass_kg / constants.hbar) / (2.0 * omega_radps))
 
 
+def cubic_phase(phi_grav: float, omega_radps: float, t_s: float) -> float:
+    """Cubic correction phi3 = -phi_grav (w t)^2 / 6 to the gravitational
+    phase of a fall of duration t in a trap of frequency w."""
+    return -phi_grav * (omega_radps * t_s) ** 2 / 6.0
+
+
 def zero_point_motion(mass_kg: float, omega_radps: float,
                       constants: PhysicalConstants = CONSTANTS) -> float:
     if mass_kg <= 0:

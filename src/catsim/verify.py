@@ -3,8 +3,10 @@
 Every check pits a closed-form result from ``classical`` or ``gaussian``
 against an independent oracle (gates and propagators in a truncated Fock
 space, or fixed-step RK4) and reports the measured deviation next to its
-tolerance.  ``gaussian.evolve_quench`` is the quench the protocol kernel
-runs, so the three rows that check it test the code behind ``phi_grav``.
+tolerance.  ``gaussian.quench_linear_map`` is the quench the protocol
+kernel runs, and every quantum row but ``commutation_identity`` checks it,
+through ``evolve_quench``, the displaced oscillator or the decomposition
+read off it, so seven rows test the code behind ``phi_grav``.
 Checks always call through the module namespaces so a deliberately
 injected fault in a formula is caught here.
 """
@@ -42,30 +44,28 @@ def _result(name: str, measured: float, tolerance: float,
 
 def _vs_oracle(hamiltonian: fock_oracle.Bands, evolution, couplings: tuple,
                times: tuple[float, ...], alphas: tuple[complex, ...]):
-    """(closed-form amplitude, its phase, the amplitude's Fock vector, the
-    Fock-propagated state) of ``evolution(alpha, *couplings, t)`` from
-    |alpha> under ``hamiltonian``, for each alpha and then each t; one
-    propagator serves them all."""
+    """(closed-form amplitude, its phase, the Fock-propagated state) of
+    ``evolution(alpha, *couplings, t)`` from |alpha> under ``hamiltonian``,
+    for each alpha and then each t; one propagator serves them all."""
     dim = len(hamiltonian.diagonal)
     evolve = fock_oracle.propagator(hamiltonian)
     out = []
     for alpha in alphas:
         psi = fock_oracle.coherent_to_fock(alpha, dim)
         for t in times:
-            amplitude, phase = evolution(alpha, *couplings, t)
-            out.append((amplitude, phase,
-                        fock_oracle.coherent_to_fock(amplitude, dim),
-                        evolve(psi, t)))
+            out.append((*evolution(alpha, *couplings, t), evolve(psi, t)))
     return out
 
 
 def _displaced_vs_oracle(times: tuple[float, ...], dim: int):
-    """_vs_oracle of the displaced oscillator from |1> under the mode
-    Hamiltonian."""
+    """(phase, the amplitude's Fock vector, the propagated state) of the
+    displaced oscillator from |1> under the mode Hamiltonian, for each t."""
     omega, g = 1.0, 0.1
-    return _vs_oracle(fock_oracle.mode_hamiltonian(omega, g, dim),
-                      gaussian.evolve_displaced_oscillator, (omega, g),
-                      times, (1.0 + 0.0j,))
+    return [(phase, fock_oracle.coherent_to_fock(amplitude, dim), numeric)
+            for amplitude, phase, numeric in _vs_oracle(
+                fock_oracle.mode_hamiltonian(omega, g, dim),
+                gaussian.evolve_displaced_oscillator, (omega, g), times,
+                (1.0 + 0.0j,))]
 
 
 def _quench_vs_oracle(alphas: tuple[complex, ...], times: tuple[float, ...],
@@ -82,7 +82,7 @@ def _quench_vs_oracle(alphas: tuple[complex, ...], times: tuple[float, ...],
 def check_displaced_oscillator_fidelity(dim: int = 60) -> CheckResult:
     """Exact coherent evolution vs the propagated mode Hamiltonian."""
     worst = 0.0
-    for *_, reference, numeric in _displaced_vs_oracle(
+    for _, reference, numeric in _displaced_vs_oracle(
             (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), dim):
         worst = max(worst, 1.0 - fock_oracle.fidelity(reference, numeric))
     return _result("displaced_oscillator_fidelity", worst, 1e-8,
@@ -92,8 +92,8 @@ def check_displaced_oscillator_fidelity(dim: int = 60) -> CheckResult:
 def check_displaced_oscillator_phase(dim: int = 60) -> CheckResult:
     """Global phase prefactor of the exact evolution vs the oracle."""
     worst = 0.0
-    for _, phase, reference, numeric in _displaced_vs_oracle((0.1, 0.3, 0.5),
-                                                             dim):
+    for phase, reference, numeric in _displaced_vs_oracle((0.1, 0.3, 0.5),
+                                                          dim):
         measured = fock_oracle.overlap_phase(reference, numeric)
         worst = max(worst, abs(_wrap(measured - phase)))
     return _result("displaced_oscillator_phase", worst, 1e-6,
@@ -102,7 +102,7 @@ def check_displaced_oscillator_phase(dim: int = 60) -> CheckResult:
 
 def check_truncation_stability() -> CheckResult:
     """Doubling the basis moves the oracle fidelity by < 1e-9."""
-    fids = [fock_oracle.fidelity(*_displaced_vs_oracle((0.5,), dim)[0][2:])
+    fids = [fock_oracle.fidelity(*_displaced_vs_oracle((0.5,), dim)[0][1:])
             for dim in (60, 120)]
     return _result("truncation_stability", abs(fids[0] - fids[1]), 1e-9,
                    "fidelity shift under N -> 2N")
@@ -117,8 +117,9 @@ def check_boost_phase() -> CheckResult:
     times = (0.1, 0.4, 1.0)
     # the oracle's phase less the closed form's, for each alpha and then t,
     # so the first len(times) are alpha = 0's
-    gaps = [fock_oracle.overlap_phase(reference, numeric) - phase
-            for _, phase, reference, numeric in _quench_vs_oracle(
+    gaps = [fock_oracle.overlap_phase(
+                fock_oracle.coherent_to_fock(amplitude, 60), numeric) - phase
+            for amplitude, phase, numeric in _quench_vs_oracle(
                 (0.0j, 1.5 + 0.0j, 0.0 + 1.5j, 1.0 - 1.0j), times, 60)]
     worst = max(abs(_wrap(gap - gaps[i % len(times)]))
                 for i, gap in enumerate(gaps))
@@ -139,7 +140,7 @@ def check_quench_decomposition() -> CheckResult:
     # the bound by orders of magnitude; |1 - F| shows an infidelity that
     # rounds negative
     for t in (0.05, 0.4):
-        qp = gaussian.quench_params(omega1, omega2, g2 / omega2, t)
+        qp = gaussian.quench_params(omega1, omega2, g2, t)
         psi = fock_oracle.squeeze(fock_oracle.displace(
             fock_oracle.rotate(start, qp.phi), qp.epsilon), qp.z)
         worst = max(worst,
@@ -168,7 +169,7 @@ def check_quench_second_order() -> CheckResult:
     band = np.sqrt(np.arange(1.0, dim))
     worst = max(abs(amplitude
                     - complex(np.vdot(numeric[:-1], band * numeric[1:])))
-                for amplitude, _, _, numeric
+                for amplitude, _, numeric
                 in _quench_vs_oracle((0.0j, 0.5 + 0.3j, 1.0 - 0.2j),
                                      (0.1, 0.4, 1.0), dim))
     return _result("quench_second_order", worst, 1e-10,
@@ -228,15 +229,20 @@ def check_quench_classical_switch() -> CheckResult:
 
 
 def check_mode_quadratic() -> CheckResult:
-    """At omega2 = omega1 the quench's amplitude is the displaced
-    oscillator's."""
-    omega, g, a0 = 0.7, 0.3, 0.7 - 0.2j
-    worst = max(
-        abs(gaussian.evolve_quench(a0, omega, omega, g, t)[0]
-            - gaussian.evolve_displaced_oscillator(a0, omega, g, t)[0])
-        for t in (0.01, 0.4, 1.0))
+    """The quench's amplitude at omega2 != omega1 vs the classical
+    trajectory of its Hamiltonian: with [X, P] = 2i, <a> = (X + iP)/2 moves
+    as a mass 1/w1 in a trap w2 under gravity g_E = 2 g1 w1."""
+    omega1, omega2, g2, a0 = 1.0, 0.5, 0.2, 0.7 - 0.2j
+    g1 = math.sqrt(omega2 / omega1) * g2
+    start = classical.PhaseSpacePoint(2.0 * a0.real, 2.0 * a0.imag)
+    worst = 0.0
+    for t in (0.01, 0.4, 1.0):
+        end = classical.evolve_harmonic_gravity(
+            start, 1.0 / omega1, omega2, 2.0 * g1 * omega1, t)
+        amplitude, _ = gaussian.evolve_quench(a0, omega1, omega2, g2, t)
+        worst = max(worst, abs(amplitude - complex(end.x, end.p) / 2.0))
     return _result("mode_quadratic", worst, 1e-10,
-                   "amplitude at omega2 = omega1 vs the displaced oscillator")
+                   "amplitude vs the classical trajectory of the quench")
 
 
 def check_action_phase_error() -> CheckResult:

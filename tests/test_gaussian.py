@@ -108,7 +108,22 @@ def test_quench_params_at_zero_time():
     assert qp.z == 0.0
     assert abs(qp.epsilon) == 0.0
     assert qp.phi == pytest.approx(0.0, abs=1e-15)
-    assert qp.r == pytest.approx(0.5 * math.log(0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("t,z,epsilon,phi", [
+    (0.05, 0.0005856782065557786 + 0.018737797925710235j,
+     -4.420481787648992e-05 - 0.007072402482917024j, -0.031246339120413916),
+    (0.4, 0.03646452629074165 + 0.14390812452571092j,
+     -0.0028715983787521047 - 0.05724039993485995j, -0.24816439016497827),
+])
+def test_quench_params_match_the_squeeze_relation(t, z, epsilon, phi):
+    """Read off the map, the gates are those of the squeeze relation
+    e^{i theta} tanh|z| = (e^{-2is} - 1) tanh r / (1 - e^{-2is} tanh^2 r),
+    r = ln(w2/w1)/2 and s = w2 t, at w1 = 1, w2 = 0.5 and g2 = 0.2."""
+    qp = quench_params(1.0, 0.5, 0.2, t)
+    assert abs(qp.z - z) < 1e-14
+    assert abs(qp.epsilon - epsilon) < 1e-14
+    assert abs(qp.phi - phi) < 1e-14
 
 
 def test_quench_params_domain():

@@ -56,19 +56,31 @@ def test_run_all_calls_the_tuples_it_finds(monkeypatch, quick):
 def test_run_all_diagonalises_each_matrix_once(monkeypatch):
     """One real eigh per Hamiltonian, shared by every time and initial
     state, and one per gate quadrature and basis size: 6 in all from cold
-    caches, and none when the caches are warm."""
+    caches, and none when the caches are warm.  A warm run finds every
+    quench map it asks for in the cache, and a run builds only the Fock
+    vectors its rows read."""
     fock_oracle._eigenbasis.cache_clear()
     dtypes = []
     eigh = np.linalg.eigh
+    vectors = []
+    coherent_to_fock = fock_oracle.coherent_to_fock
 
     def counting(matrix, *args, **kwargs):
         dtypes.append(matrix.dtype)
         return eigh(matrix, *args, **kwargs)
+
+    def building(*args, **kwargs):
+        vectors.append(args)
+        return coherent_to_fock(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(fock_oracle, "coherent_to_fock", building)
     verify.run_all()
     assert dtypes == [np.float64] * 6
+    assert len(vectors) == 36
+    misses = gaussian.quench_linear_map.cache_info().misses
     verify.run_all()
     assert len(dtypes) == 6
+    assert gaussian.quench_linear_map.cache_info().misses == misses
 
 
 _GATE = fock_oracle._gate
@@ -184,12 +196,17 @@ def test_preset_quench_keeps_its_drift(discussion):
 @pytest.mark.parametrize("mutant,failing", [
     # t in place of S = sin(s)/w2
     (_mutant_map(lambda t, s, w: t, _half_angle),
-     {"boost_phase", "quench_second_order"}),
+     {"displaced_oscillator_fidelity", "displaced_oscillator_phase",
+      "boost_phase", "quench_decomposition", "quench_second_order",
+      "mode_quadratic"}),
     # the squeezing term c2 a* dropped
     (_mutant_map(_sin_over_w, _half_angle, keep_c2=False),
-     {"quench_second_order"}),
+     {"boost_phase", "quench_decomposition", "quench_second_order",
+      "mode_quadratic"}),
 ], ids=["t_for_S", "no_c2"])
 def test_mutation_quench_map_fails_its_rows(monkeypatch, mutant, failing):
+    """The displaced oscillator and the decomposition are read off the map,
+    so a wrong map fails their rows too."""
     monkeypatch.setattr(gaussian, "quench_linear_map", mutant)
     failed = {r.name for r in verify.run_all() if not r.passed}
     assert failing <= failed
