@@ -21,6 +21,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -261,7 +262,14 @@ def cmd_sweep(args) -> tuple[int, str, dict]:
 # --- parser -------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed flag as one error line, like any other input."""
+    """Reports a malformed flag as one error line, like any other input, and
+    reads any word that starts like a number as a value: argparse alone
+    takes only -N and -N.N, so ``--alpha -1+1j`` or ``--beta -1e-4`` would
+    find no value.  No catsim flag starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")

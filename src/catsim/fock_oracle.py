@@ -179,20 +179,20 @@ def mode_hamiltonian(omega: float, g: float, dim: int) -> Bands:
     return Bands(tuple((omega * np.arange(dim)).tolist()), (float(g),))
 
 
-def quadratic_hamiltonian(omega_basis: float, omega_trap: float, g_lin: float,
+def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
                           dim: int) -> Bands:
-    """Trap Hamiltonian in the mode basis of ``omega_basis``.
+    """The quench Hamiltonian, which ``gaussian.quench_linear_map`` solves.
 
-    H/hbar = (w_b/4) P^2 + (w^2 / 4 w_b) X^2 + g X with X = a + ad,
-    P = i(ad - a); ``g_lin`` is the linear coupling (e.g. the gravitational
-    drive) in rad/s.  Includes the zero-point offset, which only affects
-    global phase.  Real: (w_b/4 + c)(ad a + a ad) + (c - w_b/4)(a^2 + ad^2)
-    + g X with c = w^2 / 4 w_b, and a ad = n + 1 below the top level, 0 on it.
+    H/hbar = (w1/4) P^2 + (w2^2 / 4 w1) X^2 + g1 X in the mode basis of w1,
+    X = a + ad, P = i(ad - a); ``g1`` is the linear coupling (e.g. the
+    gravitational drive) in rad/s.  The zero-point offset, a global phase,
+    is kept.  Real: (w1/4 + c)(ad a + a ad) + (c - w1/4)(a^2 + ad^2)
+    + g1 X with c = w2^2 / 4 w1, and a ad = n + 1 below the top level, 0 on it.
     """
-    c = 0.25 * omega_trap ** 2 / omega_basis
+    c = 0.25 * omega2 ** 2 / omega1
     both_orders = np.append(2.0 * np.arange(dim - 1) + 1.0, dim - 1.0)
-    return Bands(tuple(((0.25 * omega_basis + c) * both_orders).tolist()),
-                 (float(g_lin), float(c - 0.25 * omega_basis)))
+    return Bands(tuple(((0.25 * omega1 + c) * both_orders).tolist()),
+                 (float(g1), float(c - 0.25 * omega1)))
 
 
 def propagator(bands: Bands) -> Callable[[np.ndarray, float], np.ndarray]:

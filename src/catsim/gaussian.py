@@ -89,7 +89,7 @@ class QuenchParams(NamedTuple):
     phi: float          # rotation angle
 
 
-def quench_params(omega1: float, omega2: float, g2: float,
+def quench_params(omega1: float, omega2: float, g1: float,
                   t: float) -> QuenchParams:
     """The sudden quench as S(z) D(epsilon) R(phi), read off its map.
 
@@ -99,7 +99,7 @@ def quench_params(omega1: float, omega2: float, g2: float,
     S(z) D(epsilon) = D(d) S(z), and S(z)^dagger = S(-z), so epsilon is
     ``commute_squeeze_displacement(-z, d)``.
     """
-    c1, c2, d, _, _ = quench_linear_map(omega1, omega2, g2, t)
+    c1, c2, d, _, _ = quench_linear_map(omega1, omega2, g1, t)
     mod = abs(c2)
     z = 0.0j if mod == 0.0 else math.asinh(mod) * (c2 / mod) * (c1 / abs(c1))
     return QuenchParams(z=z, epsilon=commute_squeeze_displacement(-z, d),
@@ -121,12 +121,12 @@ def commute_squeeze_displacement(z: complex, xi: complex) -> complex:
 # each run_protocol's set-up and its two evolve_quench calls ask for one
 # trap's map; a hit takes ~0.2 us against ~2 us to compute (CPython 3.11)
 @functools.lru_cache(maxsize=16)
-def quench_linear_map(omega1: float, omega2: float, g2: float, t: float
+def quench_linear_map(omega1: float, omega2: float, g1: float, t: float
                       ) -> tuple[complex, complex, complex, float, float]:
     """The quench's exact Heisenberg map a -> c1 a + c2 ad + d.
 
     In the stiff-trap mode basis the quench Hamiltonian is
-    H/hbar = (w1/4) P^2 + (w2^2 / 4 w1) X^2 + g1 X with g1 = sqrt(w2/w1) g2.
+    H/hbar = (w1/4) P^2 + (w2^2 / 4 w1) X^2 + g1 X, g1 being g at w = w1.
     With s = w2 t, S = sin(s)/w2 and C = (1 - cos s)/w2^2:
       c1 = cos s - i (w1^2 + w2^2) S / (2 w1),
       c2 = i (w1^2 - w2^2) S / (2 w1),
@@ -138,7 +138,6 @@ def quench_linear_map(omega1: float, omega2: float, g2: float, t: float
     """
     if omega1 <= 0 or omega2 <= 0:
         raise ParameterError("omega1 and omega2 must be positive")
-    g1 = math.sqrt(omega2 / omega1) * g2
     s = omega2 * t
     S = t * _sinc(s)
     C = 0.5 * t * t * _sinc(0.5 * s) ** 2
@@ -153,7 +152,7 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x if x else 1.0
 
 
-def evolve_quench(alpha: complex, omega1: float, omega2: float, g2: float,
+def evolve_quench(alpha: complex, omega1: float, omega2: float, g1: float,
                   t: float) -> tuple[complex, float]:
     """Exact quench evolution of a coherent amplitude, squeeze dropped.
 
@@ -164,7 +163,7 @@ def evolve_quench(alpha: complex, omega1: float, omega2: float, g2: float,
     or an array of them.  At omega2 = omega1 it is
     ``evolve_displaced_oscillator`` up to that a-independent phase.
     """
-    c1, c2, d, k_re, k_im = quench_linear_map(omega1, omega2, g2, t)
+    c1, c2, d, k_re, k_im = quench_linear_map(omega1, omega2, g1, t)
     return (c1 * alpha + c2 * alpha.conjugate() + d,
             k_re * alpha.real + k_im * alpha.imag)
 

@@ -66,9 +66,10 @@ class ThermalSample(NamedTuple):
     count: int
 
     def _check(self):
-        if not 1 <= self.count <= MAX_SAMPLES:
-            raise ParameterError(f"thermal count must be between 1 and "
-                                 f"{MAX_SAMPLES}, got {self.count}")
+        if (not isinstance(self.count, int) or isinstance(self.count, bool)
+                or not 1 <= self.count <= MAX_SAMPLES):
+            raise ParameterError(f"thermal count must be an integer between "
+                                 f"1 and {MAX_SAMPLES}, got {self.count!r}")
         if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
             raise ParameterError(
                 f"thermal nbar must be finite and non-negative, got {self.nbar}")
@@ -123,7 +124,7 @@ class _SetUp(NamedTuple):
     fall_force: feasibility.ConstraintVerdict
     quench: feasibility.ConstraintVerdict
     beta: float                         # the default, from the report's Delta x
-    couplings: tuple                    # evolve_quench's (omega1, omega2, g2, t)
+    couplings: tuple                    # evolve_quench's (omega1, omega2, g1, t)
     c1: complex
     c2: complex
     # the fall's a -> c1 a + c2 a* + d, in the sizes the rounding guard reads
@@ -146,7 +147,7 @@ def _set_up(scenario: PhysicalScenario) -> _SetUp:
     omega2 = scenario.trap.paul_frequency_soft_radps
     dt = scenario.protocol.free_fall_duration_s
     couplings = (omega1, omega2,
-                 grav_coupling(m_total, omega2, scenario.constants), dt)
+                 grav_coupling(m_total, omega1, scenario.constants), dt)
     c1, c2, d, *_ = quench_linear_map(*couplings)
     return _SetUp(
         report, tuple(v.name for v in report.verdicts if v.status == "fail"),
@@ -263,7 +264,7 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
     Both paths run the same arithmetic in the same order; delta, the
     visibility and the residual stay one number either way.  The
     displacement ``beta`` is closed by ``beta_back``; ``couplings`` holds
-    evolve_quench's (omega1, omega2, g2, t).  Returns (phi_grav, p_down,
+    evolve_quench's (omega1, omega2, g1, t).  Returns (phi_grav, p_down,
     visibility, residual); ``log`` collects the step records, each branch
     with its own amplitude and weight.
     """
@@ -296,7 +297,7 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
     delta, dth = beta, (beta * a_u.conjugate()).imag
     step(4, "displace", dth + (delta.real + delta.imag))
     # the quench's squeeze is the same on both branches and is dropped; its
-    # drift too, for delta, which runs the map at g2 = 0; dth gains the
+    # drift too, for delta, which runs the map at g1 = 0; dth gains the
     # difference of the branches' phases, Im(gamma(delta)* d)
     a_u, th_u = evolve_quench(a_u, *couplings)
     if log is not None:         # the up weight changes only here

@@ -42,13 +42,19 @@ def _result(name: str, measured: float, tolerance: float,
 
 # --- Quantum closed forms vs Fock oracle --------------------------------------
 
-def _vs_oracle(hamiltonian: fock_oracle.Bands, evolution, couplings: tuple,
-               times: tuple[float, ...], alphas: tuple[complex, ...]):
+# (omega1, omega2, g1) of the quench the quench rows check: the closed form
+# and the oracle's Hamiltonian both take g1, the coupling in the w1 basis
+_QUENCH = (1.0, 0.5, math.sqrt(0.5) * 0.2)
+
+
+def _vs_oracle(hamiltonian, evolution, couplings: tuple,
+               times: tuple[float, ...], alphas: tuple[complex, ...],
+               dim: int):
     """(closed-form amplitude, its phase, the Fock-propagated state) of
-    ``evolution(alpha, *couplings, t)`` from |alpha> under ``hamiltonian``,
-    for each alpha and then each t; one propagator serves them all."""
-    dim = len(hamiltonian.diagonal)
-    evolve = fock_oracle.propagator(hamiltonian)
+    ``evolution(alpha, *couplings, t)`` from |alpha> under the bands
+    ``hamiltonian(*couplings, dim)``, for each alpha and then each t; one
+    propagator serves them all."""
+    evolve = fock_oracle.propagator(hamiltonian(*couplings, dim))
     out = []
     for alpha in alphas:
         psi = fock_oracle.coherent_to_fock(alpha, dim)
@@ -60,23 +66,19 @@ def _vs_oracle(hamiltonian: fock_oracle.Bands, evolution, couplings: tuple,
 def _displaced_vs_oracle(times: tuple[float, ...], dim: int):
     """(phase, the amplitude's Fock vector, the propagated state) of the
     displaced oscillator from |1> under the mode Hamiltonian, for each t."""
-    omega, g = 1.0, 0.1
     return [(phase, fock_oracle.coherent_to_fock(amplitude, dim), numeric)
             for amplitude, phase, numeric in _vs_oracle(
-                fock_oracle.mode_hamiltonian(omega, g, dim),
-                gaussian.evolve_displaced_oscillator, (omega, g), times,
-                (1.0 + 0.0j,))]
+                fock_oracle.mode_hamiltonian,
+                gaussian.evolve_displaced_oscillator, (1.0, 0.1), times,
+                (1.0 + 0.0j,), dim)]
 
 
 def _quench_vs_oracle(alphas: tuple[complex, ...], times: tuple[float, ...],
                       dim: int):
     """_vs_oracle of the quench the kernel runs, at omega2 != omega1, under
     the quadratic Hamiltonian."""
-    omega1, omega2, g2 = 1.0, 0.5, 0.2
-    g1 = math.sqrt(omega2 / omega1) * g2
-    return _vs_oracle(
-        fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim),
-        gaussian.evolve_quench, (omega1, omega2, g2), times, alphas)
+    return _vs_oracle(fock_oracle.quadratic_hamiltonian,
+                      gaussian.evolve_quench, _QUENCH, times, alphas, dim)
 
 
 def check_displaced_oscillator_fidelity(dim: int = 60) -> CheckResult:
@@ -129,18 +131,16 @@ def check_boost_phase() -> CheckResult:
 
 def check_quench_decomposition() -> CheckResult:
     """S(z) D(eps) R(phi) |alpha> vs the propagated quench Hamiltonian."""
-    omega1, omega2, g2, dim = 1.0, 0.5, 0.2, 80
-    alpha = 0.5 + 0.3j
-    g1 = math.sqrt(omega2 / omega1) * g2
+    dim, alpha = 80, 0.5 + 0.3j
     evolve = fock_oracle.propagator(
-        fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim))
+        fock_oracle.quadratic_hamiltonian(*_QUENCH, dim))
     start = fock_oracle.coherent_to_fock(alpha, dim)
     worst = 0.0
-    # by t = 0.4 the squeeze is large enough that a transposed gate misses
-    # the bound by orders of magnitude; |1 - F| shows an infidelity that
-    # rounds negative
-    for t in (0.05, 0.4):
-        qp = gaussian.quench_params(omega1, omega2, g2, t)
+    # from t = 0.4 the squeeze is large enough that a transposed gate, and a
+    # map with t for sin(s)/w2 or without c2, misses the bound by orders of
+    # magnitude; |1 - F| shows an infidelity that rounds negative
+    for t in (0.4, 1.0):
+        qp = gaussian.quench_params(*_QUENCH, t)
         psi = fock_oracle.squeeze(fock_oracle.displace(
             fock_oracle.rotate(start, qp.phi), qp.epsilon), qp.z)
         worst = max(worst,
@@ -232,14 +232,13 @@ def check_mode_quadratic() -> CheckResult:
     """The quench's amplitude at omega2 != omega1 vs the classical
     trajectory of its Hamiltonian: with [X, P] = 2i, <a> = (X + iP)/2 moves
     as a mass 1/w1 in a trap w2 under gravity g_E = 2 g1 w1."""
-    omega1, omega2, g2, a0 = 1.0, 0.5, 0.2, 0.7 - 0.2j
-    g1 = math.sqrt(omega2 / omega1) * g2
+    (omega1, omega2, g1), a0 = _QUENCH, 0.7 - 0.2j
     start = classical.PhaseSpacePoint(2.0 * a0.real, 2.0 * a0.imag)
     worst = 0.0
     for t in (0.01, 0.4, 1.0):
         end = classical.evolve_harmonic_gravity(
             start, 1.0 / omega1, omega2, 2.0 * g1 * omega1, t)
-        amplitude, _ = gaussian.evolve_quench(a0, omega1, omega2, g2, t)
+        amplitude, _ = gaussian.evolve_quench(a0, *_QUENCH, t)
         worst = max(worst, abs(amplitude - complex(end.x, end.p) / 2.0))
     return _result("mode_quadratic", worst, 1e-10,
                    "amplitude vs the classical trajectory of the quench")

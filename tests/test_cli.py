@@ -188,6 +188,20 @@ def test_protocol_rejects_bad_alpha(tmp_path, capsys, alpha):
     assert "--alpha" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "-1+1j"), ("--alpha", "-0.5j"), ("--alpha", "-1e-3"),
+    ("--beta", "-1e-4")])
+def test_negative_value_after_its_flag(tmp_path, flag, value):
+    """A negative value may follow its flag as the next word, as it may
+    follow it after '=', with the same result."""
+    argv = ["protocol", "--config", "discussion"]
+    code, out = run(tmp_path / "separated", *argv, flag, value)
+    joined_code, joined = run(tmp_path / "joined", *argv, f"{flag}={value}")
+    assert code == joined_code == 0
+    assert (out / "summary.csv").read_bytes() == \
+        (joined / "summary.csv").read_bytes()
+
+
 _BAD_FLAGS = [
     ("protocol --beta nan", "--beta"),
     ("protocol --beta inf", "--beta"),
@@ -710,7 +724,10 @@ def _cli_flags(draw):
         # sweep needs --min and --max
         if command == "sweep" and flag in ("--min", "--max") \
                 or draw(st.booleans()):
-            argv.append(f"{flag}={draw(values)}")
+            value = draw(values)
+            # joined by '=' or as the next word, which may start with '-'
+            argv += ([f"{flag}={value}"] if draw(st.booleans())
+                     else [flag, value])
     return argv
 
 

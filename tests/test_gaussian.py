@@ -81,18 +81,17 @@ def test_quadratic_expansion_matches_exact_at_small_t():
 def test_quench_phase_coefficients():
     """The phase gained is Im(gamma* d), gamma = c1 a + c2 a*, which is
     -g1 S Re(a) - w1 g1 C Im(a) with S = sin(s)/w2, C = (1 - cos s)/w2^2."""
-    omega1, omega2, g2, t = 1.0, 0.25, 0.3, 2.0
-    g1 = math.sqrt(omega2 / omega1) * g2
+    omega1, omega2, g1, t = 1.0, 0.25, 0.15, 2.0
     s = omega2 * t
-    _, _, d, k_re, k_im = quench_linear_map(omega1, omega2, g2, t)
+    _, _, d, k_re, k_im = quench_linear_map(omega1, omega2, g1, t)
     assert k_re == pytest.approx(-g1 * math.sin(s) / omega2, rel=1e-14)
     assert k_im == pytest.approx(-omega1 * g1 * (1.0 - math.cos(s))
                                  / omega2**2, rel=1e-14)
     for a in (2.0 + 1.0j, -0.3 + 0.8j):
-        alpha, phase = evolve_quench(a, omega1, omega2, g2, t)
+        alpha, phase = evolve_quench(a, omega1, omega2, g1, t)
         gamma = alpha - d
         assert phase == pytest.approx((gamma.conjugate() * d).imag, rel=1e-14)
-    assert evolve_quench(0.0j, omega1, omega2, g2, t) == (d, 0.0)
+    assert evolve_quench(0.0j, omega1, omega2, g1, t) == (d, 0.0)
 
 
 def test_quench_amplitude_composes():
@@ -119,8 +118,8 @@ def test_quench_params_at_zero_time():
 def test_quench_params_match_the_squeeze_relation(t, z, epsilon, phi):
     """Read off the map, the gates are those of the squeeze relation
     e^{i theta} tanh|z| = (e^{-2is} - 1) tanh r / (1 - e^{-2is} tanh^2 r),
-    r = ln(w2/w1)/2 and s = w2 t, at w1 = 1, w2 = 0.5 and g2 = 0.2."""
-    qp = quench_params(1.0, 0.5, 0.2, t)
+    r = ln(w2/w1)/2 and s = w2 t, at w1 = 1, w2 = 0.5 and g1 = 0.1 sqrt 2."""
+    qp = quench_params(1.0, 0.5, 0.1 * math.sqrt(2.0), t)
     assert abs(qp.z - z) < 1e-14
     assert abs(qp.epsilon - epsilon) < 1e-14
     assert abs(qp.phi - phi) < 1e-14
@@ -155,32 +154,30 @@ def test_quench_reduces_to_displaced_oscillator_at_equal_frequencies():
 def test_quench_linear_map_coefficients():
     """c1, c2 and the drift d at s = w2 t = 0.5, and |c1|^2 - |c2|^2 = 1:
     the map is symplectic at every t."""
-    omega1, omega2, g2, t = 1.0, 0.5, 0.2, 1.0
-    g1 = math.sqrt(omega2 / omega1) * g2
+    omega1, omega2, g1, t = 1.0, 0.5, 0.15, 1.0
     s = omega2 * t
     S, C = math.sin(s) / omega2, (1.0 - math.cos(s)) / omega2**2
-    c1, c2, d, _, _ = quench_linear_map(omega1, omega2, g2, t)
+    c1, c2, d, _, _ = quench_linear_map(omega1, omega2, g1, t)
     assert c1 == pytest.approx(math.cos(s) - 1j * (
         omega1**2 + omega2**2) * S / (2.0 * omega1), rel=1e-15)
     assert c2 == pytest.approx(
         1j * (omega1**2 - omega2**2) * S / (2.0 * omega1), rel=1e-15)
     assert d == pytest.approx(-omega1 * g1 * C - 1j * g1 * S, rel=1e-14)
     for t in (1e-6, 0.01, 1.0, 5.0):
-        c1, c2, *_ = quench_linear_map(omega1, omega2, g2, t)
+        c1, c2, *_ = quench_linear_map(omega1, omega2, g1, t)
         assert abs(abs(c1) ** 2 - abs(c2) ** 2 - 1.0) < 1e-14
 
 
 def test_quench_matches_exact_route():
     """The quench's amplitude is the mean <a> of the Fock-propagated quench
     Hamiltonian, and its phase the overlap phase less alpha = 0's."""
-    omega1, omega2, g2, t, dim = 1.0, 0.5, 0.2, 0.7, 60
-    g1 = math.sqrt(omega2 / omega1) * g2
+    omega1, omega2, g1, t, dim = 1.0, 0.5, 0.15, 0.7, 60
     evolve = fock_oracle.propagator(
         fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim))
     lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     phases = []
     for a in (0.0j, 0.4 + 0.2j):
-        alpha, phase = evolve_quench(a, omega1, omega2, g2, t)
+        alpha, phase = evolve_quench(a, omega1, omega2, g1, t)
         psi = evolve(fock_oracle.coherent_to_fock(a, dim), t)
         assert abs(alpha - np.vdot(psi, lower @ psi)) < 1e-14
         phases.append(fock_oracle.overlap_phase(

@@ -28,6 +28,7 @@ from catsim.params import (
 from catsim.protocol import (
     _kernel,
     _set_up,
+    MAX_SAMPLES,
     PHASE_ROUNDING_LIMIT,
     RECOMBINE_TOL,
     Coherent,
@@ -61,12 +62,7 @@ def preset_beta(scenario):
 def kernel_args(scenario, beta):
     """(beta, beta_back, couplings) as run_protocol passes them to _kernel
     for an exact closing phase."""
-    omega1 = scenario.trap.paul_frequency_stiff_radps
-    omega2 = scenario.trap.paul_frequency_soft_radps
-    t = scenario.protocol.free_fall_duration_s
-    m = scenario.nanoparticle.mass_kg + scenario.atom.mass_kg
-    couplings = (omega1, omega2, grav_coupling(m, omega2, scenario.constants),
-                 t)
+    couplings = _set_up(scenario).couplings
     c1, c2, *_ = quench_linear_map(*couplings)
     return beta, -(c1 * beta + c2 * beta), couplings
 
@@ -88,6 +84,18 @@ def unit_scenario(t=0.02):
         beam=DisplacementBeam(1.0, 1.0),
         protocol=ProtocolTimings(t),
         constants=const)
+
+
+def test_set_up_couples_gravity_in_the_stiff_trap_basis(discussion):
+    """The quench takes g1, gravity's coupling at omega1, the basis that
+    every amplitude is written in, as the Fock oracle's Hamiltonian does."""
+    for scenario in (discussion, unit_scenario()):
+        trap = scenario.trap
+        assert _set_up(scenario).couplings == (
+            trap.paul_frequency_stiff_radps, trap.paul_frequency_soft_radps,
+            grav_coupling(scenario.total_mass_kg,
+                          trap.paul_frequency_stiff_radps, scenario.constants),
+            scenario.protocol.free_fall_duration_s)
 
 
 def test_pi_half_splits(discussion):
@@ -236,12 +244,12 @@ def test_run_protocol_matches_hand_composition(discussion):
     omega2 = discussion.trap.paul_frequency_soft_radps
     t = discussion.protocol.free_fall_duration_s
     m = discussion.nanoparticle.mass_kg + discussion.atom.mass_kg
-    g2 = grav_coupling(m, omega2, discussion.constants)
+    g1 = grav_coupling(m, omega1, discussion.constants)
     w = 1.0 / math.sqrt(2.0)
     comp = displace_compose(beta, alpha)
-    down, fall_d = evolve_quench(comp.gamma, omega1, omega2, g2, t)
-    up, fall_u = evolve_quench(alpha, omega1, omega2, g2, t)
-    c1, c2, *_ = quench_linear_map(omega1, omega2, g2, t)
+    down, fall_d = evolve_quench(comp.gamma, omega1, omega2, g1, t)
+    up, fall_u = evolve_quench(alpha, omega1, omega2, g1, t)
+    c1, c2, *_ = quench_linear_map(omega1, omega2, g1, t)
     back = displace_compose(-(c1 + c2) * beta, down)
     # each step multiplies the weight by its unit phase
     w_d = (w * cmath.exp(1j * comp.phase) * cmath.exp(1j * fall_d)
@@ -331,6 +339,12 @@ def test_thermal_run_is_the_coherent_runs_bit_for_bit(discussion):
 def test_thermal_sample_rejects_bad_seed(seed):
     with pytest.raises(ParameterError, match="seed"):
         ThermalSample(10.0, seed, 4)
+
+
+@pytest.mark.parametrize("count", [0, MAX_SAMPLES + 1, 2.5, 3.0, True, "3"])
+def test_thermal_sample_rejects_bad_count(count):
+    with pytest.raises(ParameterError, match="count"):
+        ThermalSample(10.0, 1, count)
 
 
 def test_norm_check_catches_nan_weights(discussion):
@@ -497,8 +511,7 @@ def _fock_protocol(scenario, alpha, beta, exact_phase, dim=80):
     down = fock_oracle.displace(up, beta)
     down = evolve(down, t)
     up = evolve(up, t)
-    c1, c2, *_ = quench_linear_map(
-        omega1, omega2, grav_coupling(m, omega2, scenario.constants), t)
+    c1, c2, *_ = quench_linear_map(omega1, omega2, g1, t)
     back = -(c1 + c2) * beta if exact_phase else -beta
     down = fock_oracle.displace(down, back)
     p_down = 0.25 * float(np.linalg.norm(down + up)) ** 2
