@@ -18,7 +18,7 @@ TWO_PI = 2.0 * math.pi
 
 MASS_RATIO_FLOOR = 1e6
 # SI inputs far beyond any physical scenario make products of a few fields
-# underflow to 0 (a division by zero) or overflow; the config rejects them
+# underflow to 0 (a division by zero) or overflow; the records reject them
 MIN_MAGNITUDE, MAX_MAGNITUDE = 1e-40, 1e40
 LAMB_DICKE_FLAG = 0.3
 
@@ -56,6 +56,36 @@ def replace(record, **changes):
     return type(record)(**{**record._asdict(), **changes})
 
 
+def check_fields(record, label: str, non_negative=()) -> None:
+    """Refuse a field of ``record`` that is not a finite real number, that
+    is nonzero outside [MIN_MAGNITUDE, MAX_MAGNITUDE], or that is not
+    positive (non-negative if named in ``non_negative``).  A field may be
+    None where None is its default.  Each message names ``label.field``."""
+    for name, value in zip(record._fields, record):
+        if value is None and record._field_defaults.get(name, 0) is None:
+            continue
+        where = f"{label}.{name}"
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:           # an integer beyond 1.8e308
+            raise ParameterError(f"{where} must be finite, got an integer "
+                                 "beyond the float range") from None
+        except TypeError:
+            raise ParameterError(f"{where} must be a real number, got "
+                                 f"{type(value).__name__}") from None
+        # NaN slips past every x <= 0
+        if not finite:
+            raise ParameterError(f"{where} must be finite, got {value}")
+        value = float(value)
+        if value and not MIN_MAGNITUDE <= abs(value) <= MAX_MAGNITUDE:
+            raise ParameterError(
+                f"{where} = {value:g} is outside the supported magnitude "
+                f"range [{MIN_MAGNITUDE:g}, {MAX_MAGNITUDE:g}]")
+        if not (value > 0 or value == 0 and name in non_negative):
+            sign = "non-negative" if name in non_negative else "positive"
+            raise ParameterError(f"{where} must be {sign}, got {value:g}")
+
+
 @validated
 class PhysicalConstants(NamedTuple):
     hbar: float = 1.054571817e-34       # J s
@@ -64,9 +94,7 @@ class PhysicalConstants(NamedTuple):
     eps0: float = 8.8541878128e-12      # F/m
 
     def _check(self):
-        for name in ("hbar", "c", "g_E", "eps0"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"constant {name} must be positive")
+        check_fields(self, "constants")
 
 
 CONSTANTS = PhysicalConstants()
@@ -80,15 +108,10 @@ class AtomSpec(NamedTuple):
     dipole_moment_Cm: float
 
     def _check(self):
-        if self.mass_kg <= 0:
-            raise ParameterError("atom mass_kg must be positive")
-        if self.linewidth_radps <= 0:
-            raise ParameterError("atom linewidth_radps must be positive")
+        check_fields(self, "atom")
         if self.transition_frequency_radps <= self.linewidth_radps:
             raise ParameterError(
-                "atom transition_frequency_radps must exceed linewidth_radps")
-        if self.dipole_moment_Cm <= 0:
-            raise ParameterError("atom dipole_moment_Cm must be positive")
+                "atom.transition_frequency_radps must exceed linewidth_radps")
 
 
 @validated
@@ -97,10 +120,7 @@ class NanoparticleSpec(NamedTuple):
     mass_kg: float
 
     def _check(self):
-        if self.radius_m <= 0:
-            raise ParameterError("nanoparticle radius_m must be positive")
-        if self.mass_kg <= 0:
-            raise ParameterError("nanoparticle mass_kg must be positive")
+        check_fields(self, "nanoparticle")
 
 
 @validated
@@ -116,21 +136,11 @@ class TrapConfig(NamedTuple):
     radiation_pressure_force_N: float
 
     def _check(self):
-        positives = (
-            "paul_frequency_stiff_radps", "paul_frequency_soft_radps",
-            "wavelength_m", "intensity_W_per_m2", "detuning_radps",
-            "raman_detuning_radps", "raman_wavevector_radpm", "separation_m",
-        )
-        for name in positives:
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"trap {name} must be positive")
+        check_fields(self, "trap", non_negative=("radiation_pressure_force_N",))
         if self.paul_frequency_soft_radps >= self.paul_frequency_stiff_radps:
             raise ParameterError(
-                "trap paul_frequency_soft_radps must be below "
+                "trap.paul_frequency_soft_radps must be below "
                 "paul_frequency_stiff_radps")
-        if self.radiation_pressure_force_N < 0:
-            raise ParameterError(
-                "trap radiation_pressure_force_N must be non-negative")
 
 
 @validated
@@ -139,10 +149,7 @@ class DisplacementBeam(NamedTuple):
     duration_s: float
 
     def _check(self):
-        if self.intensity_W_per_m2 <= 0:
-            raise ParameterError("beam intensity_W_per_m2 must be positive")
-        if self.duration_s <= 0:
-            raise ParameterError("beam duration_s must be positive")
+        check_fields(self, "beam")
 
 
 @validated
@@ -152,12 +159,8 @@ class ProtocolTimings(NamedTuple):
     superposition_size_m: float | None = None
 
     def _check(self):
-        if self.free_fall_duration_s <= 0:
-            raise ParameterError("protocol free_fall_duration_s must be positive")
-        if self.freefall_force_N < 0:
-            raise ParameterError("protocol freefall_force_N must be non-negative")
-        if self.superposition_size_m is not None and self.superposition_size_m < 0:
-            raise ParameterError("protocol superposition_size_m must be non-negative")
+        check_fields(self, "protocol", non_negative=(
+            "freefall_force_N", "superposition_size_m"))
 
 
 @validated
@@ -266,15 +269,11 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
             key, value = _normalise_key(section, key, value)
             if key not in allowed:
                 raise ConfigError(f"unknown key '{section}.{key}'")
-            # json parses NaN and Infinity, and NaN slips past every x <= 0
-            if not math.isfinite(value):
+            # only an _Hz key and its rad/s twin can land on one field
+            if key in values:
                 raise ConfigError(
-                    f"key '{section}.{key}' must be finite, got {value}")
-            if value and not MIN_MAGNITUDE <= abs(value) <= MAX_MAGNITUDE:
-                raise ConfigError(
-                    f"key '{section}.{key}' = {value:g} is outside the "
-                    f"supported magnitude range [{MIN_MAGNITUDE:g}, "
-                    f"{MAX_MAGNITUDE:g}]")
+                    f"keys '{section}.{key[:-6]}_Hz' and '{section}.{key}' "
+                    "give the same frequency twice; keep one")
             values[key] = value
         missing_keys = _REQUIRED[section] - set(values)
         if missing_keys:

@@ -70,9 +70,14 @@ class ThermalSample(NamedTuple):
                 or not 1 <= self.count <= MAX_SAMPLES):
             raise ParameterError(f"thermal count must be an integer between "
                                  f"1 and {MAX_SAMPLES}, got {self.count!r}")
-        if not (math.isfinite(self.nbar) and self.nbar >= 0.0):
-            raise ParameterError(
-                f"thermal nbar must be finite and non-negative, got {self.nbar}")
+        # any finite real nbar >= 0, however small: no magnitude rule here
+        try:
+            real = not isinstance(self.nbar, bool) and math.isfinite(self.nbar)
+        except (TypeError, OverflowError):     # str, complex, None; 10**400
+            real = False
+        if not (real and self.nbar >= 0.0):
+            raise ParameterError(f"thermal nbar must be a finite, non-negative "
+                                 f"real number, got {self.nbar!r}")
         if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
                 or self.seed < 0):
             raise ParameterError(

@@ -8,8 +8,13 @@ from catsim.params import (
     CONSTANTS,
     AtomSpec,
     ConfigError,
+    DisplacementBeam,
+    NanoparticleSpec,
     ParameterError,
+    PhysicalConstants,
     PhysicalScenario,
+    ProtocolTimings,
+    TrapConfig,
     grav_coupling,
     load_scenario,
     replace,
@@ -89,6 +94,20 @@ def test_hz_keys_converted(discussion_doc):
     doc["trap"]["paul_frequency_stiff_Hz"] = radps / (2.0 * math.pi)
     s = scenario_from_dict(doc)
     assert s.trap.paul_frequency_stiff_radps == pytest.approx(radps, rel=1e-12)
+
+
+@pytest.mark.parametrize("hz_first", [True, False])
+def test_frequency_given_twice_rejected(discussion_doc, hz_first):
+    """An _Hz key and its rad/s twin name one field; neither order wins."""
+    doc = copy.deepcopy(discussion_doc)
+    radps = doc["trap"].pop("paul_frequency_stiff_radps")
+    both = {"paul_frequency_stiff_Hz": radps / (2.0 * math.pi),
+            "paul_frequency_stiff_radps": radps}
+    doc["trap"].update(both if hz_first else dict(reversed(both.items())))
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    for key in both:
+        assert f"trap.{key}" in str(err.value)
 
 
 def test_unknown_key_rejected(discussion_doc):
@@ -190,3 +209,21 @@ def test_replace_checks_the_new_record(discussion):
     with pytest.raises(ParameterError, match="must be below"):
         replace(trap,
                 paul_frequency_soft_radps=trap.paul_frequency_stiff_radps)
+
+
+_SECTIONS = {"constants": PhysicalConstants, "atom": AtomSpec,
+             "nanoparticle": NanoparticleSpec, "trap": TrapConfig,
+             "beam": DisplacementBeam, "protocol": ProtocolTimings}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e41,
+                                   1e-41, "x"],
+                         ids=["nan", "inf", "-inf", "1e41", "1e-41", "str"])
+@pytest.mark.parametrize("section,field", [
+    (section, field) for section, cls in _SECTIONS.items()
+    for field in cls._fields])
+def test_every_field_refuses_a_bad_value(discussion, section, field, value):
+    """A record built in Python checks each field as the JSON loader does:
+    finite, real, and nonzero only inside [1e-40, 1e40]."""
+    with pytest.raises(ParameterError, match=rf"\b{section}\.{field}\b"):
+        replace(getattr(discussion, section), **{field: value})

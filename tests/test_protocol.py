@@ -347,6 +347,21 @@ def test_thermal_sample_rejects_bad_count(count):
         ThermalSample(10.0, 1, count)
 
 
+@pytest.mark.parametrize("nbar", ["10", 1j, None, True, -1.0, math.nan,
+                                  math.inf, 10 ** 400],
+                         ids=["str", "complex", "None", "bool", "negative",
+                              "nan", "inf", "10**400"])
+def test_thermal_sample_rejects_bad_nbar(nbar):
+    with pytest.raises(ParameterError, match="nbar"):
+        ThermalSample(nbar, 1, 5)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 3, 1e-300, 4e11, np.float64(1e-50)])
+def test_thermal_sample_accepts_any_real_nbar(nbar):
+    """No magnitude floor: an occupation below 1e-40 is a valid one."""
+    assert ThermalSample(nbar, 1, 5).nbar == nbar
+
+
 def test_norm_check_catches_nan_weights(discussion):
     """An amplitude or a phase that stops being finite is refused at the step
     that made it, on the scalar and on the array path.  At the preset the
