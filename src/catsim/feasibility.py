@@ -44,11 +44,6 @@ def atom_trap_frequency(atom: AtomSpec, trap: TrapConfig,
     omega_a = sqrt(6 pi c^2 / (m_a w^2 omega_e^3) * I Gamma / Delta),
     with the trap width w half the trapping wavelength.
     """
-    if trap.detuning_radps <= 0:
-        raise ParameterError(
-            "trap detuning_radps must be positive: blue-detuned or resonant")
-    if trap.intensity_W_per_m2 <= 0:
-        raise ParameterError("trap intensity_W_per_m2 must be positive")
     w = trap.wavelength_m / 2.0
     c = constants.c
     omega_e = atom.transition_frequency_radps
@@ -62,9 +57,6 @@ def atom_trap_frequency(atom: AtomSpec, trap: TrapConfig,
 def trap_lifetime(atom: AtomSpec, trap: TrapConfig,
                   constants: PhysicalConstants = CONSTANTS) -> float:
     """Photon-recoil-limited trapping time tau = (m_a c^2 / hbar w_l^2)(Delta/Gamma)."""
-    if trap.detuning_radps <= 0:
-        raise ParameterError(
-            "trap detuning_radps must be positive: blue-detuned or resonant")
     omega_l = 2.0 * math.pi * constants.c / trap.wavelength_m
     return (atom.mass_kg * constants.c ** 2 / (constants.hbar * omega_l ** 2)
             * trap.detuning_radps / atom.linewidth_radps)

@@ -281,8 +281,8 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
                 f"missing key(s) in '{section}': {sorted(missing_keys)}")
         try:
             kwargs[section] = _TYPES[section](**values)
-        except ParameterError as exc:
-            raise ConfigError(f"invalid '{section}': {exc}") from exc
+        except ParameterError as exc:     # the message names section.field
+            raise ConfigError(str(exc)) from exc
     return PhysicalScenario(**kwargs)
 
 

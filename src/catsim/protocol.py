@@ -4,16 +4,14 @@ The working state is a hybrid of a two-level hyperfine qubit and a
 motional coherent branch per populated level.  All motional amplitudes
 are expressed in the stiff-trap mode basis; pulses are instantaneous
 ideal maps; trap softening and release are merged into a single sudden
-quench followed by transient free fall.  ``run_protocol`` evaluates every
-step in closed form, for one initial amplitude or a whole array of thermal
-draws at once.  A branch's weight is 1/sqrt(2) times e^{i theta}, so a
-branch is its amplitude and the real theta, a sum of the steps' phases.
-The kernel carries the up branch (a_u, theta_u) and the branch
-differences (delta, dtheta) = (a_d - a_u, theta_d - theta_u): only a_u and
-the phases depend on the initial amplitude, delta is one number per run,
-and phi_grav = -dtheta keeps its precision at any thermal occupation.
-Each branch's own amplitude and complex weight are formed only for the
-step log.
+quench followed by transient free fall.  ``run_protocol`` runs each step
+once, in closed form on scalars, at initial amplitude alpha = 0, and reads
+phi_grav and P_down, for one initial amplitude or a whole array of thermal
+draws, off one linear form in alpha.  A branch is its amplitude and the
+real theta of its weight e^{i theta}/sqrt(2), a sum of the steps' phases.
+The kernel carries the branch differences, so phi_grav = -dtheta keeps its
+precision at any thermal occupation; each branch's own amplitude and
+weight are formed only for the step log.
 
 Displacement convention: an operator amplitude b (real) separates the
 two branches by Delta x = 2 delta_R b in physical units, so the
@@ -230,7 +228,7 @@ def run_protocol(scenario: PhysicalScenario,
     if thermal:
         phi, p_down, visibility, residual = _kernel(
             alpha, beta, beta_back, couplings)
-        # one visibility and residual for every draw: only a_u depends on alpha
+        # one visibility and residual for every draw: delta has no alpha
         return ProtocolDistribution(
             phi, p_down, np.full(initial.count, visibility),
             np.full(initial.count, residual))
@@ -252,26 +250,27 @@ _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
             log: list | None = None):
-    """Steps 2-8 in closed form on the up branch and the branch differences.
+    """Steps 2-8: one run at alpha = 0 on scalars, plus a linear form in alpha.
 
-    Each branch is the amplitude _C e^{i theta} of a coherent state; every
-    step multiplies it by a unit phase, so only the real theta is carried.
-    The kernel carries the up branch (a_u, th_u), the amplitude difference
-    delta = a_d - a_u and the phase difference dth = th_d - th_u.  Every
-    step's map is affine in the amplitude and its phase is linear in it, so
-    the differences evolve on their own: the fall's drift d cancels from
-    delta, delta never depends on alpha, and phi_grav = -dth is never the
-    difference of two branch phases ~ g1 t |alpha|.
+    The up branch (a_u, th_u), th_u the phase of its weight _C e^{i th_u},
+    and the differences delta = a_d - a_u and dth = th_d - th_u run once.
+    Each step's map is affine in the amplitude and its phase is linear in
+    it, so delta never depends on alpha, and alpha enters only through the
+    fall's gamma(alpha) = c1 alpha + c2 alpha* and the opening displacement's
+    composition phase -beta Im(alpha).  With Im(z gamma(alpha)*) = k(z).alpha,
+    a linear form in (Re alpha, Im alpha):
+      dth = dth0 - beta Im(alpha) + k(beta_back).alpha,
+      psi = psi0 - beta Im(alpha) + k(beta_back + delta).alpha,
+    psi = dth + Im(a_u* delta) being the fringe's argument.  The exact
+    closing cancels the alpha terms (Scala et al., PRL 111, 180403).
 
-    ``alpha`` is a complex number or a 1-D array, told apart by its type:
-    a complex number takes math's cos, and anything else, a one-draw array
-    too, numpy's, with the largest value as the array's finiteness test.
-    Both paths run the same arithmetic in the same order; delta, the
-    visibility and the residual stay one number either way.  The
+    ``alpha`` is a complex number or a 1-D array, told apart by its type;
+    both meet the same expressions, and only the cos differs: math's for a
+    complex number, numpy's for anything else, a one-draw array too.  The
     displacement ``beta`` is closed by ``beta_back``; ``couplings`` holds
     evolve_quench's (omega1, omega2, g1, t).  Returns (phi_grav, p_down,
-    visibility, residual); ``log`` collects the step records, each branch
-    with its own amplitude and weight.
+    visibility, residual); ``log`` (a complex alpha only) collects the
+    step records, each branch with its own amplitude and weight.
     """
     if isinstance(alpha, complex):
         cos, worst = math.cos, float
@@ -279,60 +278,49 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
         import numpy as np      # a coherent run is math/cmath only
         cos, worst = np.cos, np.maximum.reduce
     omega1, omega2, _, t = couplings
-    d = quench_linear_map(*couplings)[2]
-
-    def step(number, label, changed):
-        # ``changed`` sums the real and imaginary parts of the values the
-        # step changed: an infinite or a NaN one makes it non-finite, and
-        # finite ones, bounded by the phase rounding limit, stay far from
-        # overflow
-        if not worst(abs(changed)) < math.inf:      # a NaN fails too
-            raise ProtocolError(f"branch amplitude or phase stopped being "
-                                f"finite at step {label}")
-        if log is not None:     # the down weight is w_u e^{i dth}
-            log.append(_record(number, label, (
-                ("down", a_u + delta, w_u * cmath.exp(1j * dth)),
-                ("up", a_u, w_u))))
-
-    # the opening pi/2 puts both levels at alpha with equal weights
-    a_u, th_u, delta, dth, w_u = alpha, 0.0, 0j, 0.0, _C + 0j
-    step(2, "pi_half", a_u.real + a_u.imag)
-    # D(beta) on |down> = |a_u>: delta = beta, and dth is its composition
-    # phase Im(beta a_u*)
-    delta, dth = beta, (beta * a_u.conjugate()).imag
-    step(4, "displace", dth + (delta.real + delta.imag))
-    # the quench's squeeze is the same on both branches and is dropped; its
-    # drift too, for delta, which runs the map at g1 = 0; dth gains the
-    # difference of the branches' phases, Im(gamma(delta)* d)
-    a_u, th_u = evolve_quench(a_u, *couplings)
-    if log is not None:         # the up weight changes only here
-        w_u = _C * cmath.exp(1j * th_u)
-    delta, _ = evolve_quench(delta, omega1, omega2, 0.0, t)
-    dth = dth + (delta.conjugate() * d).imag
-    step(6, "free_fall",
-         a_u.real + a_u.imag + th_u + (dth + (delta.real + delta.imag)))
-    # D(beta_back) on |down> = |a_u + delta>: dth gains its composition
-    # phase Im(beta_back (a_u + delta)*), whose delta part is one number
-    delta, back = displace_compose(beta_back, delta)
-    dth = dth + (back + (beta_back * a_u.conjugate()).imag)
-    step(7, "undisplace", dth + (delta.real + delta.imag))
+    c1, c2, _, kd_re, kd_im = quench_linear_map(*couplings)   # kd is k(d)
+    # the opening pi/2 puts both levels at alpha = 0, and D(beta) on |down>
+    # makes delta = beta with no phase.  The quench's squeeze is the same on
+    # both branches and is dropped; its drift too, for delta, which runs the
+    # map at g1 = 0: a_u becomes d, and dth gains Im(gamma(beta)* d)
+    a_u, _ = evolve_quench(0j, *couplings)
+    fall, _ = evolve_quench(beta, omega1, omega2, 0.0, t)
+    dth_fall = (fall.conjugate() * a_u).imag
+    # D(beta_back) on |down> = |a_u + delta>: dth gains its composition phase
+    delta, back = displace_compose(beta_back, fall)
+    dth0 = dth_fall + (back + (beta_back * a_u.conjugate()).imag)
     # readout: <a_u|a_u + delta> = V e^{i arg}, and the closing pi/2 gives
     # P_down = (1 + Re(e^{i dth} <a_u|a_d>)) / 2
-    residual = abs(delta)
     log_v, arg = coherent_overlap(a_u, delta)
     visibility = math.exp(log_v)
-    p_down = 0.5 * (1.0 + visibility * cos(dth + arg))
-    # -dth wrapped into (-pi, pi]; a phase inside is left exact, and the
-    # floor division runs only when some phase is not.  0 - dth, not -dth,
-    # reads a zero phase as +0
-    phi = 0.0 - dth
-    if not worst(abs(phi)) < math.pi:
-        phi = phi + math.tau * ((math.pi - phi) // math.tau)
-    if log is not None:
-        a_d = a_u + delta
-        w_d = w_u * cmath.exp(1j * dth)
-        branches = (("down", a_d, w_d), ("up", a_u, w_u))
-        if residual <= RECOMBINE_TOL:       # the non-empty recombined levels
+    # alpha's part: the fall adds gamma(alpha) to a_u and k(d).alpha to th_u
+    # k(z) = (Im(z plus), Re(z minus)) at z = beta_back and beta_back + delta
+    plus, minus = (c1 + c2).conjugate(), (c2 - c1).conjugate()
+    l_re, l_im = (beta_back * plus).imag, (beta_back * minus).real
+    closing = beta_back + delta
+    m_re, m_im = (closing * plus).imag, (closing * minus).real
+    re, im = alpha.real, alpha.imag
+    th_u = kd_re * re + kd_im * im
+    dth = dth0 + (l_re * re + (l_im - beta) * im)
+    psi = (dth0 + arg) + (m_re * re + (m_im - beta) * im)
+    if log is not None:         # the down weight is w_u e^{i dth}
+        a_fall = a_u + (c1 * alpha + c2 * alpha.conjugate())
+        w_fall = _C * cmath.exp(1j * th_u)
+        for number, label, a_u, w_u, diff, dth_step in (
+                (2, "pi_half", alpha, _C + 0j, 0j, 0.0),
+                (4, "displace", alpha, _C + 0j, beta, -beta * im),
+                (6, "free_fall", a_fall, w_fall, fall, dth_fall - beta * im),
+                (7, "undisplace", a_fall, w_fall, delta, dth)):
+            a_d, w_d = a_u + diff, w_u * cmath.exp(1j * dth_step)
+            # exp gives NaN for a non-finite phase, and |w_d| <= _C: the
+            # sum is finite exactly when every value of the record is
+            if not cmath.isfinite(a_d + w_d):
+                raise ProtocolError(f"branch amplitude or phase stopped "
+                                    f"being finite at step {label}")
+            log.append(_record(number, label, (("down", a_d, w_d),
+                                               ("up", a_u, w_u))))
+        branches = (("down", a_d, w_d), ("up", a_u, w_u))  # step 7's, closed
+        if abs(delta) <= RECOMBINE_TOL:       # the non-empty recombined levels
             # equal moduli: the weighted mean amplitude is the plain mean
             a_c = (a_d + a_u) / 2
             branches = [(level, a_c, w) for level, w
@@ -340,4 +328,14 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
                             ("up", _C * (w_u - w_d)))
                         if abs(w) ** 2 >= 1e-24]
         log.append(_record(8, "pi_half_close", branches))
-    return phi, p_down, visibility, residual
+    # alpha and the phases it feeds, once; th_u too, as the logged fall does
+    if not worst(abs(th_u + (dth + psi))) < math.inf:   # a NaN fails too
+        raise ProtocolError("branch amplitude or phase stopped being finite")
+    p_down = 0.5 * (1.0 + visibility * cos(psi))
+    # -dth wrapped into (-pi, pi]; a phase inside is left exact, and the
+    # floor division runs only when some phase is not.  0 - dth, not -dth,
+    # reads a zero phase as +0
+    phi = 0.0 - dth
+    if not worst(abs(phi)) < math.pi:
+        phi = phi + math.tau * ((math.pi - phi) // math.tau)
+    return phi, p_down, visibility, abs(delta)

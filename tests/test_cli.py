@@ -254,6 +254,29 @@ def test_config_rejects_non_finite_value(tmp_path, capsys, discussion_doc):
     assert "protocol.free_fall_duration_s" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("section,key,value,line", [
+    ("protocol", "free_fall_duration_s", math.inf,
+     "protocol.free_fall_duration_s must be finite, got inf"),
+    ("atom", "linewidth_radps", 3e15,
+     "atom.transition_frequency_radps must exceed linewidth_radps"),
+    ("trap", "paul_frequency_soft_radps", 200.0,
+     "trap.paul_frequency_soft_radps must be below "
+     "paul_frequency_stiff_radps"),
+], ids=["non-finite", "atom-cross-field", "trap-cross-field"])
+def test_config_refusal_is_the_record_message(tmp_path, capsys,
+                                              discussion_doc, section, key,
+                                              value, line):
+    """A record's refusal, read through the loader, is printed as the
+    record words it: the message names section.field once."""
+    discussion_doc[section][key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(discussion_doc))
+    code, out = run(tmp_path, "feasibility", "--config", str(cfg))
+    assert code == 2
+    assert _one_line_error(capsys) == f"error: {line}\n"
+    assert not out.exists()
+
+
 def test_transient_rejects_zero_separation(tmp_path, capsys,
                                            discussion_doc):
     # the free-fall phase that rel_error divides by would be 0

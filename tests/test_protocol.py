@@ -314,6 +314,25 @@ def test_thermal_draws_are_the_normal_pairs(discussion, monkeypatch):
     assert seen[0].tobytes() == want.tobytes()
 
 
+def test_thermal_run_steps_only_scalars(discussion, monkeypatch):
+    """The steps run once, at alpha = 0, on scalars: a thermal run's draws
+    meet only the readout's linear form, never a step's map."""
+    seen = {}
+
+    def recording(name, f):
+        def wrapped(*args):
+            seen.setdefault(name, []).extend(type(x) for x in args)
+            return f(*args)
+        return wrapped
+    for name in ("evolve_quench", "displace_compose", "coherent_overlap"):
+        monkeypatch.setattr(protocol, name,
+                            recording(name, getattr(protocol, name)))
+    run_protocol(discussion, ThermalSample(10.0, 42, 2000))
+    assert sorted(seen) == ["coherent_overlap", "displace_compose",
+                            "evolve_quench"]
+    assert {t for types in seen.values() for t in types} <= {complex, float}
+
+
 def test_thermal_run_is_the_coherent_runs_bit_for_bit(discussion):
     """A thermal run's columns are, value for value, the coherent runs of
     its draws: the array and the scalar kernel run the same arithmetic.  A
@@ -363,13 +382,14 @@ def test_thermal_sample_accepts_any_real_nbar(nbar):
 
 
 def test_norm_check_catches_nan_weights(discussion):
-    """An amplitude or a phase that stops being finite is refused at the step
-    that made it, on the scalar and on the array path.  At the preset the
-    fall's phase is ~ -2e3 Re(alpha): at alpha = 1e306 it overflows to -inf,
-    and with beta = -3e306 the phase difference's Im(gamma(beta)* d)
-    overflows to +inf as well, so the step's values sum to NaN.  The kernel
-    is called directly, since run_protocol rejects such an alpha or beta
-    first."""
+    """An amplitude or a phase that stops being finite is refused: in a
+    logged run at the step that made it, and without a log, on the scalar
+    and on the array path, by the kernel's one check of alpha and the
+    phases it feeds.  At the preset the fall's phase is ~ -2e3 Re(alpha):
+    at alpha = 1e306 it overflows to -inf, and with beta = -3e306 the phase
+    difference's Im(gamma(beta)* d) overflows to +inf as well, so the
+    step's values sum to NaN.  The kernel is called directly, since
+    run_protocol rejects such an alpha or beta first."""
     beta = preset_beta(discussion)
     _, beta_back, couplings = kernel_args(discussion, beta)
     inf, nan = math.inf, math.nan
@@ -382,8 +402,10 @@ def test_norm_check_catches_nan_weights(discussion):
             (1.0 + 0j, beta, 1e306, "undisplace")):             # phase +inf
         args = (beta_, back, couplings)
         with pytest.raises(ProtocolError, match=f"at step {label}$"):
+            _kernel(alpha, *args, [])
+        with pytest.raises(ProtocolError, match="stopped being finite$"):
             _kernel(alpha, *args)
-        with pytest.raises(ProtocolError, match=f"at step {label}$"), \
+        with pytest.raises(ProtocolError, match="stopped being finite$"), \
                 np.errstate(over="ignore", invalid="ignore"):
             _kernel(np.array([1.0, alpha], complex), *args)
 
