@@ -50,8 +50,8 @@ def displace_compose(alpha: complex, beta: complex) -> DisplaceComposition:
 
 
 def coherent_overlap(a: complex, shift: complex) -> tuple[float, float]:
-    """(ln|<a|a+shift>|, arg <a|a+shift>) = (-|shift|^2/2, Im(a* shift)), for
-    scalars or arrays.
+    """(ln|<a|a+shift>|, arg <a|a+shift>) = (-|shift|^2/2, Im(a* shift)),
+    for two complex scalars.
 
     <a|a+shift> is the exponential of the first plus i times the second.
     Taking the shift itself, not the second amplitude a + shift, avoids
@@ -158,9 +158,9 @@ def evolve_quench(alpha: complex, omega1: float, omega2: float, g1: float,
 
     |a> -> e^{i Im(gamma* d)} |gamma + d>, gamma = c1 a + c2 a*, with the
     map of ``quench_linear_map``; the state also carries a squeeze and a
-    phase that do not depend on a, the same on every branch.  Returns the
-    new amplitude and the phase gained; ``alpha`` may be a complex number
-    or an array of them.  At omega2 = omega1 it is
+    phase that do not depend on a, the same on every branch.  ``alpha`` is
+    one complex number; returns its new amplitude and the phase gained.
+    At omega2 = omega1 it is
     ``evolve_displaced_oscillator`` up to that a-independent phase.
     """
     c1, c2, d, k_re, k_im = quench_linear_map(omega1, omega2, g1, t)

@@ -57,14 +57,16 @@ def replace(record, **changes):
 
 
 def check_fields(record, label: str, non_negative=()) -> None:
-    """Refuse a field of ``record`` that is not a finite real number, that
-    is nonzero outside [MIN_MAGNITUDE, MAX_MAGNITUDE], or that is not
+    """Refuse a field of ``record`` that is a bool, is not a finite real
+    number, is nonzero outside [MIN_MAGNITUDE, MAX_MAGNITUDE], or is not
     positive (non-negative if named in ``non_negative``).  A field may be
     None where None is its default.  Each message names ``label.field``."""
     for name, value in zip(record._fields, record):
         if value is None and record._field_defaults.get(name, 0) is None:
             continue
         where = f"{label}.{name}"
+        if isinstance(value, bool):     # math reads True as 1
+            raise ParameterError(f"{where} must be a real number, got bool")
         try:
             finite = math.isfinite(value)
         except OverflowError:           # an integer beyond 1.8e308

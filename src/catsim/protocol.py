@@ -4,14 +4,14 @@ The working state is a hybrid of a two-level hyperfine qubit and a
 motional coherent branch per populated level.  All motional amplitudes
 are expressed in the stiff-trap mode basis; pulses are instantaneous
 ideal maps; trap softening and release are merged into a single sudden
-quench followed by transient free fall.  ``run_protocol`` runs each step
-once, in closed form on scalars, at initial amplitude alpha = 0, and reads
-phi_grav and P_down, for one initial amplitude or a whole array of thermal
-draws, off one linear form in alpha.  A branch is its amplitude and the
-real theta of its weight e^{i theta}/sqrt(2), a sum of the steps' phases.
-The kernel carries the branch differences, so phi_grav = -dtheta keeps its
-precision at any thermal occupation; each branch's own amplitude and
-weight are formed only for the step log.
+quench followed by transient free fall.  ``run_protocol`` calls the
+kernel once, which runs each step once, in closed form on scalars, at
+initial amplitude alpha = 0, and reads phi_grav and P_down, for one
+amplitude or a whole array of thermal draws, off one linear form in alpha.
+A branch is its amplitude and the real theta of its weight
+e^{i theta}/sqrt(2), a sum of the steps' phases.  The kernel carries the
+branch differences, so phi_grav = -dtheta keeps its precision at any
+thermal occupation; each branch's own values form only the step log.
 
 Displacement convention: an operator amplitude b (real) separates the
 two branches by Delta x = 2 delta_R b in physical units, so the
@@ -128,8 +128,6 @@ class _SetUp(NamedTuple):
     quench: feasibility.ConstraintVerdict
     beta: float                         # the default, from the report's Delta x
     couplings: tuple                    # evolve_quench's (omega1, omega2, g1, t)
-    c1: complex
-    c2: complex
     # the fall's a -> c1 a + c2 a* + d, in the sizes the rounding guard reads
     spread: float                       # |c1| + |c2|: its largest scaling
     drift: float                        # |d|: its shift of every branch
@@ -155,7 +153,7 @@ def _set_up(scenario: PhysicalScenario) -> _SetUp:
     return _SetUp(
         report, tuple(v.name for v in report.verdicts if v.status == "fail"),
         verdicts["freefall_force"], verdicts["quench_duration"],
-        beam_amplitude(scenario, report.delta_x_m), couplings, c1, c2,
+        beam_amplitude(scenario, report.delta_x_m), couplings,
         abs(c1) + abs(c2), abs(d), max(1.0, abs(c1 + c2)))
 
 
@@ -174,8 +172,8 @@ def run_protocol(scenario: PhysicalScenario,
     approximation.  ``force`` runs past failed feasibility constraints,
     except a failed free-fall regime, which is always refused.
     """
-    (report, failed, fall_force, quench, default_beta, couplings, c1, c2,
-     spread, drift, shift_per_beta) = _set_up(scenario)
+    (report, failed, fall_force, quench, default_beta, couplings, spread,
+     drift, shift_per_beta) = _set_up(scenario)
     if failed and not force:
         raise ConstraintViolation(
             "feasibility constraints failed: " + ", ".join(failed)
@@ -201,7 +199,8 @@ def run_protocol(scenario: PhysicalScenario,
     # displacement (beta, gamma(beta) = (c1 + c2) beta or beta_back, one of
     # the two: up to ``shift``) times a branch amplitude, which the fall
     # takes up to ``reach``; phi_grav is their sum, so once their rounding
-    # passes the limit it would be lost while every step stays finite
+    # passes the limit it would be lost while every step stays finite.  A
+    # non-finite alpha or beta fails too: see _kernel
     shift = shift_per_beta * abs(beta)
     reach = spread * amplitude + drift + shift
     phase = shift * reach
@@ -224,17 +223,14 @@ def run_protocol(scenario: PhysicalScenario,
     if quench.status == "fail":
         warnings.warn(f"omega2*dt = {quench.lhs:.3g} not << 1; phi_grav "
                       "departs from m g_E dx dt / hbar", stacklevel=2)
-    beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
-    if thermal:
-        phi, p_down, visibility, residual = _kernel(
-            alpha, beta, beta_back, couplings)
-        # one visibility and residual for every draw: delta has no alpha
+    log = None if thermal else []
+    phi, p_down, visibility, residual = _kernel(
+        alpha, beta, exact_phase, couplings, log)
+    if thermal:     # one visibility and residual: delta has no alpha
         return ProtocolDistribution(
             phi, p_down, np.full(initial.count, visibility),
             np.full(initial.count, residual))
-    log = [_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),))]
-    observed = _kernel(alpha, beta, beta_back, couplings, log)
-    return ProtocolResult(*observed, log=tuple(log))
+    return ProtocolResult(phi, p_down, visibility, residual, tuple(log))
 
 
 def _record(step: int, label: str, branches) -> dict:
@@ -248,9 +244,9 @@ def _record(step: int, label: str, branches) -> dict:
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
-def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
+def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
             log: list | None = None):
-    """Steps 2-8: one run at alpha = 0 on scalars, plus a linear form in alpha.
+    """Steps 1-8: one run at alpha = 0 on scalars, plus a linear form in alpha.
 
     The up branch (a_u, th_u), th_u the phase of its weight _C e^{i th_u},
     and the differences delta = a_d - a_u and dth = th_d - th_u run once.
@@ -262,15 +258,18 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
       dth = dth0 - beta Im(alpha) + k(beta_back).alpha,
       psi = psi0 - beta Im(alpha) + k(beta_back + delta).alpha,
     psi = dth + Im(a_u* delta) being the fringe's argument.  The exact
-    closing cancels the alpha terms (Scala et al., PRL 111, 180403).
+    closing beta_back = -gamma(beta) (-beta without ``exact_phase``)
+    cancels the alpha terms (Scala et al., PRL 111, 180403).
 
     ``alpha`` is a complex number or a 1-D array, told apart by its type;
     both meet the same expressions, and only the cos differs: math's for a
-    complex number, numpy's for anything else, a one-draw array too.  The
-    displacement ``beta`` is closed by ``beta_back``; ``couplings`` holds
-    evolve_quench's (omega1, omega2, g1, t).  Returns (phi_grav, p_down,
-    visibility, residual); ``log`` (a complex alpha only) collects the
-    step records, each branch with its own amplitude and weight.
+    complex number, numpy's for anything else, a one-draw array too.
+    ``couplings`` holds evolve_quench's (omega1, omega2, g1, t).  Returns
+    (phi_grav, p_down, visibility, residual).  ``log`` (a complex alpha
+    only) collects every step record and refuses one that is not finite,
+    at its step: the kernel's only refusal.  run_protocol's rounding guard
+    refuses a non-finite alpha or beta and bounds |beta| |alpha| (at
+    beta = 0 the form is 0), so only the log's th_u = k(d).alpha overflows.
     """
     if isinstance(alpha, complex):
         cos, worst = math.cos, float
@@ -279,6 +278,7 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
         cos, worst = np.cos, np.maximum.reduce
     omega1, omega2, _, t = couplings
     c1, c2, _, kd_re, kd_im = quench_linear_map(*couplings)   # kd is k(d)
+    beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
     # the opening pi/2 puts both levels at alpha = 0, and D(beta) on |down>
     # makes delta = beta with no phase.  The quench's squeeze is the same on
     # both branches and is dropped; its drift too, for delta, which runs the
@@ -300,12 +300,12 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
     closing = beta_back + delta
     m_re, m_im = (closing * plus).imag, (closing * minus).real
     re, im = alpha.real, alpha.imag
-    th_u = kd_re * re + kd_im * im
     dth = dth0 + (l_re * re + (l_im - beta) * im)
     psi = (dth0 + arg) + (m_re * re + (m_im - beta) * im)
     if log is not None:         # the down weight is w_u e^{i dth}
+        log.append(_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),)))
         a_fall = a_u + (c1 * alpha + c2 * alpha.conjugate())
-        w_fall = _C * cmath.exp(1j * th_u)
+        w_fall = _C * cmath.exp(1j * (kd_re * re + kd_im * im))  # th_u
         for number, label, a_u, w_u, diff, dth_step in (
                 (2, "pi_half", alpha, _C + 0j, 0j, 0.0),
                 (4, "displace", alpha, _C + 0j, beta, -beta * im),
@@ -321,16 +321,12 @@ def _kernel(alpha, beta: float, beta_back: complex, couplings: tuple,
                                                ("up", a_u, w_u))))
         branches = (("down", a_d, w_d), ("up", a_u, w_u))  # step 7's, closed
         if abs(delta) <= RECOMBINE_TOL:       # the non-empty recombined levels
-            # equal moduli: the weighted mean amplitude is the plain mean
-            a_c = (a_d + a_u) / 2
-            branches = [(level, a_c, w) for level, w
+            # equal moduli: the plain mean, free of a_d + a_u's overflow
+            branches = [(level, a_u + delta / 2, w) for level, w
                         in (("down", _C * (w_d + w_u)),
                             ("up", _C * (w_u - w_d)))
                         if abs(w) ** 2 >= 1e-24]
         log.append(_record(8, "pi_half_close", branches))
-    # alpha and the phases it feeds, once; th_u too, as the logged fall does
-    if not worst(abs(th_u + (dth + psi))) < math.inf:   # a NaN fails too
-        raise ProtocolError("branch amplitude or phase stopped being finite")
     p_down = 0.5 * (1.0 + visibility * cos(psi))
     # -dth wrapped into (-pi, pi]; a phase inside is left exact, and the
     # floor division runs only when some phase is not.  0 - dth, not -dth,

@@ -112,6 +112,21 @@ def test_protocol_beta_zero(tmp_path):
     assert float(row["p_down"]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_protocol_steps_are_strict_json(tmp_path):
+    """An accepted run writes no NaN or Infinity into steps.jsonl: at
+    beta = 0 the rounding guard bounds no finite alpha, and step 8's
+    recombined amplitude stays finite where a_d + a_u would overflow."""
+    code, out = run(tmp_path, "protocol", "--config", "discussion",
+                    "--alpha", "1e10+1.7e308j", "--beta", "0")
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"steps.jsonl holds {constant}")
+    steps = [json.loads(line, parse_constant=refuse)
+             for line in (out / "steps.jsonl").read_text().splitlines()]
+    assert steps[-1]["label"] == "pi_half_close"
+
+
 def test_protocol_deterministic(tmp_path):
     _, out1 = run(tmp_path / "a", "protocol", "--config", "discussion",
                   "--thermal", "10", "--samples", "10", "--seed", "42")

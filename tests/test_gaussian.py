@@ -185,16 +185,6 @@ def test_quench_matches_exact_route():
     assert abs(phases[1] - phases[0]) < 1e-14
 
 
-def test_quench_over_arrays_matches_scalars():
-    """The one quench form runs on arrays, bit for bit."""
-    alphas = np.array([0.0j, 1.5 - 2.0j, -3e3 + 1e2j])
-    batch_alpha, batch_phase = evolve_quench(alphas, 1.0, 0.5, 0.2, 0.01)
-    for i, a in enumerate(alphas.tolist()):
-        alpha, phase = evolve_quench(a, 1.0, 0.5, 0.2, 0.01)
-        assert batch_alpha[i] == pytest.approx(alpha, rel=1e-15)
-        assert batch_phase[i] == phase
-
-
 def test_branch_phase_difference_values():
     beta, g, t, omega2 = 2.0, 9.55e12, 1e-6, 5e-6
     phi, phi3 = branch_phase_difference(beta, g, t, omega2)

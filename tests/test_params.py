@@ -217,13 +217,14 @@ _SECTIONS = {"constants": PhysicalConstants, "atom": AtomSpec,
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e41,
-                                   1e-41, "x"],
-                         ids=["nan", "inf", "-inf", "1e41", "1e-41", "str"])
+                                   1e-41, "x", True, False],
+                         ids=["nan", "inf", "-inf", "1e41", "1e-41", "str",
+                              "true", "false"])
 @pytest.mark.parametrize("section,field", [
     (section, field) for section, cls in _SECTIONS.items()
     for field in cls._fields])
 def test_every_field_refuses_a_bad_value(discussion, section, field, value):
     """A record built in Python checks each field as the JSON loader does:
-    finite, real, and nonzero only inside [1e-40, 1e40]."""
+    finite, real (not a bool), and nonzero only inside [1e-40, 1e40]."""
     with pytest.raises(ParameterError, match=rf"\b{section}\.{field}\b"):
         replace(getattr(discussion, section), **{field: value})

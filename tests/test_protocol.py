@@ -1,11 +1,12 @@
 import cmath
+import json
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catsim import feasibility, fock_oracle, protocol
@@ -60,11 +61,9 @@ def preset_beta(scenario):
 
 
 def kernel_args(scenario, beta):
-    """(beta, beta_back, couplings) as run_protocol passes them to _kernel
-    for an exact closing phase."""
-    couplings = _set_up(scenario).couplings
-    c1, c2, *_ = quench_linear_map(*couplings)
-    return beta, -(c1 * beta + c2 * beta), couplings
+    """(beta, exact_phase, couplings) as run_protocol passes them to
+    _kernel for an exact closing phase."""
+    return beta, True, _set_up(scenario).couplings
 
 
 def unit_scenario(t=0.02):
@@ -382,32 +381,66 @@ def test_thermal_sample_accepts_any_real_nbar(nbar):
 
 
 def test_norm_check_catches_nan_weights(discussion):
-    """An amplitude or a phase that stops being finite is refused: in a
-    logged run at the step that made it, and without a log, on the scalar
-    and on the array path, by the kernel's one check of alpha and the
-    phases it feeds.  At the preset the fall's phase is ~ -2e3 Re(alpha):
-    at alpha = 1e306 it overflows to -inf, and with beta = -3e306 the phase
-    difference's Im(gamma(beta)* d) overflows to +inf as well, so the
-    step's values sum to NaN.  The kernel is called directly, since
-    run_protocol rejects such an alpha or beta first."""
-    beta = preset_beta(discussion)
-    _, beta_back, couplings = kernel_args(discussion, beta)
-    inf, nan = math.inf, math.nan
-    for alpha, beta_, back, label in (
-            (complex(inf, 0.0), beta, beta_back, "pi_half"),
-            (0j, nan, beta_back, "displace"),
-            (1e10j, 1e300, beta_back, "displace"),              # phase -inf
-            (1e306 + 0j, beta, beta_back, "free_fall"),         # phase -inf
-            (1e306 + 0j, -3e306, beta_back, "free_fall"),       # NaN
-            (1.0 + 0j, beta, 1e306, "undisplace")):             # phase +inf
-        args = (beta_, back, couplings)
-        with pytest.raises(ProtocolError, match=f"at step {label}$"):
-            _kernel(alpha, *args, [])
-        with pytest.raises(ProtocolError, match="stopped being finite$"):
-            _kernel(alpha, *args)
-        with pytest.raises(ProtocolError, match="stopped being finite$"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            _kernel(np.array([1.0, alpha], complex), *args)
+    """An amplitude or a phase that stops being finite is refused by the
+    step log, at the step that made it.  At beta = 0 the rounding guard
+    bounds no |alpha| below the float range, and at the preset the fall's
+    phase k(d).alpha ~ -2e3 Re(alpha) overflows at alpha = 1e306."""
+    for alpha in (1e306, -1.7e308 + 1j):
+        for exact_phase in (True, False):
+            with pytest.raises(ProtocolError, match="at step free_fall$"):
+                run_protocol(discussion, Coherent(alpha), beta=0.0,
+                             exact_phase=exact_phase)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(preset=st.booleans(), t=st.floats(0.02, 3.0),
+       exact_phase=st.booleans(),
+       beta=st.none() | st.floats(0.0, 1e300)
+       | st.sampled_from([math.nan, math.inf, -math.inf]),
+       initial=st.builds(Coherent, st.builds(complex, _ANY_FLOAT, _ANY_FLOAT))
+       | st.builds(ThermalSample, st.floats(0.0, 1.7e308),
+                   st.integers(0, 2**32), st.integers(1, 4)))
+@example(preset=True, t=0.02, exact_phase=True, beta=0.0,
+         initial=Coherent(1e10 + 1.7e308j))     # step 8's a_d + a_u overflows
+def test_a_run_is_finite_or_refused(discussion, preset, t, exact_phase, beta,
+                                    initial):
+    """Whatever the amplitude, displacement, closing and fall, a run either
+    raises ProtocolError or returns finite outputs and a step log with no
+    NaN or Inf, so that steps.jsonl is strict JSON."""
+    scenario = discussion if preset else unit_scenario(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            res = run_protocol(scenario, initial, exact_phase, force=True,
+                               beta=beta)
+        except ProtocolError:
+            return
+    if isinstance(initial, ThermalSample):
+        assert all(np.isfinite(column).all() for column in (
+            res.phi_grav_values, res.p_down_values, res.visibility_values,
+            res.residual_values))
+    else:
+        assert all(map(math.isfinite, res[:4]))
+        json.dumps(res.log, allow_nan=False)    # ValueError on NaN or Inf
+
+
+def test_recombined_amplitude_stays_finite(discussion):
+    """Step 8's recombined amplitude is a_u + delta / 2: where a_d + a_u
+    would overflow, at |Im a_u| ~ 1.7e308, it is step 7's a_u, since
+    delta = 0 at beta = 0."""
+    res = run_protocol(discussion, Coherent(1e10 + 1.7e308j), beta=0.0)
+    undisplace, close = res.log[-2:]
+    assert close["label"] == "pi_half_close"
+    (recombined,) = close["branches"]
+    assert [recombined["re_alpha"], recombined["im_alpha"]] == [
+        undisplace["branches"][1]["re_alpha"],
+        undisplace["branches"][1]["im_alpha"]]
+    assert all(map(math.isfinite, (recombined["re_alpha"],
+                                   recombined["im_alpha"])))
 
 
 def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
@@ -438,8 +471,7 @@ def _rounding_edge(scenario, beta):
     shift * reach rad, round by eps times that.  shift is the largest
     displacement, max(1, |c1 + c2|) |beta|, and reach the largest branch
     amplitude after the fall, (|c1| + |c2|) |alpha| + |d| + shift."""
-    _, _, couplings = kernel_args(scenario, beta)
-    c1, c2, d, *_ = quench_linear_map(*couplings)
+    c1, c2, d, *_ = quench_linear_map(*_set_up(scenario).couplings)
     shift = max(1.0, abs(c1 + c2)) * abs(beta)
     reach = PHASE_ROUNDING_LIMIT / (sys.float_info.epsilon * shift)
     return (reach - abs(d) - shift) / (abs(c1) + abs(c2))
