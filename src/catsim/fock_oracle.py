@@ -3,15 +3,17 @@
 The module exists to verify the closed-form evolutions of ``gaussian``
 independently, so it holds no closed forms of its own (the analytic
 coherent overlap is ``gaussian.coherent_overlap``) and uses numpy only.
-A state is a plain complex array of number-basis amplitudes.  A real
-symmetric operator is held as its ``Bands``, diag(d) + sum_k c_k (a^k +
-ad^k), a tuple record that keys the one eigenbasis cache, and every
-unitary exp(-i t A) is applied to a state, never built, by ``_spectral``
-in that cached real eigenbasis.  A Hamiltonian's ``propagator`` serves
-every time and initial state from one ``eigh``.  A displacement (k = 1)
-or squeeze (k = 2) is a rotated quadrature exponential: with R(phi) =
-diag(e^{i phi n}), exactly in the truncated basis, exp((z ad^k - z* a^k)/k)
-= R(phi) exp(-i (|z|/k) Q_k) R(phi)^dagger with phi = (arg z + pi/2)/k and
+A state is a complex vector of number-basis amplitudes, or a (dim, n)
+block of them, one per column.  A real symmetric operator is held as its
+``Bands``, diag(d) + sum_k c_k (a^k + ad^k), a tuple record that keys the
+one eigenbasis cache, and every exp(-i t A) is applied, never built, by
+``_spectral`` in that cached real eigenbasis: a whole block at a whole
+sequence of times in one product each way.  A Hamiltonian's ``propagator``
+serves every time and state from one ``eigh``, and ``check_health``
+refuses a block for its worst column.  A displacement (k = 1) or squeeze
+(k = 2) is a rotated quadrature exponential: with R(phi) = diag(e^{i phi
+n}), exactly in the truncated basis, exp((z ad^k - z* a^k)/k) = R(phi)
+exp(-i (|z|/k) Q_k) R(phi)^dagger with phi = (arg z + pi/2)/k and
 Q_k = a^k + ad^k; every gate's image passes ``apply_gate``'s truncation
 check.  Global phases are compared through ``overlap_phase`` (the phase
 of <reference|state>), never per component.
@@ -35,15 +37,19 @@ class TruncationError(ValueError):
     """Truncated basis too small for the requested state or operation."""
 
 
-def check_health(psi: np.ndarray) -> None:
-    """Raise if the state's norm drifted or its top level is occupied: the
-    truncated basis is too small for it."""
-    n = float(np.linalg.norm(psi))
-    if not abs(n - 1.0) <= NORM_TOL:        # a NaN fails too
+def check_health(states: np.ndarray) -> None:
+    """Raise if a state's norm drifted or its top level is occupied: the
+    truncated basis is too small for it.  ``states`` is a vector or a block
+    of them down its first axis, and the worst of its columns is named."""
+    columns = states.reshape(len(states), -1)
+    n = math.sqrt(max(np.vecdot(columns, columns, axis=0).real.tolist(),
+                      key=lambda s: abs(math.sqrt(s) - 1.0) if s == s
+                      else math.inf, default=1.0))     # a NaN is the worst
+    if not abs(n - 1.0) <= NORM_TOL:
         raise TruncationError(
             f"state norm {n:.12g} drifted beyond {NORM_TOL:g}; "
             "increase the basis size")
-    tail = float(abs(psi[-1]) ** 2)
+    tail = max(abs(columns[-1]).tolist(), default=0.0) ** 2
     if not tail <= TAIL_TOL:
         raise TruncationError(
             f"top-level occupation {tail:.3g} exceeds {TAIL_TOL:g}; "
@@ -78,31 +84,34 @@ def required_dim(alpha: complex) -> int:
     return int(math.ceil(need))
 
 
-def coherent_to_fock(alpha: complex, dim: int) -> np.ndarray:
+def coherent_to_fock(alpha, dim: int) -> np.ndarray:
     """amps[n] = e^{-|a|^2/2} a^n / sqrt(n!), with the truncation rule
-    dim > 4|a|^2 + 25."""
-    need = required_dim(alpha)
+    dim > 4|a|^2 + 25: a vector for one amplitude, and for a sequence of n
+    the (dim, n) block of their vectors, multiplied out along rows."""
+    alphas = np.asarray(alpha, dtype=complex)
+    values = alphas.reshape(-1).tolist()
+    need = max(map(required_dim, values))
     if dim <= need - 1:
         raise TruncationError(
-            f"dim={dim} too small for |alpha|={abs(alpha):.3g}; "
+            f"dim={dim} too small for |alpha|={max(map(abs, values)):.3g}; "
             f"need at least {need}")
-    amps = np.empty(dim, dtype=complex)
-    amps[0] = 1.0
-    amps[1:] = np.cumprod(alpha / np.sqrt(np.arange(1.0, dim)))
-    amps *= math.exp(-0.5 * abs(alpha) ** 2)
-    return amps
+    amps = np.empty(alphas.shape + (dim,), dtype=complex)
+    amps[..., 0] = np.exp(-0.5 * abs(alphas) ** 2)
+    np.divide.outer(alphas, np.sqrt(np.arange(1.0, dim)), out=amps[..., 1:])
+    return np.multiply.accumulate(amps, axis=-1, out=amps).T
 
 
-def overlap(reference: np.ndarray, state: np.ndarray) -> complex:
-    return complex(np.vdot(reference, state))
+def overlap(reference: np.ndarray, states: np.ndarray):
+    """<reference|state>, column by column for blocks."""
+    return np.vecdot(reference, states, axis=0)
 
 
-def fidelity(reference: np.ndarray, state: np.ndarray) -> float:
-    return abs(overlap(reference, state)) ** 2
+def fidelity(reference: np.ndarray, states: np.ndarray):
+    return abs(overlap(reference, states)) ** 2
 
 
-def overlap_phase(reference: np.ndarray, state: np.ndarray) -> float:
-    return float(np.angle(overlap(reference, state)))
+def overlap_phase(reference: np.ndarray, states: np.ndarray):
+    return np.angle(overlap(reference, states))
 
 
 # --- Unitaries ----------------------------------------------------------------
@@ -127,13 +136,16 @@ def _real_product(real: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def _spectral(states: np.ndarray, energies: np.ndarray, vectors: np.ndarray,
-              t: float) -> np.ndarray:
-    """exp(-i t A) ``states`` = V exp(-i t E) V^T ``states``, with (E, V) =
-    (``energies``, ``vectors``) the eigenbasis of a real symmetric A, for
-    one vector or a (dim, n) block."""
-    column = (len(states),) + (1,) * (states.ndim - 1)  # down each column
-    return _real_product(vectors, np.exp(-1j * t * energies).reshape(column)
-                         * _real_product(vectors.T, states))
+              times) -> np.ndarray:
+    """exp(-i t A) ``states`` = V exp(-i t E) V^T ``states``, (E, V) the
+    real eigenbasis of A, for a vector or (dim, n) block at one t or a
+    sequence of them, in shape states.shape + np.shape(times)."""
+    coefficients = _real_product(vectors.T, states)  # once for all times
+    turns = np.exp(-1j * np.multiply.outer(energies, times))
+    if turns.ndim > 1:                  # the times' axis after the columns
+        coefficients = coefficients[..., None]
+    return _real_product(vectors, coefficients * turns.reshape(
+        (len(turns),) + (1,) * (states.ndim - 1) + turns.shape[1:]))
 
 
 def _gate(states: np.ndarray, z: complex, power: int) -> np.ndarray:
@@ -174,11 +186,13 @@ def rotate(psi: np.ndarray, phi: float) -> np.ndarray:
 
 # --- Hamiltonians and propagation ---------------------------------------------
 
+@lru_cache(maxsize=8)               # Bands are immutable: callers share them
 def mode_hamiltonian(omega: float, g: float, dim: int) -> Bands:
     """H/hbar = w ad a + g (ad + a), in rad/s."""
     return Bands(tuple((omega * np.arange(dim)).tolist()), (float(g),))
 
 
+@lru_cache(maxsize=8)
 def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
                           dim: int) -> Bands:
     """The quench Hamiltonian, which ``gaussian.quench_linear_map`` solves.
@@ -195,14 +209,14 @@ def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
                  (float(g1), float(c - 0.25 * omega1)))
 
 
-def propagator(bands: Bands) -> Callable[[np.ndarray, float], np.ndarray]:
-    """``evolve(psi, t)``, the state exp(-i H t) psi checked for
-    truncation, for the Hamiltonian H = ``bands``' matrix, diagonalised
-    once for every time and state."""
+def propagator(bands: Bands) -> Callable[[np.ndarray, object], np.ndarray]:
+    """``evolve(states, times)``, exp(-i H t) ``states`` checked for
+    truncation, as ``_spectral`` gives it, for the Hamiltonian H =
+    ``bands``' matrix, diagonalised once for every time and state."""
     energies, vectors = _eigenbasis(bands)  # refuses non-finite bands
 
-    def evolve(psi: np.ndarray, t: float) -> np.ndarray:
-        out = _spectral(psi, energies, vectors, t)
+    def evolve(states: np.ndarray, times) -> np.ndarray:
+        out = _spectral(states, energies, vectors, times)
         check_health(out)
         return out
     return evolve

@@ -199,13 +199,16 @@ def run_protocol(scenario: PhysicalScenario,
     # displacement (beta, gamma(beta) = (c1 + c2) beta or beta_back, one of
     # the two: up to ``shift``) times a branch amplitude, which the fall
     # takes up to ``reach``; phi_grav is their sum, so once their rounding
-    # passes the limit it would be lost while every step stays finite.  A
-    # non-finite alpha or beta fails too: see _kernel
+    # passes the limit it would be lost while every step stays finite.  At
+    # beta = 0 there is no such term, whatever the amplitude
+    if not (math.isfinite(amplitude) and math.isfinite(beta)):
+        field = "beta" if math.isfinite(amplitude) else name
+        raise ProtocolError(f"{field} and its modulus must be finite")
     shift = shift_per_beta * abs(beta)
     reach = spread * amplitude + drift + shift
-    phase = shift * reach
+    phase = shift * reach if shift else 0.0
     rounding = sys.float_info.epsilon * phase
-    if not rounding <= PHASE_ROUNDING_LIMIT:        # a NaN fails too
+    if not rounding <= PHASE_ROUNDING_LIMIT:
         raise ProtocolError(
             f"{name} {value:g}, beta {beta:g}: branch amplitudes up to "
             f"{reach:.3g} give phase terms ~{phase:.3g} rad whose "

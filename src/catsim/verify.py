@@ -36,7 +36,7 @@ class CheckResult(NamedTuple):
 
 def _result(name: str, measured: float, tolerance: float,
             detail: str = "") -> CheckResult:
-    return CheckResult(name, measured <= tolerance, float(measured),
+    return CheckResult(name, bool(measured <= tolerance), float(measured),
                        tolerance, detail)
 
 
@@ -47,65 +47,52 @@ def _result(name: str, measured: float, tolerance: float,
 _QUENCH = (1.0, 0.5, math.sqrt(0.5) * 0.2)
 
 
-def _vs_oracle(hamiltonian, evolution, couplings: tuple,
-               times: tuple[float, ...], alphas: tuple[complex, ...],
-               dim: int):
-    """(closed-form amplitude, its phase, the Fock-propagated state) of
-    ``evolution(alpha, *couplings, t)`` from |alpha> under the bands
-    ``hamiltonian(*couplings, dim)``, for each alpha and then each t; one
-    propagator serves them all."""
-    evolve = fock_oracle.propagator(hamiltonian(*couplings, dim))
-    out = []
-    for alpha in alphas:
-        psi = fock_oracle.coherent_to_fock(alpha, dim)
-        for t in times:
-            out.append((*evolution(alpha, *couplings, t), evolve(psi, t)))
-    return out
-
-
-def _displaced_vs_oracle(times: tuple[float, ...], dim: int):
-    """(phase, the amplitude's Fock vector, the propagated state) of the
-    displaced oscillator from |1> under the mode Hamiltonian, for each t."""
-    return [(phase, fock_oracle.coherent_to_fock(amplitude, dim), numeric)
-            for amplitude, phase, numeric in _vs_oracle(
-                fock_oracle.mode_hamiltonian,
-                gaussian.evolve_displaced_oscillator, (1.0, 0.1), times,
-                (1.0 + 0.0j,), dim)]
-
-
-def _quench_vs_oracle(alphas: tuple[complex, ...], times: tuple[float, ...],
-                      dim: int):
-    """_vs_oracle of the quench the kernel runs, at omega2 != omega1, under
-    the quadratic Hamiltonian."""
-    return _vs_oracle(fock_oracle.quadratic_hamiltonian,
-                      gaussian.evolve_quench, _QUENCH, times, alphas, dim)
+def _vs_oracle(model: str, times: tuple[float, ...],
+               alphas: tuple[complex, ...], dim: int,
+               references: bool = False):
+    """(amplitudes, phases, states, references) of the displaced oscillator
+    ("mode") or of the quench the kernel runs ("quench"): its closed form,
+    |alpha> propagated, and with ``references`` the amplitudes' Fock block,
+    from one coherent_to_fock call and one propagation.  Entry, and column,
+    i len(times) + j of each is alphas[i] at times[j]."""
+    hamiltonian, evolution, couplings = {
+        "mode": (fock_oracle.mode_hamiltonian,
+                 gaussian.evolve_displaced_oscillator, (1.0, 0.1)),
+        "quench": (fock_oracle.quadratic_hamiltonian, gaussian.evolve_quench,
+                   _QUENCH)}[model]
+    amplitudes, phases = zip(*[evolution(alpha, *couplings, t)
+                               for alpha in alphas for t in times])
+    vectors = fock_oracle.coherent_to_fock(
+        alphas + amplitudes if references else alphas, dim)
+    states = fock_oracle.propagator(hamiltonian(*couplings, dim))(
+        vectors[:, :len(alphas)], times).reshape(dim, -1)
+    return amplitudes, phases, states, vectors[:, len(alphas):]
 
 
 def check_displaced_oscillator_fidelity(dim: int = 60) -> CheckResult:
     """Exact coherent evolution vs the propagated mode Hamiltonian."""
-    worst = 0.0
-    for _, reference, numeric in _displaced_vs_oracle(
-            (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), dim):
-        worst = max(worst, 1.0 - fock_oracle.fidelity(reference, numeric))
+    *_, numeric, references = _vs_oracle(
+        "mode", (0.05, 0.1, 0.2, 0.3, 0.4, 0.5), (1.0 + 0.0j,), dim, True)
+    worst = max(0.0, (1.0 - fock_oracle.fidelity(references, numeric)).max())
     return _result("displaced_oscillator_fidelity", worst, 1e-8,
                    f"dim={dim}, infidelity over t<=0.5")
 
 
 def check_displaced_oscillator_phase(dim: int = 60) -> CheckResult:
     """Global phase prefactor of the exact evolution vs the oracle."""
-    worst = 0.0
-    for phase, reference, numeric in _displaced_vs_oracle((0.1, 0.3, 0.5),
-                                                          dim):
-        measured = fock_oracle.overlap_phase(reference, numeric)
-        worst = max(worst, abs(_wrap(measured - phase)))
+    _, phases, numeric, references = _vs_oracle(
+        "mode", (0.1, 0.3, 0.5), (1.0 + 0.0j,), dim, True)
+    worst = max(abs(_wrap(gap)) for gap in
+                fock_oracle.overlap_phase(references, numeric) - phases)
     return _result("displaced_oscillator_phase", worst, 1e-6,
                    f"dim={dim}, phase error in rad")
 
 
 def check_truncation_stability() -> CheckResult:
     """Doubling the basis moves the oracle fidelity by < 1e-9."""
-    fids = [fock_oracle.fidelity(*_displaced_vs_oracle((0.5,), dim)[0][1:])
-            for dim in (60, 120)]
+    fids = [fock_oracle.fidelity(
+        *_vs_oracle("mode", (0.5,), (1.0 + 0.0j,), dim, True)[2:])[0]
+        for dim in (60, 120)]
     return _result("truncation_stability", abs(fids[0] - fids[1]), 1e-9,
                    "fidelity shift under N -> 2N")
 
@@ -117,34 +104,32 @@ def check_boost_phase() -> CheckResult:
     alpha-independent global phase (zero point, drift, squeeze) cancels.
     """
     times = (0.1, 0.4, 1.0)
-    # the oracle's phase less the closed form's, for each alpha and then t,
-    # so the first len(times) are alpha = 0's
-    gaps = [fock_oracle.overlap_phase(
-                fock_oracle.coherent_to_fock(amplitude, 60), numeric) - phase
-            for amplitude, phase, numeric in _quench_vs_oracle(
-                (0.0j, 1.5 + 0.0j, 0.0 + 1.5j, 1.0 - 1.0j), times, 60)]
-    worst = max(abs(_wrap(gap - gaps[i % len(times)]))
-                for i, gap in enumerate(gaps))
+    _, phases, numeric, references = _vs_oracle(
+        "quench", times, (0.0j, 1.5 + 0.0j, 0.0 + 1.5j, 1.0 - 1.0j), 60, True)
+    # the oracle's phase less the closed form's, a row for each alpha and a
+    # column for each t, so the first row is alpha = 0's
+    gaps = (fock_oracle.overlap_phase(references, numeric)
+            - phases).reshape(-1, len(times))
+    worst = max(abs(_wrap(gap)) for gap in (gaps - gaps[0]).flat)
     return _result("boost_phase", worst, 1e-10,
                    "phase relative to alpha = 0 vs the quench's oracle, t<=1")
 
 
 def check_quench_decomposition() -> CheckResult:
     """S(z) D(eps) R(phi) |alpha> vs the propagated quench Hamiltonian."""
-    dim, alpha = 80, 0.5 + 0.3j
-    evolve = fock_oracle.propagator(
-        fock_oracle.quadratic_hamiltonian(*_QUENCH, dim))
-    start = fock_oracle.coherent_to_fock(alpha, dim)
-    worst = 0.0
     # from t = 0.4 the squeeze is large enough that a transposed gate, and a
     # map with t for sin(s)/w2 or without c2, misses the bound by orders of
     # magnitude; |1 - F| shows an infidelity that rounds negative
-    for t in (0.4, 1.0):
+    dim, alpha, times = 80, 0.5 + 0.3j, (0.4, 1.0)
+    start = fock_oracle.coherent_to_fock(alpha, dim)
+    direct = fock_oracle.propagator(
+        fock_oracle.quadratic_hamiltonian(*_QUENCH, dim))(start, times)
+    worst = 0.0
+    for t, numeric in zip(times, direct.T):
         qp = gaussian.quench_params(*_QUENCH, t)
         psi = fock_oracle.squeeze(fock_oracle.displace(
             fock_oracle.rotate(start, qp.phi), qp.epsilon), qp.z)
-        worst = max(worst,
-                    abs(1.0 - fock_oracle.fidelity(psi, evolve(start, t))))
+        worst = max(worst, abs(1.0 - fock_oracle.fidelity(psi, numeric)))
     return _result("quench_decomposition", worst, 1e-6,
                    "infidelity, decomposition vs direct propagation")
 
@@ -164,14 +149,12 @@ def check_commutation_identity() -> CheckResult:
 
 def check_quench_second_order() -> CheckResult:
     """The quench's amplitude vs the mean <a> of the propagated state."""
-    dim = 60
+    amplitudes, _, numeric, _ = _vs_oracle(
+        "quench", (0.1, 0.4, 1.0), (0.0j, 0.5 + 0.3j, 1.0 - 0.2j), 60)
     # <a> = sum_n psi_n* sqrt(n + 1) psi_{n+1}, read off a's one band
-    band = np.sqrt(np.arange(1.0, dim))
-    worst = max(abs(amplitude
-                    - complex(np.vdot(numeric[:-1], band * numeric[1:])))
-                for amplitude, _, numeric
-                in _quench_vs_oracle((0.0j, 0.5 + 0.3j, 1.0 - 0.2j),
-                                     (0.1, 0.4, 1.0), dim))
+    band = np.sqrt(np.arange(1.0, len(numeric)))[:, None]
+    means = fock_oracle.overlap(numeric[:-1], band * numeric[1:])
+    worst = float(abs(np.array(amplitudes) - means).max())
     return _result("quench_second_order", worst, 1e-10,
                    "amplitude vs the quench's oracle mean <a>, t<=1")
 

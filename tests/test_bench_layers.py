@@ -1,0 +1,33 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from catsim import verify
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("verify.run_all", "fock_oracle.evolve_block_dim80",
+          "fock_oracle.displace_dim80", "protocol.run_protocol_coherent",
+          "protocol.run_protocol_thermal_2000", "import.catsim_cli")
+
+
+def test_bench_layers_writes_every_key(tmp_path):
+    """A run on a tiny budget writes every timing, the eigh counts of a
+    cold and a warm verify run, the source line count and the host."""
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "tools" / "bench_layers.py"),
+                    "--budget", "0.3", "--out", str(out)],
+                   check=True, timeout=120)
+    result = json.loads(out.read_text())
+    assert set(result) == {"timings_us", "eigh_calls", "src_lines", "host"}
+    rows = {f"verify.{check.__name__.removeprefix('check_')}"
+            for check in verify._FULL}
+    assert len(rows) == 12
+    assert set(result["timings_us"]) == rows | set(LAYERS)
+    assert all(t > 0 for t in result["timings_us"].values())
+    assert result["eigh_calls"] == {"cold": 6, "warm": 0}
+    assert result["src_lines"] == sum(
+        len(path.read_text().splitlines())
+        for path in (ROOT / "src" / "catsim").glob("*.py"))
+    assert set(result["host"]) == {"cpus", "python", "numpy", "blas_threads",
+                                   "budget_s"}

@@ -127,6 +127,22 @@ def test_protocol_steps_are_strict_json(tmp_path):
     assert steps[-1]["label"] == "pi_half_close"
 
 
+def test_protocol_beta_zero_takes_the_largest_alpha(tmp_path, capsys):
+    """At beta = 0 the rounding guard bounds no finite alpha, and an alpha
+    whose magnitude overflows is refused by name, quoting no NaN."""
+    code, out = run(tmp_path, "protocol", "--config", "discussion",
+                    "--alpha", "1.7976931348623157e308j", "--beta", "0")
+    assert code == 0
+    with open(out / "summary.csv") as fh:
+        assert float(next(csv.DictReader(fh))["p_down"]) == 1.0
+    capsys.readouterr()
+    code, out = run(tmp_path / "inf", "protocol", "--config", "discussion",
+                    "--alpha", "1.7e308+1.7e308j", "--beta", "0")
+    assert code == 2
+    err = _one_line_error(capsys)
+    assert "alpha" in err and "nan" not in err
+
+
 def test_protocol_deterministic(tmp_path):
     _, out1 = run(tmp_path / "a", "protocol", "--config", "discussion",
                   "--thermal", "10", "--samples", "10", "--seed", "42")

@@ -281,3 +281,54 @@ def test_propagation_that_fills_the_top_level_raises():
     h = fo.mode_hamiltonian(1.0, 5.0, 30)
     with pytest.raises(fo.TruncationError, match="top-level"):
         fo.propagator(h)(fo.coherent_to_fock(0, 30), 1.0)
+
+
+def test_block_propagation_matches_each_column():
+    """One propagation of a (dim, n) block to m times gives every column at
+    every time, in shape (dim, n, m), equal to each column propagated
+    alone to each time."""
+    evolve = fo.propagator(fo.quadratic_hamiltonian(1.0, 0.5, 0.2, 60))
+    alphas, times = (0j, 0.5 + 0.3j, -1.0 + 0.2j, 1.5j), (0.0, 0.3, 1.1)
+    block = evolve(fo.coherent_to_fock(alphas, 60), times)
+    assert block.shape == (60, len(alphas), len(times))
+    for i, alpha in enumerate(alphas):
+        for j, t in enumerate(times):
+            alone = evolve(fo.coherent_to_fock(alpha, 60), t)
+            assert alone.shape == (60,)
+            assert np.max(np.abs(block[:, i, j] - alone)) <= 1e-14
+
+
+def test_coherent_block_stacks_the_vectors():
+    """A sequence of amplitudes gives the (dim, n) block of their vectors,
+    bit for bit; its widest amplitude sets the truncation rule, and a NaN
+    anywhere in it is refused by name."""
+    alphas = [0j, 0.5 + 0.3j, -1.2 + 0.7j, 2.0, 1e-3j, 3.0 - 4.0j]
+    block = fo.coherent_to_fock(alphas, 130)
+    assert block.shape == (130, len(alphas))
+    assert np.array_equal(block, np.stack(
+        [fo.coherent_to_fock(alpha, 130) for alpha in alphas], axis=1))
+    with pytest.raises(fo.TruncationError,
+                       match=r"\|alpha\|=5; need at least 125"):
+        fo.coherent_to_fock(alphas, 100)
+    with pytest.raises(ValueError, match="^alpha must be finite"):
+        fo.coherent_to_fock([0.5, complex(0.0, math.nan), 0.1], 60)
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_health_check_refuses_a_block_for_one_column(column):
+    """A block is refused when any one column drifts in norm or fills its
+    top level, and the message names the worst value."""
+    block = fo.coherent_to_fock((0.3, 0.5j, -0.2, 0.1), 30)
+    fo.check_health(block)
+    drifted = block.copy()
+    drifted[:, column] *= 1.001
+    drifted[:, 3] *= 0.9999         # drifts too, but less
+    with pytest.raises(fo.TruncationError, match="state norm 1.001 "):
+        fo.check_health(drifted)
+    filled = block.copy()
+    filled[-1, column] = 1e-4       # its norm moves by 5e-9 only
+    with pytest.raises(fo.TruncationError, match="top-level occupation 1e-08"):
+        fo.check_health(filled)
+    with pytest.raises(fo.TruncationError, match="state norm nan"):
+        fo.check_health(np.stack([block, block * np.nan], axis=2))
+    fo.check_health(block[:, :0])       # no column, nothing to refuse

@@ -485,6 +485,32 @@ def test_rejects_alpha_whose_phase_rounding_exceeds_limit(discussion, alpha):
         run_protocol(discussion, Coherent(alpha))
 
 
+@pytest.mark.parametrize("alpha,beta,field", [
+    (complex(math.inf, 0.0), 0.0, "alpha"),
+    (complex(0.0, math.nan), 0.0, "alpha"),
+    (1.7e308 + 1.7e308j, 0.0, "alpha"),         # |alpha| overflows
+    (complex(math.nan, 0.0), None, "alpha"),
+    (0j, math.inf, "beta"),
+    (0.5j, math.nan, "beta"),
+])
+def test_non_finite_alpha_or_beta_is_refused_by_name(discussion, alpha, beta,
+                                                     field):
+    """At beta = 0 too: the refusal names the field and quotes no NaN."""
+    with pytest.raises(ProtocolError, match=f"^{field} and its modulus must "
+                       "be finite$") as e:
+        run_protocol(discussion, Coherent(alpha), beta=beta)
+    assert "nan" not in str(e.value)
+
+
+def test_beta_zero_bounds_no_finite_alpha(discussion):
+    """At beta = 0 no phase term grows with the amplitude, so the largest
+    finite alpha is accepted, and reads alpha = 0's fringe."""
+    ref = run_protocol(discussion, Coherent(0), beta=0.0)
+    res = run_protocol(discussion, Coherent(1.7976931348623157e308j),
+                       beta=0.0)
+    assert (res.phi_grav, res.p_down) == (ref.phi_grav, ref.p_down)
+
+
 def test_rejects_nbar_whose_phase_rounding_exceeds_limit(discussion):
     with pytest.raises(ProtocolError, match="nbar"):
         run_protocol(discussion, ThermalSample(1e308, 0, 3))

@@ -58,29 +58,42 @@ def test_run_all_diagonalises_each_matrix_once(monkeypatch):
     state, and one per gate quadrature and basis size: 6 in all from cold
     caches, and none when the caches are warm.  A warm run finds every
     quench map it asks for in the cache, and a run builds only the Fock
-    vectors its rows read."""
+    vectors its rows read: 36, however they are grouped into blocks.  A
+    warm run makes one spectral product per propagation, which takes a
+    row's every state to its every time, and one per displacement or
+    squeeze (a rotation is diagonal): 7 + 8."""
     fock_oracle._eigenbasis.cache_clear()
     dtypes = []
     eigh = np.linalg.eigh
     vectors = []
     coherent_to_fock = fock_oracle.coherent_to_fock
+    products = []
+    spectral = fock_oracle._spectral
 
     def counting(matrix, *args, **kwargs):
         dtypes.append(matrix.dtype)
         return eigh(matrix, *args, **kwargs)
 
-    def building(*args, **kwargs):
-        vectors.append(args)
-        return coherent_to_fock(*args, **kwargs)
+    def building(alpha, dim):
+        amps = coherent_to_fock(alpha, dim)
+        vectors.append(amps.reshape(dim, -1).shape[1])  # its columns
+        return amps
+
+    def multiplying(*args):
+        products.append(args)
+        return spectral(*args)
     monkeypatch.setattr(np.linalg, "eigh", counting)
     monkeypatch.setattr(fock_oracle, "coherent_to_fock", building)
+    monkeypatch.setattr(fock_oracle, "_spectral", multiplying)
     verify.run_all()
     assert dtypes == [np.float64] * 6
-    assert len(vectors) == 36
+    assert sum(vectors) == 36
     misses = gaussian.quench_linear_map.cache_info().misses
+    products.clear()
     verify.run_all()
     assert len(dtypes) == 6
     assert gaussian.quench_linear_map.cache_info().misses == misses
+    assert len(products) == 7 + 8
 
 
 _GATE = fock_oracle._gate
@@ -103,6 +116,21 @@ def test_mutation_gate_formula(monkeypatch, check, mutant):
     monkeypatch.setattr(fock_oracle, "_gate", mutant)
     result = check()
     assert result.measured > 1e3 * result.tolerance
+
+
+def test_mutation_times_reversed_in_the_block(monkeypatch):
+    """A propagation that files its columns under the wrong times is caught
+    by every row that reads a block at several times."""
+    propagator = fock_oracle.propagator
+
+    def reversed_times(bands):
+        evolve = propagator(bands)
+        return lambda states, times: evolve(states, times[::-1])
+    monkeypatch.setattr(fock_oracle, "propagator", reversed_times)
+    missed = {r.name for r in verify.run_all()
+              if r.measured > 1e2 * r.tolerance}
+    assert {"boost_phase", "displaced_oscillator_fidelity",
+            "quench_second_order"} <= missed
 
 
 def test_results_carry_measurements():

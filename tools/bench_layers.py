@@ -1,0 +1,160 @@
+"""Per-layer timings of catsim, written as one JSON file.
+
+    python3 tools/bench_layers.py --out BENCH.json [--budget SECONDS]
+
+Run it from the repository root.  It imports catsim from ``src`` with BLAS
+pinned to one thread and writes:
+
+  timings_us  the median time of one call, warm, in microseconds: a whole
+              ``verify.run_all()``, each of its rows, one block evolution
+              at dim 80 (4 states at 3 times), one displacement, a coherent
+              and a 2000-draw thermal ``run_protocol``, and
+              ``import catsim.cli`` in a fresh interpreter;
+  eigh_calls  the eigh calls of a ``verify.run_all()`` from cold caches,
+              and of the next, warm one;
+  src_lines   the line count of ``src/catsim/*.py``;
+  host        CPU count, Python and numpy versions, the BLAS thread
+              settings, and the budget.
+
+``--budget`` is the total time the timings may take, split evenly between
+them; each takes at least 5 repeats of at least one call.  The numbers
+are in-process and unscaled, so the host's speed swings move them between
+runs; compare commits, and claim a gain, with ``bench/run.py`` pairs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import timeit
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC_DIR = ROOT / "src"
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1"}
+REPEATS = 5
+
+os.environ.update(BLAS_ENV)     # before numpy is imported, here or in a child
+sys.path.insert(0, str(SRC_DIR))
+
+import numpy as np  # noqa: E402
+
+from catsim import fock_oracle, verify  # noqa: E402
+from catsim.params import load_scenario  # noqa: E402
+from catsim.protocol import Coherent, ThermalSample, run_protocol  # noqa: E402
+
+
+def median_us(call, share: float) -> float:
+    """The median over REPEATS of one call's time, each repeat as many
+    calls as fit in ``share`` seconds."""
+    once = min(timeit.repeat(call, number=1, repeat=2))
+    number = max(1, int(share / REPEATS / max(once, 1e-9)))
+    times = timeit.repeat(call, number=number, repeat=REPEATS)
+    return statistics.median(times) / number * 1e6
+
+
+def fresh_import_us(share: float) -> float:
+    """The median wall time of a fresh interpreter that imports catsim.cli,
+    over as many runs as fit in ``share`` seconds (at least one)."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    times = []
+    deadline = time.perf_counter() + share
+    while not times or time.perf_counter() < deadline:
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import catsim.cli"], env=env,
+                       check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e6
+
+
+def eigh_calls() -> dict:
+    """eigh calls of a cold and then a warm verify.run_all()."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+    fock_oracle._eigenbasis.cache_clear()
+    np.linalg.eigh = counting
+    try:
+        verify.run_all()
+        cold = len(calls)
+        verify.run_all()
+    finally:
+        np.linalg.eigh = eigh
+    return {"cold": cold, "warm": len(calls) - cold}
+
+
+def layers() -> dict:
+    """name: the call it times, once its caches are warm."""
+    scenario = load_scenario("discussion")
+    dim, alphas, times = 80, (0j, 1.5, 1.5j, 1.0 - 1.0j), (0.1, 0.4, 1.0)
+    evolve = fock_oracle.propagator(
+        fock_oracle.quadratic_hamiltonian(*verify._QUENCH, dim))
+    block = fock_oracle.coherent_to_fock(alphas, dim)
+    state = fock_oracle.coherent_to_fock(0.2 + 0.1j, dim)
+    thermal = ThermalSample(10.0, 1, 2000)
+    calls = {"verify.run_all": verify.run_all}
+    calls.update((f"verify.{check.__name__.removeprefix('check_')}", check)
+                 for check in verify._FULL)
+    calls.update({
+        "fock_oracle.evolve_block_dim80": lambda: evolve(block, times),
+        "fock_oracle.displace_dim80":
+            lambda: fock_oracle.displace(state, 0.8 - 0.4j),
+        "protocol.run_protocol_coherent":
+            lambda: run_protocol(scenario, Coherent(1.0 + 1.0j)),
+        "protocol.run_protocol_thermal_2000":
+            lambda: run_protocol(scenario, thermal),
+    })
+    for call in calls.values():
+        call()
+    return calls
+
+
+def measure(budget: float) -> dict:
+    eigh = eigh_calls()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the preset's Lamb-Dicke warning
+        calls = layers()
+        share = budget / (len(calls) + 1)
+        timings = {name: median_us(call, share)
+                   for name, call in calls.items()}
+    timings["import.catsim_cli"] = fresh_import_us(share)
+    return {
+        "timings_us": {name: round(t, 2) for name, t in timings.items()},
+        "eigh_calls": eigh,
+        "src_lines": sum(
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in sorted((SRC_DIR / "catsim").glob("*.py"))),
+        "host": {"cpus": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__,
+                 "blas_threads": {k: os.environ[k] for k in BLAS_ENV},
+                 "budget_s": budget},
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--budget", type=float, default=20.0,
+                        help="seconds for all the timings together")
+    args = parser.parse_args(argv)
+    if not args.budget > 0.0:
+        parser.error("--budget must be positive")
+    result = measure(args.budget)
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
