@@ -122,10 +122,11 @@ def beam_amplitude(scenario: PhysicalScenario, delta_x: float) -> float:
 
 class _SetUp(NamedTuple):
     """What run_protocol needs of a scenario, whatever the call."""
-    report: feasibility.FeasibilityReport
     failed: tuple[str, ...]             # names of the failed verdicts
-    fall_force: feasibility.ConstraintVerdict
-    quench: feasibility.ConstraintVerdict
+    # each call's texts, formatted once: None where the verdict lets it pass
+    lamb_dicke: str | None              # warned
+    freefall: str | None                # refused, even with force
+    quench: str | None                  # warned
     beta: float                         # the default, from the report's Delta x
     couplings: tuple                    # evolve_quench's (omega1, omega2, g1, t)
     # the fall's a -> c1 a + c2 a* + d, in the sizes the rounding guard reads
@@ -135,14 +136,15 @@ class _SetUp(NamedTuple):
 
 
 # a scan calls run_protocol on one scenario many times, so the report is
-# graded once per scenario; every cached field is immutable, so callers can
-# share it.  A test that patches feasibility.constraint_check
-# must call _set_up.cache_clear() first, or it reads a report made without
-# the patch.
+# graded, and its texts formatted, once per scenario; every cached field is
+# immutable, so callers can share it.  A test that patches
+# feasibility.constraint_check must call _set_up.cache_clear() first, or it
+# reads a report made without the patch.
 @functools.lru_cache(maxsize=8)
 def _set_up(scenario: PhysicalScenario) -> _SetUp:
     report = feasibility.constraint_check(scenario)
     verdicts = {v.name: v for v in report.verdicts}
+    fall, quench = verdicts["freefall_force"], verdicts["quench_duration"]
     m_total = scenario.total_mass_kg
     omega1 = scenario.trap.paul_frequency_stiff_radps
     omega2 = scenario.trap.paul_frequency_soft_radps
@@ -151,8 +153,15 @@ def _set_up(scenario: PhysicalScenario) -> _SetUp:
                  grav_coupling(m_total, omega1, scenario.constants), dt)
     c1, c2, d, *_ = quench_linear_map(*couplings)
     return _SetUp(
-        report, tuple(v.name for v in report.verdicts if v.status == "fail"),
-        verdicts["freefall_force"], verdicts["quench_duration"],
+        tuple(v.name for v in report.verdicts if v.status == "fail"),
+        f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
+        "sideband displacement beam is only marginally selective"
+        if report.eta > LAMB_DICKE_FLAG else None,
+        f"not in free-fall regime: residual force {fall.lhs:.3g} N is not "
+        f"small against m g_E = {fall.rhs:.3g} N"
+        if fall.status == "fail" else None,
+        f"omega2*dt = {quench.lhs:.3g} not << 1; phi_grav departs from "
+        "m g_E dx dt / hbar" if quench.status == "fail" else None,
         beam_amplitude(scenario, report.delta_x_m), couplings,
         abs(c1) + abs(c2), abs(d), max(1.0, abs(c1 + c2)))
 
@@ -172,7 +181,7 @@ def run_protocol(scenario: PhysicalScenario,
     approximation.  ``force`` runs past failed feasibility constraints,
     except a failed free-fall regime, which is always refused.
     """
-    (report, failed, fall_force, quench, default_beta, couplings, spread,
+    (failed, lamb_dicke, freefall, quench, default_beta, couplings, spread,
      drift, shift_per_beta) = _set_up(scenario)
     if failed and not force:
         raise ConstraintViolation(
@@ -183,7 +192,7 @@ def run_protocol(scenario: PhysicalScenario,
         import numpy as np      # a coherent run is math/cmath only
         rng = np.random.default_rng(initial.seed)
         # each row's two normals are one draw's real and imaginary parts
-        alpha = (rng.normal(size=(initial.count, 2))
+        alpha = (rng.standard_normal((initial.count, 2))
                  * math.sqrt(initial.nbar / 2)).view(np.complex128).ravel()
         amplitude = float(np.abs(alpha).max())
         name, value = "thermal nbar", initial.nbar
@@ -214,18 +223,12 @@ def run_protocol(scenario: PhysicalScenario,
             f"{reach:.3g} give phase terms ~{phase:.3g} rad whose "
             f"rounding, ~{rounding:.3g} rad, exceeds "
             f"{PHASE_ROUNDING_LIMIT:g} rad")
-    if report.eta > LAMB_DICKE_FLAG:
-        warnings.warn(
-            f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
-            "sideband displacement beam is only marginally selective",
-            stacklevel=2)
-    if fall_force.status == "fail":
-        raise ProtocolError(
-            f"not in free-fall regime: residual force {fall_force.lhs:.3g} N "
-            f"is not small against m g_E = {fall_force.rhs:.3g} N")
-    if quench.status == "fail":
-        warnings.warn(f"omega2*dt = {quench.lhs:.3g} not << 1; phi_grav "
-                      "departs from m g_E dx dt / hbar", stacklevel=2)
+    if lamb_dicke:
+        warnings.warn(lamb_dicke, stacklevel=2)
+    if freefall:
+        raise ProtocolError(freefall)
+    if quench:
+        warnings.warn(quench, stacklevel=2)
     log = None if thermal else []
     phi, p_down, visibility, residual = _kernel(
         alpha, beta, exact_phase, couplings, log)
@@ -236,12 +239,10 @@ def run_protocol(scenario: PhysicalScenario,
     return ProtocolResult(phi, p_down, visibility, residual, tuple(log))
 
 
-def _record(step: int, label: str, branches) -> dict:
-    """One steps.jsonl record of (level, alpha, weight) branches."""
-    return {"step": step, "label": label, "branches": [
-        {"level": level, "re_alpha": a.real, "im_alpha": a.imag,
-         "re_weight": w.real, "im_weight": w.imag}
-        for level, a, w in branches]}
+def _branch(level: str, a: complex, w: complex) -> dict:
+    """One branch of a steps.jsonl record: its amplitude and weight."""
+    return {"level": level, "re_alpha": a.real, "im_alpha": a.imag,
+            "re_weight": w.real, "im_weight": w.imag}
 
 
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
@@ -306,7 +307,8 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
     dth = dth0 + (l_re * re + (l_im - beta) * im)
     psi = (dth0 + arg) + (m_re * re + (m_im - beta) * im)
     if log is not None:         # the down weight is w_u e^{i dth}
-        log.append(_record(1, "prepare", (("down", alpha, 1.0 + 0.0j),)))
+        log.append({"step": 1, "label": "prepare",
+                    "branches": [_branch("down", alpha, 1.0 + 0.0j)]})
         a_fall = a_u + (c1 * alpha + c2 * alpha.conjugate())
         w_fall = _C * cmath.exp(1j * (kd_re * re + kd_im * im))  # th_u
         for number, label, a_u, w_u, diff, dth_step in (
@@ -320,16 +322,18 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
             if not cmath.isfinite(a_d + w_d):
                 raise ProtocolError(f"branch amplitude or phase stopped "
                                     f"being finite at step {label}")
-            log.append(_record(number, label, (("down", a_d, w_d),
-                                               ("up", a_u, w_u))))
-        branches = (("down", a_d, w_d), ("up", a_u, w_u))  # step 7's, closed
+            log.append({"step": number, "label": label, "branches": [
+                _branch("down", a_d, w_d), _branch("up", a_u, w_u)]})
         if abs(delta) <= RECOMBINE_TOL:       # the non-empty recombined levels
             # equal moduli: the plain mean, free of a_d + a_u's overflow
-            branches = [(level, a_u + delta / 2, w) for level, w
+            a = a_u + delta / 2
+            branches = [_branch(level, a, w) for level, w
                         in (("down", _C * (w_d + w_u)),
                             ("up", _C * (w_u - w_d)))
                         if abs(w) ** 2 >= 1e-24]
-        log.append(_record(8, "pi_half_close", branches))
+        else:                                 # step 7's pair, closed
+            branches = [_branch("down", a_d, w_d), _branch("up", a_u, w_u)]
+        log.append({"step": 8, "label": "pi_half_close", "branches": branches})
     p_down = 0.5 * (1.0 + visibility * cos(psi))
     # -dth wrapped into (-pi, pi]; a phase inside is left exact, and the
     # floor division runs only when some phase is not.  0 - dth, not -dth,

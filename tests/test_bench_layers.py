@@ -7,13 +7,17 @@ from catsim import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("verify.run_all", "fock_oracle.evolve_block_dim80",
-          "fock_oracle.displace_dim80", "protocol.run_protocol_coherent",
+          "fock_oracle.displace_dim80", "params.scenario_from_dict",
+          "feasibility.constraint_check", "protocol.set_up_uncached",
+          "protocol.kernel_coherent", "protocol.kernel_coherent_log",
+          "protocol.run_protocol_coherent",
           "protocol.run_protocol_thermal_2000", "import.catsim_cli")
 
 
 def test_bench_layers_writes_every_key(tmp_path):
     """A run on a tiny budget writes every timing, the eigh counts of a
-    cold and a warm verify run, the source line count and the host."""
+    cold and a warm verify run, the source line count and the host, with
+    its speed gauged before and after the timings."""
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "bench_layers.py"),
                     "--budget", "0.3", "--out", str(out)],
@@ -30,4 +34,7 @@ def test_bench_layers_writes_every_key(tmp_path):
         len(path.read_text().splitlines())
         for path in (ROOT / "src" / "catsim").glob("*.py"))
     assert set(result["host"]) == {"cpus", "python", "numpy", "blas_threads",
-                                   "budget_s"}
+                                   "budget_s", "speed"}
+    speed = result["host"]["speed"]
+    assert set(speed) == {"before", "after"}
+    assert all(s > 0 for s in speed.values())

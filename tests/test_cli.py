@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -110,6 +111,26 @@ def test_protocol_beta_zero(tmp_path):
     with open(out / "summary.csv") as fh:
         row = next(csv.DictReader(fh))
     assert float(row["p_down"]) == pytest.approx(1.0, abs=1e-10)
+
+
+# sha256 of a coherent run's two files, recorded before the step log was
+# built straight from the kernel's step values: the bytes stay as they were
+_PINNED = {
+    ("--alpha", "1+1j"): (
+        "e6772adb4eb5368a7e2fd4a4485bbe089d1ac7f369e45e1cf0138b711dd24a8e",
+        "053f858d9e60c5fad2a01b4af2fe347a152e0e827ad83dc227923f1ad493ff34"),
+    ("--alpha", "1+1j", "--beta", "0"): (
+        "1a93e900f56707ffc4dc022af5eca0d76d16f768438fe932e007b136593b02ec",
+        "f419b4cefc2d2389dbf130426b15ef782c58032d3b3e6f0b9759ff2dde0ff40a"),
+}
+
+
+@pytest.mark.parametrize("flags", list(_PINNED))
+def test_protocol_files_are_pinned_bytes(tmp_path, flags):
+    code, out = run(tmp_path, "protocol", "--config", "discussion", *flags)
+    assert code == 0
+    assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("steps.jsonl", "summary.csv")) == _PINNED[flags]
 
 
 def test_protocol_steps_are_strict_json(tmp_path):

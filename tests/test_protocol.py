@@ -828,6 +828,30 @@ def test_step_log_golden_records(discussion, name):
                 assert abs(value - expected) < 1e-11
 
 
+@pytest.mark.parametrize("name", list(_STEP_RUNS))
+def test_step_log_records_share_no_dict_or_list(discussion, name):
+    """A record's branch list and branch dicts are its own: changing one
+    leaves every other record, and a second run's log, as it was.  The
+    unrecombined run's step 8 holds step 7's pair, the case most prone
+    to sharing."""
+    log, second = (list(_STEP_RUNS[name](discussion).log) for _ in range(2))
+    # json, not deepcopy, which would copy a shared dict as shared
+    want = json.loads(json.dumps(log))
+    for i, record in enumerate(log):
+        for j, branch in enumerate(record["branches"]):
+            branch["re_alpha"] = "changed"
+            expected = json.loads(json.dumps(want))
+            expected[i]["branches"][j]["re_alpha"] = "changed"
+            assert (log, second) == (expected, want)
+            branch["re_alpha"] = want[i]["branches"][j]["re_alpha"]
+        record["branches"].append("changed")
+        expected = json.loads(json.dumps(want))
+        expected[i]["branches"].append("changed")
+        assert (log, second) == (expected, want)
+        record["branches"].pop()
+    assert log == want
+
+
 def _readout_from_log(record):
     """(phi_grav, P_down) from a step-7 record's complex weights and
     amplitudes: the phase of w_u w_d* and
@@ -945,6 +969,46 @@ def test_run_protocol_warns_once_per_run(discussion):
         messages = [str(w.message) for w in caught]
         assert sum("Lamb-Dicke" in m for m in messages) == 1
         assert sum("omega2*dt" in m for m in messages) == expected
+
+
+def test_free_fall_refusal_comes_between_the_warnings(discussion):
+    """A forced run that fails both freefall_force and quench_duration
+    warns of the Lamb-Dicke parameter, then is refused, and never reaches
+    the quench warning."""
+    both = _slow(replace(discussion, protocol=replace(
+        discussion.protocol, freefall_force_N=9.81e-15)))
+    verdict = {v.name: v.status for v in constraint_check(both).verdicts}
+    assert verdict["freefall_force"] == verdict["quench_duration"] == "fail"
+    for _ in range(2):          # a cold and a cached set-up
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ProtocolError, match="free-fall"):
+                run_protocol(both, Coherent(0), force=True, beta=_SLOW_BETA)
+        assert [str(w.message).split()[0] for w in caught] == ["Lamb-Dicke"]
+        assert {w.filename for w in caught} == {__file__}
+
+
+@pytest.mark.parametrize("exact_phase", [True, False])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_thermal_draws_are_the_normal_stream(seed, exact_phase):
+    """The draws come from standard_normal, which yields the bits of
+    normal(0, 1) on the same stream: a thermal run is the kernel at
+    default_rng(seed).normal(size=(count, 2)) * sqrt(nbar / 2), viewed as
+    complex, bit for bit."""
+    scenario, nbar, count, beta = unit_scenario(), 3.0, 500, 1.5
+    dist = run_protocol(scenario, ThermalSample(nbar, seed, count),
+                        exact_phase=exact_phase, force=True, beta=beta)
+    alpha = (np.random.default_rng(seed).normal(size=(count, 2))
+             * math.sqrt(nbar / 2)).view(np.complex128).ravel()
+    want = _kernel(alpha, beta, exact_phase, _set_up(scenario).couplings)
+    got = (dist.phi_grav_values, dist.p_down_values, dist.visibility_values,
+           dist.residual_values)
+    for values, expected in zip(got, want):
+        assert values.shape == (count,)
+        assert values.tobytes() == np.broadcast_to(
+            np.float64(expected), (count,)).tobytes()
+    # under the plain closing alpha reaches the fringe: the draws matter
+    assert (np.ptp(dist.p_down_values) > 1e-3) is not exact_phase
 
 
 # --- the per-scenario set-up cache ---------------------------------------------

@@ -7,24 +7,31 @@ pinned to one thread and writes:
 
   timings_us  the median time of one call, warm, in microseconds: a whole
               ``verify.run_all()``, each of its rows, one block evolution
-              at dim 80 (4 states at 3 times), one displacement, a coherent
+              at dim 80 (4 states at 3 times), one displacement,
+              ``scenario_from_dict`` on the preset's document,
+              ``constraint_check``, an uncached ``protocol._set_up``, the
+              coherent kernel without and with its step log, a coherent
               and a 2000-draw thermal ``run_protocol``, and
               ``import catsim.cli`` in a fresh interpreter;
   eigh_calls  the eigh calls of a ``verify.run_all()`` from cold caches,
               and of the next, warm one;
   src_lines   the line count of ``src/catsim/*.py``;
   host        CPU count, Python and numpy versions, the BLAS thread
-              settings, and the budget.
+              settings, the budget, and the host's speed as a share of
+              ``bench/refkernel.py``'s nominal, gauged before and after
+              the timings.
 
 ``--budget`` is the total time the timings may take, split evenly between
 them; each takes at least 5 repeats of at least one call.  The numbers
 are in-process and unscaled, so the host's speed swings move them between
-runs; compare commits, and claim a gain, with ``bench/run.py`` pairs.
+runs; the speed read before and after says how far.  Compare commits, and
+claim a gain, with ``bench/run.py`` pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -47,9 +54,23 @@ sys.path.insert(0, str(SRC_DIR))
 
 import numpy as np  # noqa: E402
 
-from catsim import fock_oracle, verify  # noqa: E402
-from catsim.params import load_scenario  # noqa: E402
+from catsim import feasibility, fock_oracle, protocol, verify  # noqa: E402
+from catsim.params import load_scenario, scenario_from_dict  # noqa: E402
 from catsim.protocol import Coherent, ThermalSample, run_protocol  # noqa: E402
+
+
+def load_gauge():
+    """A ``Gauge`` of bench/refkernel.py, loaded from its file without
+    writing its bytecode, so nothing under bench/ changes."""
+    spec = importlib.util.spec_from_file_location(
+        "refkernel", ROOT / "bench" / "refkernel.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module.Gauge()
 
 
 def median_us(call, share: float) -> float:
@@ -97,6 +118,10 @@ def eigh_calls() -> dict:
 def layers() -> dict:
     """name: the call it times, once its caches are warm."""
     scenario = load_scenario("discussion")
+    doc = json.loads((SRC_DIR / "catsim" / "presets" / "discussion.json")
+                     .read_text(encoding="utf-8"))
+    set_up = protocol._set_up(scenario)
+    kernel = (1.0 + 1.0j, set_up.beta, True, set_up.couplings)
     dim, alphas, times = 80, (0j, 1.5, 1.5j, 1.0 - 1.0j), (0.1, 0.4, 1.0)
     evolve = fock_oracle.propagator(
         fock_oracle.quadratic_hamiltonian(*verify._QUENCH, dim))
@@ -110,6 +135,14 @@ def layers() -> dict:
         "fock_oracle.evolve_block_dim80": lambda: evolve(block, times),
         "fock_oracle.displace_dim80":
             lambda: fock_oracle.displace(state, 0.8 - 0.4j),
+        "params.scenario_from_dict": lambda: scenario_from_dict(doc),
+        "feasibility.constraint_check":
+            lambda: feasibility.constraint_check(scenario),
+        "protocol.set_up_uncached":
+            lambda: protocol._set_up.__wrapped__(scenario),
+        "protocol.kernel_coherent": lambda: protocol._kernel(*kernel),
+        "protocol.kernel_coherent_log":
+            lambda: protocol._kernel(*kernel, []),
         "protocol.run_protocol_coherent":
             lambda: run_protocol(scenario, Coherent(1.0 + 1.0j)),
         "protocol.run_protocol_thermal_2000":
@@ -122,6 +155,9 @@ def layers() -> dict:
 
 def measure(budget: float) -> dict:
     eigh = eigh_calls()
+    gauge = load_gauge()
+    sample = min(0.5, budget / 20)      # a share of the budget, each side
+    before = gauge.sample(sample)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # the preset's Lamb-Dicke warning
         calls = layers()
@@ -129,6 +165,7 @@ def measure(budget: float) -> dict:
         timings = {name: median_us(call, share)
                    for name, call in calls.items()}
     timings["import.catsim_cli"] = fresh_import_us(share)
+    after = gauge.sample(sample)
     return {
         "timings_us": {name: round(t, 2) for name, t in timings.items()},
         "eigh_calls": eigh,
@@ -139,7 +176,9 @@ def measure(budget: float) -> dict:
                  "python": platform.python_version(),
                  "numpy": np.__version__,
                  "blas_threads": {k: os.environ[k] for k in BLAS_ENV},
-                 "budget_s": budget},
+                 "budget_s": budget,
+                 "speed": {"before": round(before, 3),
+                           "after": round(after, 3)}},
     }
 
 
