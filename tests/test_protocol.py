@@ -314,13 +314,15 @@ def test_thermal_draws_are_the_normal_pairs(discussion, monkeypatch):
 
 
 def test_thermal_run_steps_only_scalars(discussion, monkeypatch):
-    """The steps run once, at alpha = 0, on scalars: a thermal run's draws
-    meet only the readout's linear form, never a step's map."""
+    """The steps run once per (beta, closing, trap), at alpha = 0, on
+    scalars: from cold caches a thermal run makes the two evolve_quench
+    calls and its draws meet only the readout's linear form, never a step's
+    map; a warm run calls no step at all."""
     seen = {}
 
     def recording(name, f):
         def wrapped(*args):
-            seen.setdefault(name, []).extend(type(x) for x in args)
+            seen.setdefault(name, []).append(tuple(type(x) for x in args))
             return f(*args)
         return wrapped
     for name in ("evolve_quench", "displace_compose", "coherent_overlap"):
@@ -329,7 +331,12 @@ def test_thermal_run_steps_only_scalars(discussion, monkeypatch):
     run_protocol(discussion, ThermalSample(10.0, 42, 2000))
     assert sorted(seen) == ["coherent_overlap", "displace_compose",
                             "evolve_quench"]
-    assert {t for types in seen.values() for t in types} <= {complex, float}
+    assert len(seen["evolve_quench"]) == 2
+    assert {t for calls in seen.values() for types in calls
+            for t in types} <= {complex, float}
+    seen.clear()
+    run_protocol(discussion, ThermalSample(10.0, 43, 2000))
+    assert seen == {}
 
 
 def test_thermal_run_is_the_coherent_runs_bit_for_bit(discussion):
@@ -445,8 +452,10 @@ def test_recombined_amplitude_stays_finite(discussion):
 
 def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
     """The readout's visibility and fringe are the kernel's only
-    transcendentals: one exp, of the one number delta, and one cos per call,
-    whatever the batch: math's for a complex alpha, numpy's for an array."""
+    transcendentals: a cold call takes one exp, of the one number delta,
+    and one cos; a warm call reads the visibility from the cache and takes
+    only the cos, whatever the batch: math's for a complex alpha, numpy's
+    for an array."""
     args = kernel_args(discussion, preset_beta(discussion))
     calls = []
 
@@ -461,9 +470,11 @@ def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
     monkeypatch.setattr(np, "cos", counting("cos", np.cos))
     for alpha, log in ((1 + 1j, None), (1 + 1j, []),
                        (np.linspace(-3, 3, 2000) * (1 + 0.5j), None)):
-        calls.clear()
-        _kernel(alpha, *args, log)
-        assert sorted(calls) == ["cos", "exp"]
+        protocol._closed_form.cache_clear()
+        for want in (["cos", "exp"], ["cos"]):      # cold, then warm
+            calls.clear()
+            _kernel(alpha, *args, log)
+            assert sorted(calls) == want
 
 
 def _rounding_edge(scenario, beta):
@@ -1036,7 +1047,6 @@ def test_every_call_warns_on_a_cached_scenario(discussion):
 def test_failed_verdict_refuses_every_unforced_call(discussion, forced_first):
     bad = replace(discussion, trap=replace(discussion.trap,
                                            paul_frequency_soft_radps=1e-3))
-    _set_up.cache_clear()
     for force in (forced_first, not forced_first) * 2:
         if force:
             res = run_protocol(bad, Coherent(0), force=True)
@@ -1053,19 +1063,16 @@ def test_a_scenario_is_graded_once(discussion, monkeypatch):
         calls.append(scenario)
         return constraint_check(scenario)
     monkeypatch.setattr(feasibility, "constraint_check", counting)
-    _set_up.cache_clear()       # else a report from before the patch is read
     for initial in (Coherent(0), Coherent(1 + 1j), ThermalSample(10.0, 1, 20),
                     Coherent(-2j)):
         run_protocol(discussion, initial)
     run_protocol(discussion, Coherent(0.5), beta=0.0, exact_phase=False)
     assert calls == [discussion]
-    _set_up.cache_clear()
 
 
 def test_another_fall_duration_is_its_own_scenario(discussion):
     longer = replace(discussion, protocol=replace(
         discussion.protocol, free_fall_duration_s=2e-6))
-    _set_up.cache_clear()
     base = run_protocol(discussion, Coherent(1 + 1j)).phi_grav
     res = run_protocol(longer, Coherent(1 + 1j))
     assert _set_up.cache_info().misses == 2
@@ -1073,3 +1080,67 @@ def test_another_fall_duration_is_its_own_scenario(discussion):
                                          abs=1e-12)
     assert res.phi_grav == pytest.approx(2.0 * base, rel=1e-9)
     assert run_protocol(discussion, Coherent(1 + 1j)).phi_grav == base
+
+
+# --- the alpha-free closed-form cache ------------------------------------------
+
+def _run_bits(scenario, initial, beta, exact_phase):
+    """Every bit of a run, or its refusal: repr tells -0.0 from 0.0."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run_protocol(scenario, initial, exact_phase=exact_phase,
+                               beta=beta)
+    except ProtocolError as e:
+        return f"refused: {e}"
+    if isinstance(initial, Coherent):
+        return repr(res)
+    return b"".join(x.tobytes() for x in (
+        res.phi_grav_values, res.p_down_values, res.visibility_values,
+        res.residual_values))
+
+
+def _cold_bits(scenario, initial, beta, exact_phase):
+    _set_up.cache_clear()
+    protocol._closed_form.cache_clear()
+    return _run_bits(scenario, initial, beta, exact_phase)
+
+
+_BIT_INITIALS = (Coherent(0j), Coherent(complex("-0-0j")), Coherent(1 + 1j),
+                 Coherent(-3 + 2j), Coherent(1e10 + 1.7e308j),
+                 ThermalSample(3.0, 5, 50))
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)],
+                         ids=["plus_zero_first", "minus_zero_first"])
+def test_a_warm_run_is_a_cold_run_bit_for_bit(discussion, zeros):
+    """The alpha-free half is cached per (beta, closing, trap), and
+    0.0 == -0.0 makes the two zeros one key: after a warm cache, in either
+    order of the zeros, every run gives the bits it gives from cold."""
+    cases = [(initial, beta, exact_phase)
+             for beta in (None, *zeros, 1.5, -1e-4)
+             for exact_phase in (True, False) for initial in _BIT_INITIALS]
+    want = [_cold_bits(discussion, *case) for case in cases]
+    _set_up.cache_clear()
+    protocol._closed_form.cache_clear()
+    for _ in range(2):          # each key's first run fills its entry
+        assert [_run_bits(discussion, *case) for case in cases] == want
+    assert protocol._closed_form.cache_info().misses == 8
+
+
+@pytest.mark.parametrize("exact_phase", [True, False])
+def test_a_beta_sweep_past_the_cache_keeps_the_cold_bits(discussion,
+                                                         exact_phase):
+    """A sweep over more betas than the cache holds evicts the first one;
+    its next run computes the form again, to the cold bits."""
+    first, initials = 1.5, (Coherent(1 + 1j), Coherent(-3 + 2j))
+    want = [_cold_bits(discussion, initial, first, exact_phase)
+            for initial in initials]
+    size = protocol._closed_form.cache_info().maxsize
+    for beta in [first] + [-1.0 - k / size for k in range(size)]:
+        _run_bits(discussion, initials[0], beta, exact_phase)
+    info = protocol._closed_form.cache_info()
+    assert info.currsize == size
+    assert [_run_bits(discussion, initial, first, exact_phase)
+            for initial in initials] == want
+    assert protocol._closed_form.cache_info().misses == info.misses + 1

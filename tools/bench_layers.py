@@ -9,28 +9,37 @@ pinned to one thread and writes:
               ``verify.run_all()``, each of its rows, one block evolution
               at dim 80 (4 states at 3 times), one displacement,
               ``scenario_from_dict`` on the preset's document,
-              ``constraint_check``, an uncached ``protocol._set_up``, the
-              coherent kernel without and with its step log, a coherent
-              and a 2000-draw thermal ``run_protocol``, and
-              ``import catsim.cli`` in a fresh interpreter;
+              ``constraint_check``, an uncached ``protocol._set_up``, an
+              uncached ``protocol._closed_form`` (the kernel's alpha-free
+              half), the coherent kernel on a warm closed form without and
+              with its step log, a coherent and a 2000-draw thermal
+              ``run_protocol``, and ``import catsim.cli`` in a fresh
+              interpreter;
+  speed_by_row
+              for each timing, the host's speed as a share of
+              ``bench/refkernel.py``'s nominal: the mean of the gauge
+              samples taken just before and just after that row;
   eigh_calls  the eigh calls of a ``verify.run_all()`` from cold caches,
               and of the next, warm one;
   src_lines   the line count of ``src/catsim/*.py``;
   host        CPU count, Python and numpy versions, the BLAS thread
-              settings, the budget, and the host's speed as a share of
-              ``bench/refkernel.py``'s nominal, gauged before and after
-              the timings.
+              settings, the budget, and the host's speed gauged before the
+              first row and after the last.
 
-``--budget`` is the total time the timings may take, split evenly between
-them; each takes at least 5 repeats of at least one call.  The numbers
-are in-process and unscaled, so the host's speed swings move them between
-runs; the speed read before and after says how far.  Compare commits, and
-claim a gain, with ``bench/run.py`` pairs.
+``--budget`` is the total time the timings and their gauge samples may
+take, split evenly between the rows; a fifth of each row's share goes to
+the gauge sample after it (one more precedes the first row), and each
+timing takes at least 5 repeats of at least one call and each sample at
+least one kernel.  The numbers are
+in-process and unscaled, so the host's speed swings move them between
+rows and runs; each row's speed says how far.  Compare commits, and claim
+a gain, with ``bench/run.py`` pairs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -140,6 +149,8 @@ def layers() -> dict:
             lambda: feasibility.constraint_check(scenario),
         "protocol.set_up_uncached":
             lambda: protocol._set_up.__wrapped__(scenario),
+        "protocol.closed_form_uncached":
+            lambda: protocol._closed_form.__wrapped__(*kernel[1:]),
         "protocol.kernel_coherent": lambda: protocol._kernel(*kernel),
         "protocol.kernel_coherent_log":
             lambda: protocol._kernel(*kernel, []),
@@ -156,18 +167,22 @@ def layers() -> dict:
 def measure(budget: float) -> dict:
     eigh = eigh_calls()
     gauge = load_gauge()
-    sample = min(0.5, budget / 20)      # a share of the budget, each side
-    before = gauge.sample(sample)
+    timings, speeds = {}, []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # the preset's Lamb-Dicke warning
-        calls = layers()
-        share = budget / (len(calls) + 1)
-        timings = {name: median_us(call, share)
-                   for name, call in calls.items()}
-    timings["import.catsim_cli"] = fresh_import_us(share)
-    after = gauge.sample(sample)
+        timers = {name: functools.partial(median_us, call)
+                  for name, call in layers().items()}
+        timers["import.catsim_cli"] = fresh_import_us
+        share = budget / len(timers)
+        sample = share / 5
+        speeds.append(gauge.sample(sample))
+        for name, timer in timers.items():
+            timings[name] = timer(share - sample)
+            speeds.append(gauge.sample(sample))
     return {
         "timings_us": {name: round(t, 2) for name, t in timings.items()},
+        "speed_by_row": {name: round((a + b) / 2, 3) for name, a, b
+                         in zip(timings, speeds, speeds[1:])},
         "eigh_calls": eigh,
         "src_lines": sum(
             len(path.read_text(encoding="utf-8").splitlines())
@@ -177,8 +192,8 @@ def measure(budget: float) -> dict:
                  "numpy": np.__version__,
                  "blas_threads": {k: os.environ[k] for k in BLAS_ENV},
                  "budget_s": budget,
-                 "speed": {"before": round(before, 3),
-                           "after": round(after, 3)}},
+                 "speed": {"before": round(speeds[0], 3),
+                           "after": round(speeds[-1], 3)}},
     }
 
 
