@@ -187,12 +187,6 @@ def rotate(psi: np.ndarray, phi: float) -> np.ndarray:
 # --- Hamiltonians and propagation ---------------------------------------------
 
 @lru_cache(maxsize=8)               # Bands are immutable: callers share them
-def mode_hamiltonian(omega: float, g: float, dim: int) -> Bands:
-    """H/hbar = w ad a + g (ad + a), in rad/s."""
-    return Bands(tuple((omega * np.arange(dim)).tolist()), (float(g),))
-
-
-@lru_cache(maxsize=8)
 def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
                           dim: int) -> Bands:
     """The quench Hamiltonian, which ``gaussian.quench_linear_map`` solves.
@@ -202,6 +196,8 @@ def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
     gravitational drive) in rad/s.  The zero-point offset, a global phase,
     is kept.  Real: (w1/4 + c)(ad a + a ad) + (c - w1/4)(a^2 + ad^2)
     + g1 X with c = w2^2 / 4 w1, and a ad = n + 1 below the top level, 0 on it.
+    At w2 = w1 = w it is the displaced oscillator w (ad a + 1/2) + g1 X,
+    zero point included, except on the top level.
     """
     c = 0.25 * omega2 ** 2 / omega1
     both_orders = np.append(2.0 * np.arange(dim - 1) + 1.0, dim - 1.0)

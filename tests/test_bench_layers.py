@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from catsim import verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +44,17 @@ def test_bench_layers_writes_every_key(tmp_path):
     speed = result["host"]["speed"]
     assert set(speed) == {"before", "after"}
     assert all(s > 0 for s in speed.values())
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan"])
+def test_bench_layers_refuses_a_non_finite_budget(tmp_path, budget):
+    """A non-finite budget is refused with exit code 2 before any timing:
+    an infinite one would never end."""
+    out = tmp_path / "bench.json"
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_layers.py"),
+         "--budget", budget, "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "--budget must be positive and finite" in run.stderr
+    assert not out.exists()

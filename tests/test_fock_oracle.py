@@ -93,24 +93,19 @@ def test_squeeze_vacuum_overlap():
     assert np.max(np.abs(out[1::2])) < 1e-12
 
 
-def test_mode_hamiltonian_structure():
-    h = fo.mode_hamiltonian(2.0, 0.3, 10).matrix()
-    assert h.dtype == np.float64        # so its eigh is the real one
-    assert np.allclose(h, h.conj().T)
-    assert h[3, 3] == pytest.approx(6.0)
-    assert h[0, 1] == pytest.approx(0.3)
-
-
 @pytest.mark.parametrize("dim", [2, 10, 60])
 def test_hamiltonians_match_their_ladder_products(dim):
     """Each Hamiltonian, written from its bands, is a real, exactly
-    symmetric array equal to its ladder-operator products, including the
-    truncation edge, where a ad is 0 on the top level."""
+    symmetric array (so its eigh is the real one) equal to its
+    ladder-operator products, including the truncation edge, where a ad is
+    0 on the top level.  At w2 = w1 = w it is the displaced oscillator
+    w (ad a + 1/2) + g X off the top level."""
     a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     ad = a.T
     X, D = a + ad, ad - a
+    equal = fo.quadratic_hamiltonian(1.3, 1.3, -0.4, dim)
     for bands, products in (
-            (fo.mode_hamiltonian(1.3, -0.4, dim), 1.3 * ad @ a - 0.4 * X),
+            (equal, -0.325 * D @ D + 0.325 * X @ X - 0.4 * X),
             (fo.quadratic_hamiltonian(1.0, 0.5, 0.2, dim),
              -0.25 * D @ D + 0.0625 * X @ X + 0.2 * X),
             (fo.quadratic_hamiltonian(0.5, 2.0, -0.3, dim),
@@ -125,16 +120,9 @@ def test_hamiltonians_match_their_ladder_products(dim):
     assert (a @ ad)[-1, -1] == 0.0
     assert fo.quadratic_hamiltonian(1.0, 1.0, 0.0, dim).matrix()[-1, -1] == (
         pytest.approx(0.5 * (dim - 1)))
-
-
-def test_quadratic_hamiltonian_matches_mode_form():
-    # at omega_basis = omega_trap the quadratic form is w(ad a + 1/2) + g X
-    dim = 12
-    hq = fo.quadratic_hamiltonian(2.0, 2.0, 0.3, dim).matrix()
-    hm = fo.mode_hamiltonian(2.0, 0.3, dim).matrix() + np.eye(dim)  # + w/2
-    assert hq.dtype == np.float64
-    # the truncation edge corrupts the last row/column of P^2 and X^2
-    assert np.allclose(hq[:-2, :-2], hm[:-2, :-2], atol=1e-12)
+    mode = 1.3 * (ad @ a + 0.5 * np.eye(dim)) - 0.4 * X
+    assert (np.max(np.abs(equal.matrix() - mode)[:-1, :-1])
+            <= 1e-13 * np.max(np.abs(mode)))
 
 
 @pytest.mark.parametrize("z", [
@@ -181,9 +169,9 @@ def _series_expm(generator):
 
 
 @pytest.mark.parametrize("bands", [
-    fo.mode_hamiltonian(1.0, 0.3, 40),
+    fo.quadratic_hamiltonian(1.0, 1.0, 0.3, 40),
     fo.quadratic_hamiltonian(1.0, 0.5, 0.2, 40),
-], ids=["mode", "quadratic"])
+], ids=["equal_frequencies", "quench"])
 def test_propagator_matches_expm(bands):
     """One diagonalisation serves every t, each time equal to the power
     series of exp(-iHt) applied to the state."""
@@ -217,13 +205,14 @@ def test_propagator_caches_by_content(monkeypatch):
     """The cached eigenbasis is read-only, two different bands of one size
     evolve differently, and a gate and a propagator of the same quadrature
     Q_1 = a + ad share one eigh."""
-    bands = fo.mode_hamiltonian(1.0, 0.3, 30)
+    bands = fo.quadratic_hamiltonian(1.0, 1.0, 0.3, 30)
     psi = fo.coherent_to_fock(0.5, 30)
     before = fo.propagator(bands)(psi, 0.7)
     for cached in fo._eigenbasis(bands):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
-    other = fo.propagator(fo.mode_hamiltonian(1.0, 0.2, 30))(psi, 0.7)
+    other = fo.propagator(fo.quadratic_hamiltonian(1.0, 1.0, 0.2, 30))(
+        psi, 0.7)
     assert np.max(np.abs(other - before)) > 1e-3
 
     fo._eigenbasis.cache_clear()
@@ -243,11 +232,15 @@ def test_propagator_caches_by_content(monkeypatch):
 
 
 def test_propagator_free_rotation():
+    """At w2 = w1 = w and no coupling, |alpha> turns to |alpha e^{-iwt}>
+    with the zero point's phase -w t/2."""
     alpha, omega, t = 0.8 + 0.0j, 2.0, 0.7
-    h = fo.mode_hamiltonian(omega, 0.0, 60)
+    h = fo.quadratic_hamiltonian(omega, omega, 0.0, 60)
     out = fo.propagator(h)(fo.coherent_to_fock(alpha, 60), t)
     ref = fo.coherent_to_fock(alpha * np.exp(-1j * omega * t), 60)
     assert fo.fidelity(ref, out) == pytest.approx(1.0, abs=1e-10)
+    assert fo.overlap_phase(ref, out) == pytest.approx(-0.5 * omega * t,
+                                                       abs=1e-10)
 
 
 def test_health_check_catches_tail_mass():
@@ -278,8 +271,8 @@ def test_gate_that_fills_the_top_level_raises():
 
 
 def test_propagation_that_fills_the_top_level_raises():
-    h = fo.mode_hamiltonian(1.0, 5.0, 30)
-    with pytest.raises(fo.TruncationError, match="top-level"):
+    h = fo.quadratic_hamiltonian(1.0, 1.0, 5.0, 30)
+    with pytest.raises(fo.TruncationError, match="top-level occupation 0.111"):
         fo.propagator(h)(fo.coherent_to_fock(0, 30), 1.0)
 
 

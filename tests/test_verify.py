@@ -170,6 +170,25 @@ def test_mutation_drops_phase_entirely(monkeypatch):
     assert result.measured > 1e3 * result.tolerance
 
 
+def test_mutation_oracle_drops_its_zero_point(monkeypatch):
+    """The phase row reads the zero point of the oracle's Hamiltonian: with
+    w1/4 + c taken off every diagonal entry, every propagated phase moves
+    by (w1/4 + c) t and the row misses by orders of magnitude, while
+    boost_phase, which reads phases relative to alpha = 0, still passes."""
+    original = fock_oracle.quadratic_hamiltonian
+
+    def no_zero_point(omega1, omega2, g1, dim):
+        bands = original(omega1, omega2, g1, dim)
+        shift = 0.25 * omega1 + 0.25 * omega2 ** 2 / omega1
+        return bands._replace(diagonal=tuple(
+            entry - shift for entry in bands.diagonal))
+
+    monkeypatch.setattr(fock_oracle, "quadratic_hamiltonian", no_zero_point)
+    result = verify.check_displaced_oscillator_phase()
+    assert result.measured > 1e3 * result.tolerance
+    assert verify.check_boost_phase().passed
+
+
 @pytest.mark.parametrize("check", [verify.check_classical_period,
                                    verify.check_freefall_limit,
                                    verify.check_quench_classical_switch])

@@ -26,14 +26,14 @@ pinned to one thread and writes:
               settings, the budget, and the host's speed gauged before the
               first row and after the last.
 
-``--budget`` is the total time the timings and their gauge samples may
-take, split evenly between the rows; a fifth of each row's share goes to
-the gauge sample after it (one more precedes the first row), and each
-timing takes at least 5 repeats of at least one call and each sample at
-least one kernel.  The numbers are
-in-process and unscaled, so the host's speed swings move them between
-rows and runs; each row's speed says how far.  Compare commits, and claim
-a gain, with ``bench/run.py`` pairs.
+``--budget``, positive and finite, is the total time the timings and
+their gauge samples may take, split evenly between the rows; a fifth of
+each row's share goes to the gauge sample after it (one more precedes the
+first row), and each timing takes at least 5 repeats of at least one call
+and each sample at least one kernel.  The numbers are in-process and
+unscaled, so the host's speed swings move them between rows and runs;
+each row's speed says how far.  Compare commits, and claim a gain, with
+``bench/run.py`` pairs.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import argparse
 import functools
 import importlib.util
 import json
+import math
 import os
 import platform
 import statistics
@@ -203,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=float, default=20.0,
                         help="seconds for all the timings together")
     args = parser.parse_args(argv)
-    if not args.budget > 0.0:
-        parser.error("--budget must be positive")
+    if not 0.0 < args.budget < math.inf:   # a NaN too; inf never ends
+        parser.error("--budget must be positive and finite")
     result = measure(args.budget)
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
