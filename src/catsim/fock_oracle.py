@@ -8,22 +8,22 @@ block of them, one per column.  A real symmetric operator is held as its
 ``Bands``, diag(d) + sum_k c_k (a^k + ad^k), a tuple record that keys the
 one eigenbasis cache, and every exp(-i t A) is applied, never built, by
 ``_spectral`` in that cached real eigenbasis: a whole block at a whole
-sequence of times in one product each way.  A Hamiltonian's ``propagator``
-serves every time and state from one ``eigh``, and ``check_health``
-refuses a block for its worst column.  A displacement (k = 1) or squeeze
-(k = 2) is a rotated quadrature exponential: with R(phi) = diag(e^{i phi
-n}), exactly in the truncated basis, exp((z ad^k - z* a^k)/k) = R(phi)
-exp(-i (|z|/k) Q_k) R(phi)^dagger with phi = (arg z + pi/2)/k and
-Q_k = a^k + ad^k; every gate's image passes ``apply_gate``'s truncation
-check.  Global phases are compared through ``overlap_phase`` (the phase
-of <reference|state>), never per component.
+sequence of times in one product each way.  ``evolve(bands, states,
+times)`` propagates under a Hamiltonian's bands, one ``eigh`` serving
+every time and state.  A displacement (k = 1) or squeeze (k = 2) is a
+quadrature exponential turned by R(phi) = diag(e^{i phi n}): exactly in
+the truncated basis, exp((z ad^k - z* a^k)/k) = R(phi) exp(-i (|z|/k)
+Q_k) R(phi)^dagger with phi = (arg z + pi/2)/k and Q_k = a^k + ad^k.
+Every propagation's and gate's image passes ``apply_gate``'s truncation
+check, which refuses a block for its worst column.  Global phases are
+compared through ``overlap_phase`` (the phase of <reference|state>),
+never per component.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,10 +37,11 @@ class TruncationError(ValueError):
     """Truncated basis too small for the requested state or operation."""
 
 
-def check_health(states: np.ndarray) -> None:
-    """Raise if a state's norm drifted or its top level is occupied: the
-    truncated basis is too small for it.  ``states`` is a vector or a block
-    of them down its first axis, and the worst of its columns is named."""
+def apply_gate(states: np.ndarray) -> np.ndarray:
+    """``states``, the image of a gate or a propagation, once checked for
+    truncation: raise if a state's norm drifted or its top level is
+    occupied, the basis being too small for it.  ``states`` is a vector or
+    a block of them down its first axis, and the worst column is named."""
     columns = states.reshape(len(states), -1)
     n = math.sqrt(max(np.vecdot(columns, columns, axis=0).real.tolist(),
                       key=lambda s: abs(math.sqrt(s) - 1.0) if s == s
@@ -54,6 +55,7 @@ def check_health(states: np.ndarray) -> None:
         raise TruncationError(
             f"top-level occupation {tail:.3g} exceeds {TAIL_TOL:g}; "
             "increase the basis size")
+    return states
 
 
 class Bands(NamedTuple):
@@ -165,12 +167,6 @@ def _gate(states: np.ndarray, z: complex, power: int) -> np.ndarray:
                             abs(z) / power)
 
 
-def apply_gate(out: np.ndarray) -> np.ndarray:
-    """A gate's image ``out`` of a state, once checked for truncation."""
-    check_health(out)
-    return out
-
-
 def displace(psi: np.ndarray, alpha: complex) -> np.ndarray:
     return apply_gate(_gate(psi, alpha, 1))
 
@@ -178,10 +174,6 @@ def displace(psi: np.ndarray, alpha: complex) -> np.ndarray:
 def squeeze(psi: np.ndarray, z: complex) -> np.ndarray:
     """S(z) psi = exp((z ad^2 - z* a^2)/2) psi."""
     return apply_gate(_gate(psi, z, 2))
-
-
-def rotate(psi: np.ndarray, phi: float) -> np.ndarray:
-    return apply_gate(np.exp(1j * phi * np.arange(len(psi))) * psi)
 
 
 # --- Hamiltonians and propagation ---------------------------------------------
@@ -205,14 +197,8 @@ def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
                  (float(g1), float(c - 0.25 * omega1)))
 
 
-def propagator(bands: Bands) -> Callable[[np.ndarray, object], np.ndarray]:
-    """``evolve(states, times)``, exp(-i H t) ``states`` checked for
-    truncation, as ``_spectral`` gives it, for the Hamiltonian H =
-    ``bands``' matrix, diagonalised once for every time and state."""
-    energies, vectors = _eigenbasis(bands)  # refuses non-finite bands
-
-    def evolve(states: np.ndarray, times) -> np.ndarray:
-        out = _spectral(states, energies, vectors, times)
-        check_health(out)
-        return out
-    return evolve
+def evolve(bands: Bands, states: np.ndarray, times) -> np.ndarray:
+    """exp(-i H t) ``states``, H = ``bands``' matrix, as ``_spectral`` gives
+    it, checked for truncation: one cached ``eigh`` per bands serves every
+    time and state."""
+    return apply_gate(_spectral(states, *_eigenbasis(bands), times))

@@ -4,7 +4,7 @@ Implements the coherent-state overlap, the sudden frequency-plus-
 equilibrium quench and the branch phase differences that make up the
 interferometric observable.  The quench is derived once, as the exact
 Heisenberg map the protocol kernel runs (``quench_linear_map``); its
-squeeze-displace-rotate decomposition and the displaced oscillator, the
+squeeze-displacement-rotation decomposition and the displaced oscillator, the
 quench at equal frequencies, are read off that map.
 
 Global phases are never discarded, and every evolution is a unit phase
@@ -73,7 +73,7 @@ def evolve_displaced_oscillator(alpha: complex, omega: float, g: float,
     times the state-independent phase e^{i (g/w)^2 (wt - sin wt)} from the
     shifted ground-state energy -g^2/w (it cancels between interferometer
     branches but is kept so the evolution is exactly unitary-equivalent
-    to the Schrodinger propagator).  This is the quench at omega2 = omega1,
+    to the Schrodinger evolution).  This is the quench at omega2 = omega1,
     plus that phase.  Returns the new amplitude and the phase gained.
     """
     amplitude, phase = evolve_quench(alpha, omega, omega, g, t)

@@ -292,6 +292,16 @@ def scenario_from_dict(doc: dict) -> PhysicalScenario:
 _PRESETS = {"discussion": "discussion", "figure_transient": "discussion"}
 
 
+def _unique_members(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refusing a key that appears twice."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"key '{key}' appears twice in one object")
+        members[key] = value
+    return members
+
+
 def load_scenario(name: str | Path) -> PhysicalScenario:
     """Read a scenario from a regular JSON file, or from a shipped preset
     named by its stem (``discussion`` or ``figure_transient``)."""
@@ -306,10 +316,10 @@ def load_scenario(name: str | Path) -> PhysicalScenario:
         path = Path(__file__).with_name("presets") / f"{_PRESETS[stem]}.json"
     try:
         with path.open("r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_members)
     except OSError as exc:              # e.g. no read permission
         raise ConfigError(f"{path}: cannot be read ({exc.strerror or exc})"
                           ) from exc
-    except ValueError as exc:           # also an integer of > 4300 digits
+    except (ValueError, RecursionError) as exc:  # > 4300 digits, too deep
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return scenario_from_dict(doc)

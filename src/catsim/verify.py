@@ -64,9 +64,9 @@ def _vs_oracle(model: str, times: tuple[float, ...],
                                for alpha in alphas for t in times])
     vectors = fock_oracle.coherent_to_fock(
         alphas + amplitudes if references else alphas, dim)
-    states = fock_oracle.propagator(fock_oracle.quadratic_hamiltonian(
-        couplings[0], *couplings[-2:], dim))(
-        vectors[:, :len(alphas)], times).reshape(dim, -1)
+    states = fock_oracle.evolve(fock_oracle.quadratic_hamiltonian(
+        couplings[0], *couplings[-2:], dim), vectors[:, :len(alphas)],
+        times).reshape(dim, -1)
     return amplitudes, phases, states, vectors[:, len(alphas):]
 
 
@@ -124,14 +124,15 @@ def check_quench_decomposition() -> CheckResult:
     # map with t for sin(s)/w2 or without c2, misses the bound by orders of
     # magnitude; |1 - F| shows an infidelity that rounds negative
     dim, alpha, times = 80, 0.5 + 0.3j, (0.4, 1.0)
-    start = fock_oracle.coherent_to_fock(alpha, dim)
-    direct = fock_oracle.propagator(
-        fock_oracle.quadratic_hamiltonian(*_QUENCH, dim))(start, times)
+    gates = [gaussian.quench_params(*_QUENCH, t) for t in times]
+    # R(phi) |alpha> = |alpha e^{i phi}>, coefficient by coefficient
+    start, *turned = fock_oracle.coherent_to_fock(
+        [alpha] + [alpha * np.exp(1j * qp.phi) for qp in gates], dim).T
+    direct = fock_oracle.evolve(
+        fock_oracle.quadratic_hamiltonian(*_QUENCH, dim), start, times)
     worst = 0.0
-    for t, numeric in zip(times, direct.T):
-        qp = gaussian.quench_params(*_QUENCH, t)
-        psi = fock_oracle.squeeze(fock_oracle.displace(
-            fock_oracle.rotate(start, qp.phi), qp.epsilon), qp.z)
+    for qp, psi, numeric in zip(gates, turned, direct.T):
+        psi = fock_oracle.squeeze(fock_oracle.displace(psi, qp.epsilon), qp.z)
         worst = max(worst, abs(1.0 - fock_oracle.fidelity(psi, numeric)))
     return _result("quench_decomposition", worst, 1e-6,
                    "infidelity, decomposition vs direct propagation")
@@ -144,8 +145,9 @@ def check_commutation_identity() -> CheckResult:
     xi = 0.8 - 0.4j
     gamma = gaussian.commute_squeeze_displacement(z, xi)
     psi = fock_oracle.coherent_to_fock(0.2 + 0.1j, dim)
-    lhs = fock_oracle.squeeze(fock_oracle.displace(psi, xi), z)
-    rhs = fock_oracle.displace(fock_oracle.squeeze(psi, z), gamma)
+    lhs, squeezed = fock_oracle.squeeze(
+        np.stack([fock_oracle.displace(psi, xi), psi], axis=1), z).T
+    rhs = fock_oracle.displace(squeezed, gamma)
     diff = float(np.linalg.norm(lhs - rhs))
     return _result("commutation_identity", diff, 1e-7, "vector norm")
 

@@ -640,6 +640,29 @@ def test_config_rejects_integer_beyond_float_range(tmp_path, capsys,
     assert "atom.mass_kg" in err or digits > 4300 and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("malformed,message", [
+    # json alone would keep the second value and run on it
+    (lambda text: text.replace('"mass_kg": 1e-15',
+                               '"mass_kg": 1e-15, "mass_kg": 2e-15'),
+     "key 'mass_kg' appears twice in one object"),
+    # json alone raises RecursionError long before the end
+    (lambda text: "[" * 200_000, "maximum recursion depth exceeded"),
+], ids=["repeated_key", "nested_too_deep"])
+def test_config_refuses_malformed_json(tmp_path, capsys, discussion_doc,
+                                       malformed, message):
+    """A key given twice in one object, and a document nested past the
+    recursion limit, each exit 2 with one line naming the file."""
+    text = json.dumps(discussion_doc)
+    assert text.count('"mass_kg": 1e-15') == 1     # the nanoparticle's
+    cfg = tmp_path / "malformed.json"
+    cfg.write_text(malformed(text))
+    code, out = run(tmp_path, "feasibility", "--config", str(cfg))
+    assert code == 2
+    err = _one_line_error(capsys)
+    assert f"{cfg}: not valid JSON ({message}" in err
+    assert not out.exists()
+
+
 # --- no input ends in a traceback ----------------------------------------------
 
 def _preset_doc():

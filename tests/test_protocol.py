@@ -611,12 +611,11 @@ def _fock_protocol(scenario, alpha, beta, exact_phase, dim=80):
     omega2 = scenario.trap.paul_frequency_soft_radps
     t = scenario.protocol.free_fall_duration_s
     g1 = grav_coupling(m, omega1, scenario.constants)
-    evolve = fock_oracle.propagator(
-        fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim))
+    bands = fock_oracle.quadratic_hamiltonian(omega1, omega2, g1, dim)
     up = fock_oracle.coherent_to_fock(alpha, dim)
     down = fock_oracle.displace(up, beta)
-    down = evolve(down, t)
-    up = evolve(up, t)
+    down = fock_oracle.evolve(bands, down, t)
+    up = fock_oracle.evolve(bands, up, t)
     c1, c2, *_ = quench_linear_map(omega1, omega2, g1, t)
     back = -(c1 + c2) * beta if exact_phase else -beta
     down = fock_oracle.displace(down, back)

@@ -58,10 +58,11 @@ def test_run_all_diagonalises_each_matrix_once(monkeypatch):
     state, and one per gate quadrature and basis size: 6 in all from cold
     caches, and none when the caches are warm.  A warm run finds every
     quench map it asks for in the cache, and a run builds only the Fock
-    vectors its rows read: 36, however they are grouped into blocks.  A
+    vectors its rows read: 38, however they are grouped into blocks.  A
     warm run makes one spectral product per propagation, which takes a
     row's every state to its every time, and one per displacement or
-    squeeze (a rotation is diagonal): 7 + 8."""
+    squeeze, which takes a block at once: 7 + 7.  Each of those 14 images
+    passes apply_gate's truncation check once."""
     fock_oracle._eigenbasis.cache_clear()
     dtypes = []
     eigh = np.linalg.eigh
@@ -69,6 +70,8 @@ def test_run_all_diagonalises_each_matrix_once(monkeypatch):
     coherent_to_fock = fock_oracle.coherent_to_fock
     products = []
     spectral = fock_oracle._spectral
+    checks = []
+    apply_gate = fock_oracle.apply_gate
 
     def counting(matrix, *args, **kwargs):
         dtypes.append(matrix.dtype)
@@ -82,18 +85,25 @@ def test_run_all_diagonalises_each_matrix_once(monkeypatch):
     def multiplying(*args):
         products.append(args)
         return spectral(*args)
+
+    def checking(states):
+        checks.append(states.shape)
+        return apply_gate(states)
     monkeypatch.setattr(np.linalg, "eigh", counting)
     monkeypatch.setattr(fock_oracle, "coherent_to_fock", building)
     monkeypatch.setattr(fock_oracle, "_spectral", multiplying)
+    monkeypatch.setattr(fock_oracle, "apply_gate", checking)
     verify.run_all()
     assert dtypes == [np.float64] * 6
-    assert sum(vectors) == 36
+    assert sum(vectors) == 38
     misses = gaussian.quench_linear_map.cache_info().misses
     products.clear()
+    checks.clear()
     verify.run_all()
     assert len(dtypes) == 6
     assert gaussian.quench_linear_map.cache_info().misses == misses
-    assert len(products) == 7 + 8
+    assert len(products) == 7 + 7
+    assert len(checks) == 14
 
 
 _GATE = fock_oracle._gate
@@ -121,12 +131,11 @@ def test_mutation_gate_formula(monkeypatch, check, mutant):
 def test_mutation_times_reversed_in_the_block(monkeypatch):
     """A propagation that files its columns under the wrong times is caught
     by every row that reads a block at several times."""
-    propagator = fock_oracle.propagator
+    evolve = fock_oracle.evolve
 
-    def reversed_times(bands):
-        evolve = propagator(bands)
-        return lambda states, times: evolve(states, times[::-1])
-    monkeypatch.setattr(fock_oracle, "propagator", reversed_times)
+    def reversed_times(bands, states, times):
+        return evolve(bands, states, times[::-1])
+    monkeypatch.setattr(fock_oracle, "evolve", reversed_times)
     missed = {r.name for r in verify.run_all()
               if r.measured > 1e2 * r.tolerance}
     assert {"boost_phase", "displaced_oscillator_fidelity",

@@ -133,8 +133,7 @@ def layers() -> dict:
     set_up = protocol._set_up(scenario)
     kernel = (1.0 + 1.0j, set_up.beta, True, set_up.couplings)
     dim, alphas, times = 80, (0j, 1.5, 1.5j, 1.0 - 1.0j), (0.1, 0.4, 1.0)
-    evolve = fock_oracle.propagator(
-        fock_oracle.quadratic_hamiltonian(*verify._QUENCH, dim))
+    bands = fock_oracle.quadratic_hamiltonian(*verify._QUENCH, dim)
     block = fock_oracle.coherent_to_fock(alphas, dim)
     state = fock_oracle.coherent_to_fock(0.2 + 0.1j, dim)
     thermal = ThermalSample(10.0, 1, 2000)
@@ -142,7 +141,8 @@ def layers() -> dict:
     calls.update((f"verify.{check.__name__.removeprefix('check_')}", check)
                  for check in verify._FULL)
     calls.update({
-        "fock_oracle.evolve_block_dim80": lambda: evolve(block, times),
+        "fock_oracle.evolve_block_dim80":
+            lambda: fock_oracle.evolve(bands, block, times),
         "fock_oracle.displace_dim80":
             lambda: fock_oracle.displace(state, 0.8 - 0.4j),
         "params.scenario_from_dict": lambda: scenario_from_dict(doc),
