@@ -7,7 +7,8 @@ ideal maps; trap softening and release are merged into a single sudden
 quench followed by transient free fall.  ``run_protocol`` calls the
 kernel once; it runs each step in closed form on scalars at alpha = 0,
 once per (beta, closing, trap) and cached, and reads phi_grav and P_down,
-for one amplitude or an array of thermal draws, off a linear form in alpha.
+for one amplitude or an array of thermal draws, off the one form
+Im(alpha delta), delta being the residual separation of the branches.
 A branch is its amplitude and the real theta of its weight
 e^{i theta}/sqrt(2), a sum of the steps' phases.  The kernel carries the
 branch differences, so phi_grav = -dtheta keeps its precision at any
@@ -251,7 +252,8 @@ _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 # (beta, exact_phase, couplings), immutable; 0.0 and -0.0 share a key and bits
 @functools.lru_cache(maxsize=32)
 def _closed_form(beta: float, exact_phase: bool, couplings: tuple) -> tuple:
-    """_kernel's alpha-free half: the alpha = 0 run and its forms' terms."""
+    """_kernel's alpha-free half: the alpha = 0 run, whose residual
+    separation delta is also the coefficient of alpha's one form."""
     omega1, omega2, _, t = couplings
     c1, c2, _, kd_re, kd_im = quench_linear_map(*couplings)   # kd is k(d)
     beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
@@ -268,33 +270,29 @@ def _closed_form(beta: float, exact_phase: bool, couplings: tuple) -> tuple:
     # readout: <a_u|a_u + delta> = V e^{i arg}, and the closing pi/2 gives
     # P_down = (1 + Re(e^{i dth} <a_u|a_d>)) / 2
     log_v, arg = coherent_overlap(a_u, delta)
-    # alpha's part: the fall adds gamma(alpha) to a_u and k(d).alpha to th_u
-    # k(z) = (Im(z plus), Re(z minus)) at z = beta_back and beta_back + delta
-    plus, minus = (c1 + c2).conjugate(), (c2 - c1).conjugate()
-    l, m = [((z * plus).imag, (z * minus).real)
-            for z in (beta_back, beta_back + delta)]
     return (c1, c2, kd_re, kd_im, a_u, fall, dth_fall, delta, dth0,
-            dth0 + arg, math.exp(log_v), *l, *m)
+            dth0 + arg, math.exp(log_v))
 
 
 def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
             log: list | None = None):
-    """Steps 1-8: a cached run at alpha = 0 plus a linear form in alpha.
+    """Steps 1-8: a cached run at alpha = 0 plus one form in alpha.
 
     The up branch (a_u, th_u), th_u the phase of its weight _C e^{i th_u},
     and the differences delta = a_d - a_u and dth = th_d - th_u run once.
     Each step's map is affine in the amplitude and its phase is linear in
-    it, so delta never depends on alpha, and alpha enters only through the
-    fall's gamma(alpha) = c1 alpha + c2 alpha* and the opening displacement's
-    composition phase -beta Im(alpha).  With Im(z gamma(alpha)*) = k(z).alpha,
-    a linear form in (Re alpha, Im alpha):
-      dth = dth0 - beta Im(alpha) + k(beta_back).alpha,
-      psi = psi0 - beta Im(alpha) + k(beta_back + delta).alpha,
-    psi = dth + Im(a_u* delta) being the fringe's argument.  The exact
-    closing beta_back = -gamma(beta) (-beta without ``exact_phase``)
-    cancels the alpha terms (Scala et al., PRL 111, 180403).  _closed_form
-    runs each step once per (beta, closing, trap), on scalars, so a call
-    computes only the two forms, the log and the one cos.
+    it, so delta never depends on alpha, and alpha reaches the readout only
+    through the residual separation:
+      dth = dth0 + Im(alpha delta),
+      psi = psi0 + 2 Im(alpha delta),
+    psi = dth + Im(a_u* delta) being the fringe's argument.  Both hold under
+    either closing because the fall's map a -> c1 a + c2 a* + d has c2
+    purely imaginary and |c1|^2 - |c2|^2 = 1.  The exact closing
+    beta_back = -gamma(beta), gamma(a) = c1 a + c2 a* (-beta without
+    ``exact_phase``), makes delta exactly 0j, so every alpha reads one
+    phi_grav and one P_down, bit for bit (Scala et al., PRL 111, 180403).
+    _closed_form runs each step once per (beta, closing, trap), on
+    scalars, so a call computes only the form, the log and the one cos.
 
     ``alpha`` is a complex number or a 1-D array, told apart by its type;
     both meet the same expressions, and only the cos differs: math's for a
@@ -311,11 +309,12 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
     else:
         import numpy as np      # a coherent run is math/cmath only
         cos, worst = np.cos, np.maximum.reduce
-    (c1, c2, kd_re, kd_im, a_u, fall, dth_fall, delta, dth0, psi0, visibility,
-     l_re, l_im, m_re, m_im) = _closed_form(beta, exact_phase, couplings)
+    (c1, c2, kd_re, kd_im, a_u, fall, dth_fall, delta, dth0, psi0,
+     visibility) = _closed_form(beta, exact_phase, couplings)
     re, im = alpha.real, alpha.imag
-    dth = dth0 + (l_re * re + (l_im - beta) * im)
-    psi = psi0 + (m_re * re + (m_im - beta) * im)
+    form = delta.imag * re + delta.real * im      # Im(alpha delta)
+    dth = dth0 + form
+    psi = psi0 + 2.0 * form
     if log is not None:         # the down weight is w_u e^{i dth}
         log.append({"step": 1, "label": "prepare",
                     "branches": [_branch("down", alpha, 1.0 + 0.0j)]})
