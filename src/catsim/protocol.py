@@ -151,7 +151,7 @@ def _set_up(scenario: PhysicalScenario) -> _SetUp:
     dt = scenario.protocol.free_fall_duration_s
     couplings = (omega1, omega2,
                  grav_coupling(m_total, omega1, scenario.constants), dt)
-    c1, c2, d, *_ = quench_linear_map(*couplings)
+    c1, c2, d = quench_linear_map(*couplings)
     return _SetUp(
         tuple(v.name for v in report.verdicts if v.status == "fail"),
         f"Lamb-Dicke parameter {report.eta:.3g} > {LAMB_DICKE_FLAG}; "
@@ -255,14 +255,15 @@ def _closed_form(beta: float, exact_phase: bool, couplings: tuple) -> tuple:
     """_kernel's alpha-free half: the alpha = 0 run, whose residual
     separation delta is also the coefficient of alpha's one form."""
     omega1, omega2, _, t = couplings
-    c1, c2, _, kd_re, kd_im = quench_linear_map(*couplings)   # kd is k(d)
-    beta_back = -(c1 * beta + c2 * beta) if exact_phase else -beta
+    c1, c2, _ = quench_linear_map(*couplings)     # for the step log's gamma
     # the opening pi/2 puts both levels at alpha = 0, and D(beta) on |down>
     # makes delta = beta with no phase.  The quench's squeeze is the same on
     # both branches and is dropped; its drift too, for delta, which runs the
-    # map at g1 = 0: a_u becomes d, and dth gains Im(gamma(beta)* d)
+    # map at g1 = 0, fall = gamma(beta): a_u becomes d, and dth gains
+    # Im(gamma(beta)* d).  The exact closing reverses fall
     a_u, _ = evolve_quench(0j, *couplings)
     fall, _ = evolve_quench(beta, omega1, omega2, 0.0, t)
+    beta_back = -fall if exact_phase else -beta
     dth_fall = (fall.conjugate() * a_u).imag
     # D(beta_back) on |down> = |a_u + delta>: dth gains its composition phase
     delta, back = displace_compose(beta_back, fall)
@@ -270,8 +271,8 @@ def _closed_form(beta: float, exact_phase: bool, couplings: tuple) -> tuple:
     # readout: <a_u|a_u + delta> = V e^{i arg}, and the closing pi/2 gives
     # P_down = (1 + Re(e^{i dth} <a_u|a_d>)) / 2
     log_v, arg = coherent_overlap(a_u, delta)
-    return (c1, c2, kd_re, kd_im, a_u, fall, dth_fall, delta, dth0,
-            dth0 + arg, math.exp(log_v))
+    return (c1, c2, a_u, fall, dth_fall, delta, dth0, dth0 + arg,
+            math.exp(log_v))
 
 
 def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
@@ -302,14 +303,15 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
     only) collects every step record and refuses one that is not finite,
     at its step: the kernel's only refusal.  run_protocol's rounding guard
     refuses a non-finite alpha or beta and bounds |beta| |alpha| (at
-    beta = 0 the form is 0), so only the log's th_u = k(d).alpha overflows.
+    beta = 0 the form is 0), so only the log's th_u = Im(gamma(alpha)* d)
+    overflows.
     """
     if isinstance(alpha, complex):
         cos, worst = math.cos, float
     else:
         import numpy as np      # a coherent run is math/cmath only
         cos, worst = np.cos, np.maximum.reduce
-    (c1, c2, kd_re, kd_im, a_u, fall, dth_fall, delta, dth0, psi0,
+    (c1, c2, a_u, fall, dth_fall, delta, dth0, psi0,
      visibility) = _closed_form(beta, exact_phase, couplings)
     re, im = alpha.real, alpha.imag
     form = delta.imag * re + delta.real * im      # Im(alpha delta)
@@ -318,8 +320,9 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
     if log is not None:         # the down weight is w_u e^{i dth}
         log.append({"step": 1, "label": "prepare",
                     "branches": [_branch("down", alpha, 1.0 + 0.0j)]})
-        a_fall = a_u + (c1 * alpha + c2 * alpha.conjugate())
-        w_fall = _C * cmath.exp(1j * (kd_re * re + kd_im * im))  # th_u
+        gamma = c1 * alpha + c2 * alpha.conjugate()
+        a_fall = a_u + gamma        # a_u is d, so th_u = Im(gamma* d)
+        w_fall = _C * cmath.exp(1j * (gamma.conjugate() * a_u).imag)
         for number, label, a_u, w_u, diff, dth_step in (
                 (2, "pi_half", alpha, _C + 0j, 0j, 0.0),
                 (4, "displace", alpha, _C + 0j, beta, -beta * im),

@@ -9,7 +9,9 @@ from catsim import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("verify.run_all", "fock_oracle.evolve_block_dim80",
-          "fock_oracle.displace_dim80", "params.scenario_from_dict",
+          "fock_oracle.displace_dim80",
+          "fock_oracle.eigenbasis_uncached_dim80",
+          "classical.ode_oracle_segment", "params.scenario_from_dict",
           "feasibility.constraint_check", "protocol.set_up_uncached",
           "protocol.closed_form_uncached", "protocol.kernel_coherent", "protocol.kernel_coherent_log",
           "protocol.run_protocol_coherent",

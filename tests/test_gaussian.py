@@ -27,15 +27,16 @@ complexes = st.builds(
 
 def test_displace_compose_rule():
     a, b = 1.0 + 2.0j, -0.5 + 0.3j
-    comp = displace_compose(a, b)
-    assert comp.gamma == a + b
-    assert comp.phase == pytest.approx((a * b.conjugate()).imag, rel=1e-15)
+    gamma, phase = displace_compose(a, b)
+    assert gamma == a + b
+    assert phase == pytest.approx((a * b.conjugate()).imag, rel=1e-15)
 
 
 def test_displace_compose_antisymmetry():
     a, b = 0.7 - 1.1j, 2.0 + 0.4j
-    assert displace_compose(a, b).phase == pytest.approx(
-        -displace_compose(b, a).phase, rel=1e-15)
+    _, ab = displace_compose(a, b)
+    _, ba = displace_compose(b, a)
+    assert ab == pytest.approx(-ba, rel=1e-15)
 
 
 def test_displaced_oscillator_free_evolution():
@@ -80,17 +81,22 @@ def test_quadratic_expansion_matches_exact_at_small_t():
 
 def test_quench_phase_coefficients():
     """The phase gained is Im(gamma* d), gamma = c1 a + c2 a*, which is
-    -g1 S Re(a) - w1 g1 C Im(a) with S = sin(s)/w2, C = (1 - cos s)/w2^2."""
+    -g1 S Re(a) - w1 g1 C Im(a) with S = sin(s)/w2, C = (1 - cos s)/w2^2:
+    at a = 1 and a = 1j it reads the two coefficients."""
     omega1, omega2, g1, t = 1.0, 0.25, 0.15, 2.0
     s = omega2 * t
-    _, _, d, k_re, k_im = quench_linear_map(omega1, omega2, g1, t)
-    assert k_re == pytest.approx(-g1 * math.sin(s) / omega2, rel=1e-14)
-    assert k_im == pytest.approx(-omega1 * g1 * (1.0 - math.cos(s))
-                                 / omega2**2, rel=1e-14)
+    _, _, d = quench_linear_map(omega1, omega2, g1, t)
+    _, along_re = evolve_quench(1.0 + 0.0j, omega1, omega2, g1, t)
+    _, along_im = evolve_quench(1j, omega1, omega2, g1, t)
+    assert along_re == pytest.approx(-g1 * math.sin(s) / omega2, rel=1e-14)
+    assert along_im == pytest.approx(-omega1 * g1 * (1.0 - math.cos(s))
+                                     / omega2**2, rel=1e-14)
     for a in (2.0 + 1.0j, -0.3 + 0.8j):
         alpha, phase = evolve_quench(a, omega1, omega2, g1, t)
         gamma = alpha - d
         assert phase == pytest.approx((gamma.conjugate() * d).imag, rel=1e-14)
+        assert phase == pytest.approx(
+            along_re * a.real + along_im * a.imag, rel=1e-14)
     assert evolve_quench(0.0j, omega1, omega2, g1, t) == (d, 0.0)
 
 
@@ -145,7 +151,7 @@ def test_quench_reduces_to_displaced_oscillator_at_equal_frequencies():
     omega, g = 0.7, 0.3
     for t in (0.01, 1.0, 3.0):
         rot = cmath.exp(-1j * omega * t)
-        c1, c2, d, _, _ = quench_linear_map(omega, omega, g, t)
+        c1, c2, d = quench_linear_map(omega, omega, g, t)
         assert c1 == pytest.approx(rot, rel=1e-15)
         assert c2 == 0.0
         assert d == pytest.approx((g / omega) * (rot - 1.0), rel=1e-14)
@@ -157,14 +163,14 @@ def test_quench_linear_map_coefficients():
     omega1, omega2, g1, t = 1.0, 0.5, 0.15, 1.0
     s = omega2 * t
     S, C = math.sin(s) / omega2, (1.0 - math.cos(s)) / omega2**2
-    c1, c2, d, _, _ = quench_linear_map(omega1, omega2, g1, t)
+    c1, c2, d = quench_linear_map(omega1, omega2, g1, t)
     assert c1 == pytest.approx(math.cos(s) - 1j * (
         omega1**2 + omega2**2) * S / (2.0 * omega1), rel=1e-15)
     assert c2 == pytest.approx(
         1j * (omega1**2 - omega2**2) * S / (2.0 * omega1), rel=1e-15)
     assert d == pytest.approx(-omega1 * g1 * C - 1j * g1 * S, rel=1e-14)
     for t in (1e-6, 0.01, 1.0, 5.0):
-        c1, c2, *_ = quench_linear_map(omega1, omega2, g1, t)
+        c1, c2, _ = quench_linear_map(omega1, omega2, g1, t)
         assert abs(abs(c1) ** 2 - abs(c2) ** 2 - 1.0) < 1e-14
 
 

@@ -225,8 +225,7 @@ def _mutant_map(S, C, keep_c2=True):
         c2 = (1j * (omega1**2 - omega2**2) * S_ / (2.0 * omega1) if keep_c2
               else 0j)
         d = -omega1 * g1 * C_ - 1j * g1 * S_
-        return (c1, c2, d, ((c1 + c2).conjugate() * d).imag,
-                ((c2 - c1).conjugate() * d).real)
+        return c1, c2, d
     return mutant
 
 
@@ -236,6 +235,11 @@ def _sin_over_w(t, s, w):
 
 def _half_angle(t, s, w):
     return 0.5 * t * t * (math.sin(0.5 * s) / (0.5 * s)) ** 2
+
+
+def _conjugated_drift(omega1, omega2, g1, t):
+    c1, c2, d = _MAP(omega1, omega2, g1, t)
+    return c1, c2, d.conjugate()
 
 
 def test_preset_quench_keeps_its_drift(discussion):
@@ -263,7 +267,12 @@ def test_preset_quench_keeps_its_drift(discussion):
         omega1, omega2, math.sqrt(omega2 / omega1) * g1, t),
      {"boost_phase", "quench_decomposition", "quench_second_order",
       "mode_quadratic"}),
-], ids=["t_for_S", "no_c2", "g1_as_g2"])
+    # the drift conjugated: the fall's impulse Im d = -g1 S changes sign
+    (_conjugated_drift,
+     {"displaced_oscillator_fidelity", "displaced_oscillator_phase",
+      "boost_phase", "quench_decomposition", "quench_second_order",
+      "mode_quadratic"}),
+], ids=["t_for_S", "no_c2", "g1_as_g2", "conj_d"])
 def test_mutation_quench_map_fails_its_rows(monkeypatch, mutant, failing):
     """The displaced oscillator and the decomposition are read off the map,
     so a wrong map fails their rows too, each by orders of magnitude."""

@@ -7,7 +7,10 @@ pinned to one thread and writes:
 
   timings_us  the median time of one call, warm, in microseconds: a whole
               ``verify.run_all()``, each of its rows, one block evolution
-              at dim 80 (4 states at 3 times), one displacement,
+              at dim 80 (4 states at 3 times), one displacement, an
+              uncached eigenbasis of the dim-80 quench bands (its
+              ``eigh``), one ``classical.ode_oracle`` call over the period
+              that ``check_classical_period`` integrates,
               ``scenario_from_dict`` on the preset's document,
               ``constraint_check``, an uncached ``protocol._set_up``, an
               uncached ``protocol._closed_form`` (the kernel's alpha-free
@@ -64,7 +67,8 @@ sys.path.insert(0, str(SRC_DIR))
 
 import numpy as np  # noqa: E402
 
-from catsim import feasibility, fock_oracle, protocol, verify  # noqa: E402
+from catsim import (  # noqa: E402
+    classical, feasibility, fock_oracle, protocol, verify)
 from catsim.params import load_scenario, scenario_from_dict  # noqa: E402
 from catsim.protocol import Coherent, ThermalSample, run_protocol  # noqa: E402
 
@@ -137,6 +141,12 @@ def layers() -> dict:
     block = fock_oracle.coherent_to_fock(alphas, dim)
     state = fock_oracle.coherent_to_fock(0.2 + 0.1j, dim)
     thermal = ThermalSample(10.0, 1, 2000)
+    # check_classical_period's trap, state and step, over its full period
+    m, omega, g_E = 1e-15, 2.0, 9.81
+    period = 2.0 * math.pi / omega
+    segment = (classical.PhaseSpacePoint(1e-6, 2e-21),
+               classical.TimeDependentTrapSpec.constant(m, omega, g_E),
+               period, period / 20000)
     calls = {"verify.run_all": verify.run_all}
     calls.update((f"verify.{check.__name__.removeprefix('check_')}", check)
                  for check in verify._FULL)
@@ -145,6 +155,10 @@ def layers() -> dict:
             lambda: fock_oracle.evolve(bands, block, times),
         "fock_oracle.displace_dim80":
             lambda: fock_oracle.displace(state, 0.8 - 0.4j),
+        "fock_oracle.eigenbasis_uncached_dim80":
+            lambda: fock_oracle._eigenbasis.__wrapped__(bands),
+        "classical.ode_oracle_segment":
+            lambda: classical.ode_oracle(*segment),
         "params.scenario_from_dict": lambda: scenario_from_dict(doc),
         "feasibility.constraint_check":
             lambda: feasibility.constraint_check(scenario),
