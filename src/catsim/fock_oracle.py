@@ -1,8 +1,7 @@
 """Truncated number-basis simulator used as a brute-force oracle.
 
 The module exists to verify the closed-form evolutions of ``gaussian``
-independently, so it holds no closed forms of its own (the analytic
-coherent overlap is ``gaussian.coherent_overlap``) and uses numpy only.
+independently: it holds no closed forms of its own and uses numpy only.
 A state is a complex vector of number-basis amplitudes, or a (dim, n)
 block of them, one per column.  A real symmetric operator is held as its
 ``Bands``, diag(d) + sum_k c_k (a^k + ad^k), a tuple record that keys the

@@ -1,11 +1,11 @@
 """Coherent-state algebra and closed-form quantum evolutions.
 
-Implements the coherent-state overlap, the sudden frequency-plus-
-equilibrium quench and the branch phase differences that make up the
-interferometric observable.  The quench is derived once, as the exact
-Heisenberg map the protocol kernel runs (``quench_linear_map``); its
-squeeze-displacement-rotation decomposition and the displaced oscillator, the
-quench at equal frequencies, are read off that map.
+Implements the sudden frequency-plus-equilibrium quench and the branch
+phase differences that make up the interferometric observable.  The
+quench is derived once, as the exact Heisenberg map the protocol kernel
+runs (``quench_linear_map``); its squeeze-displacement-rotation
+decomposition and the displaced oscillator, the quench at equal
+frequencies, are read off that map.
 
 Global phases are never discarded, and every evolution is a unit phase
 times a new coherent amplitude: each returns that amplitude and the real
@@ -43,21 +43,6 @@ def displace_compose(alpha: complex, beta: complex) -> tuple[complex, float]:
     the composed amplitude and the phase.
     """
     return alpha + beta, (alpha * beta.conjugate()).imag
-
-
-def coherent_overlap(a: complex, shift: complex) -> tuple[float, float]:
-    """(ln|<a|a+shift>|, arg <a|a+shift>) = (-|shift|^2/2, Im(a* shift)),
-    for two complex scalars.
-
-    <a|a+shift> is the exponential of the first plus i times the second.
-    Taking the shift itself, not the second amplitude a + shift, avoids
-    catastrophic cancellation between the |a|^2 and a* (a + shift) terms
-    when the two amplitudes are large and nearly equal, which is exactly
-    the regime after the disentangling displacement.
-    """
-    # Im(a* (a + shift)) = Im(a* shift) since Im(|a|^2) = 0
-    return (-0.5 * (shift.real * shift.real + shift.imag * shift.imag),
-            (a.conjugate() * shift).imag)
 
 
 def evolve_displaced_oscillator(alpha: complex, omega: float, g: float,

@@ -9,6 +9,8 @@ kernel once; it runs each step in closed form on scalars at alpha = 0,
 once per (beta, closing, trap) and cached, and reads phi_grav and P_down,
 for one amplitude or an array of thermal draws, off the one form
 Im(alpha delta), delta being the residual separation of the branches.
+Where delta is 0j, under the exact closing or at beta = 0, a thermal run
+reads the alpha = 0 run once and gives it to every draw.
 A branch is its amplitude and the real theta of its weight
 e^{i theta}/sqrt(2), a sum of the steps' phases.  The kernel carries the
 branch differences, so phi_grav = -dtheta keeps its precision at any
@@ -33,12 +35,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import feasibility
-from .gaussian import (
-    coherent_overlap,
-    displace_compose,
-    evolve_quench,
-    quench_linear_map,
-)
+from .gaussian import displace_compose, evolve_quench, quench_linear_map
 # the CLI catches ProtocolError and ConstraintViolation without this module
 from .params import LAMB_DICKE_FLAG, ConstraintViolation, ParameterError, \
     PhysicalScenario, ProtocolError, grav_coupling, validated, \
@@ -229,13 +226,18 @@ def run_protocol(scenario: PhysicalScenario,
         raise ProtocolError(freefall)
     if quench:
         warnings.warn(quench, stacklevel=2)
-    log = None if thermal else []
+    if thermal:
+        # delta = 0j makes the form +-0: every draw reads the alpha = 0 run,
+        # so the kernel runs once on 0j.  Else the draws meet the form, and
+        # the visibility and residual, which have no alpha, are one value
+        _, _, _, _, _, delta, _, _ = _closed_form(beta, exact_phase, couplings)
+        return ProtocolDistribution(*(
+            x if isinstance(x, np.ndarray) else np.full(initial.count, x)
+            for x in _kernel(alpha if delta else 0j, beta, exact_phase,
+                             couplings)))
+    log = []
     phi, p_down, visibility, residual = _kernel(
         alpha, beta, exact_phase, couplings, log)
-    if thermal:     # one visibility and residual: delta has no alpha
-        return ProtocolDistribution(
-            phi, p_down, np.full(initial.count, visibility),
-            np.full(initial.count, residual))
     return ProtocolResult(phi, p_down, visibility, residual, tuple(log))
 
 
@@ -268,11 +270,12 @@ def _closed_form(beta: float, exact_phase: bool, couplings: tuple) -> tuple:
     # D(beta_back) on |down> = |a_u + delta>: dth gains its composition phase
     delta, back = displace_compose(beta_back, fall)
     dth0 = dth_fall + (back + (beta_back * a_u.conjugate()).imag)
-    # readout: <a_u|a_u + delta> = V e^{i arg}, and the closing pi/2 gives
-    # P_down = (1 + Re(e^{i dth} <a_u|a_d>)) / 2
-    log_v, arg = coherent_overlap(a_u, delta)
-    return (c1, c2, a_u, fall, dth_fall, delta, dth0, dth0 + arg,
-            math.exp(log_v))
+    # readout: the closing pi/2 gives P_down = (1 + Re(e^{i dth} <a_u|a_d>))/2
+    # with <a_u|a_u + delta> = V e^{i Im(a_u* delta)}.  That phase is 0 for a
+    # real beta: delta is 0j, or (c1 + c2 - 1) beta, a real multiple of a_u = d
+    visibility = math.exp(-0.5 * (delta.real * delta.real
+                                  + delta.imag * delta.imag))
+    return c1, c2, a_u, fall, dth_fall, delta, dth0, visibility
 
 
 def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
@@ -285,19 +288,22 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
     it, so delta never depends on alpha, and alpha reaches the readout only
     through the residual separation:
       dth = dth0 + Im(alpha delta),
-      psi = psi0 + 2 Im(alpha delta),
-    psi = dth + Im(a_u* delta) being the fringe's argument.  Both hold under
-    either closing because the fall's map a -> c1 a + c2 a* + d has c2
-    purely imaginary and |c1|^2 - |c2|^2 = 1.  The exact closing
-    beta_back = -gamma(beta), gamma(a) = c1 a + c2 a* (-beta without
-    ``exact_phase``), makes delta exactly 0j, so every alpha reads one
-    phi_grav and one P_down, bit for bit (Scala et al., PRL 111, 180403).
+      psi = dth0 + 2 Im(alpha delta),
+    psi = dth + Im(a* delta) being the fringe's argument, a the up branch
+    at the readout, whose Im(a_u* delta) at alpha = 0 is 0 (_closed_form).
+    Both hold under either closing because the fall's map
+    a -> c1 a + c2 a* + d has c2 purely imaginary and |c1|^2 - |c2|^2 = 1.
+    The exact closing beta_back = -gamma(beta), gamma(a) = c1 a + c2 a*
+    (-beta without ``exact_phase``), makes delta exactly 0j, so every alpha
+    reads one phi_grav and one P_down, bit for bit (Scala et al., PRL 111,
+    180403).
     _closed_form runs each step once per (beta, closing, trap), on
     scalars, so a call computes only the form, the log and the one cos.
 
     ``alpha`` is a complex number or a 1-D array, told apart by its type;
     both meet the same expressions, and only the cos differs: math's for a
     complex number, numpy's for anything else, a one-draw array too.
+    run_protocol passes thermal draws only where delta is not 0j.
     ``couplings`` holds evolve_quench's (omega1, omega2, g1, t).  Returns
     (phi_grav, p_down, visibility, residual).  ``log`` (a complex alpha
     only) collects every step record and refuses one that is not finite,
@@ -311,12 +317,12 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
     else:
         import numpy as np      # a coherent run is math/cmath only
         cos, worst = np.cos, np.maximum.reduce
-    (c1, c2, a_u, fall, dth_fall, delta, dth0, psi0,
+    (c1, c2, a_u, fall, dth_fall, delta, dth0,
      visibility) = _closed_form(beta, exact_phase, couplings)
     re, im = alpha.real, alpha.imag
     form = delta.imag * re + delta.real * im      # Im(alpha delta)
     dth = dth0 + form
-    psi = psi0 + 2.0 * form
+    psi = dth0 + 2.0 * form
     if log is not None:         # the down weight is w_u e^{i dth}
         log.append({"step": 1, "label": "prepare",
                     "branches": [_branch("down", alpha, 1.0 + 0.0j)]})

@@ -15,7 +15,8 @@ LAYERS = ("verify.run_all", "fock_oracle.evolve_block_dim80",
           "feasibility.constraint_check", "protocol.set_up_uncached",
           "protocol.closed_form_uncached", "protocol.kernel_coherent", "protocol.kernel_coherent_log",
           "protocol.run_protocol_coherent",
-          "protocol.run_protocol_thermal_2000", "import.catsim_cli")
+          "protocol.run_protocol_thermal_2000",
+          "protocol.run_protocol_thermal_2000_plain", "import.catsim_cli")
 
 
 def test_bench_layers_writes_every_key(tmp_path):

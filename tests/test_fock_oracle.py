@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catsim import fock_oracle as fo
-from catsim.gaussian import coherent_overlap
+from catsim import protocol, verify
 
 
 def test_coherent_state_norm_and_occupation():
@@ -36,12 +36,21 @@ def test_bad_alpha_is_refused_by_name(alpha):
 
 
 def test_overlap_matches_analytic():
+    """<a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b); at the readout, where
+    b = a_u + delta, it is the kernel's visibility with no phase: under the
+    plain closing delta = (c1 + c2 - 1) beta is a real multiple of a_u = d,
+    so Im(a_u* delta) = 0."""
     a, b = 0.8 + 0.3j, -0.2 + 1.0j
     va = fo.coherent_to_fock(a, 60)
     vb = fo.coherent_to_fock(b, 60)
-    log_modulus, phase = coherent_overlap(a, b - a)
-    assert fo.overlap(va, vb) == pytest.approx(
-        cmath.exp(complex(log_modulus, phase)), abs=1e-12)
+    assert fo.overlap(va, vb) == pytest.approx(cmath.exp(
+        -0.5 * (abs(a) ** 2 + abs(b) ** 2) + a.conjugate() * b), abs=1e-12)
+    _, _, a_u, _, _, delta, _, visibility = protocol._closed_form(
+        1.5, False, (*verify._QUENCH, 1.0))
+    assert visibility < 0.95
+    value = fo.overlap(fo.coherent_to_fock(a_u, 60),
+                       fo.coherent_to_fock(a_u + delta, 60))
+    assert abs(value - visibility) < 1e-12
 
 
 def test_ladder_operator_algebra():

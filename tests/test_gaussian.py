@@ -174,6 +174,29 @@ def test_quench_linear_map_coefficients():
         assert abs(abs(c1) ** 2 - abs(c2) ** 2 - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("omega1,omega2,g1,t", [
+    (1.0, 0.5, math.sqrt(0.5) * 0.2, 0.1),
+    (1.0, 0.5, math.sqrt(0.5) * 0.2, 1.0),
+    (1.0, 0.5, math.sqrt(0.5) * 0.2, 2.0),
+    (0.7, 2.5, 0.3, 0.4),               # a stiffer second trap
+    (2e6, 2e3, 9.5e12, 1e-6),           # s = 2e-3: 1 - cos s cancels
+    (1.0, 0.5, 0.0, 1.0),               # no gravity: d = 0
+])
+def test_plain_closing_separation_is_a_real_multiple_of_the_drift(
+        omega1, omega2, g1, t):
+    """The plain closing leaves delta = (c1 + c2 - 1) beta.  With s = w2 t,
+    S = sin(s)/w2 and C = (1 - cos s)/w2^2 = 2 sin(s/2)^2/w2^2,
+    c1 + c2 - 1 = -(w2^2/w1)(w1 C + i S) and d = -g1 (w1 C + i S), a real
+    multiple of it: the readout's overlap phase Im(a_u* delta), a_u = d, is
+    0.  The S, C form keeps the digits a naive c1 + c2 - 1 loses at small s."""
+    s = omega2 * t
+    S, C = math.sin(s) / omega2, 2.0 * (math.sin(s / 2) / omega2) ** 2
+    c1, c2, d = quench_linear_map(omega1, omega2, g1, t)
+    shift = -(omega2**2 / omega1) * (omega1 * C + 1j * S)
+    assert abs(shift - (c1 + c2 - 1.0)) <= 4e-16 * abs(c1)
+    assert abs((d.conjugate() * shift).imag) <= 4e-16 * abs(d) * abs(shift)
+
+
 def test_quench_matches_exact_route():
     """The quench's amplitude is the mean <a> of the Fock-propagated quench
     Hamiltonian, and its phase the overlap phase less alpha = 0's."""

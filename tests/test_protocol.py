@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import sys
@@ -299,14 +300,15 @@ def test_room_temperature_batch_keeps_phi_grav(discussion):
 
 def test_thermal_draws_are_the_normal_pairs(discussion, monkeypatch):
     """Each draw is one row of rng.normal(size=(count, 2)) scaled by
-    sqrt(nbar / 2), as real and imaginary part, bit for bit."""
+    sqrt(nbar / 2), as real and imaginary part, bit for bit.  The plain
+    closing leaves delta != 0j, so the draws reach the kernel."""
     seen = []
 
     def capturing(alpha, *args):
         seen.append(alpha.copy())
         return _kernel(alpha, *args)
     monkeypatch.setattr(protocol, "_kernel", capturing)
-    run_protocol(discussion, ThermalSample(10.0, 42, 2000))
+    run_protocol(discussion, ThermalSample(10.0, 42, 2000), exact_phase=False)
     draws = np.random.default_rng(42).normal(size=(2000, 2)) * math.sqrt(5.0)
     want = draws[:, 0] + 1j * draws[:, 1]
     assert seen[0].dtype == want.dtype
@@ -325,12 +327,11 @@ def test_thermal_run_steps_only_scalars(discussion, monkeypatch):
             seen.setdefault(name, []).append(tuple(type(x) for x in args))
             return f(*args)
         return wrapped
-    for name in ("evolve_quench", "displace_compose", "coherent_overlap"):
+    for name in ("evolve_quench", "displace_compose"):
         monkeypatch.setattr(protocol, name,
                             recording(name, getattr(protocol, name)))
     run_protocol(discussion, ThermalSample(10.0, 42, 2000))
-    assert sorted(seen) == ["coherent_overlap", "displace_compose",
-                            "evolve_quench"]
+    assert sorted(seen) == ["displace_compose", "evolve_quench"]
     assert len(seen["evolve_quench"]) == 2
     assert {t for calls in seen.values() for types in calls
             for t in types} <= {complex, float}
@@ -341,10 +342,13 @@ def test_thermal_run_steps_only_scalars(discussion, monkeypatch):
 
 def test_thermal_run_is_the_coherent_runs_bit_for_bit(discussion):
     """A thermal run's columns are, value for value, the coherent runs of
-    its draws: the array and the scalar kernel run the same arithmetic.  A
-    one-draw run is still an array, and takes the array path."""
-    for count in (300, 1):
-        dist = run_protocol(discussion, ThermalSample(10.0, 42, count))
+    its draws, a one-draw run too.  Under the exact closing delta = 0j, and
+    the run reads the alpha = 0 run once for every draw; under the plain
+    closing the draws meet the array kernel, which runs the scalar
+    kernel's arithmetic."""
+    for count, exact_phase in itertools.product((300, 1), (True, False)):
+        dist = run_protocol(discussion, ThermalSample(10.0, 42, count),
+                            exact_phase=exact_phase)
         assert isinstance(dist.phi_grav_values, np.ndarray)
         draws = (np.random.default_rng(42).normal(size=(count, 2))
                  * math.sqrt(5.0))
@@ -353,7 +357,8 @@ def test_thermal_run_is_the_coherent_runs_bit_for_bit(discussion):
                                      dist.p_down_values,
                                      dist.visibility_values,
                                      dist.residual_values), draws.tolist()):
-            res = run_protocol(discussion, Coherent(complex(re, im)))
+            res = run_protocol(discussion, Coherent(complex(re, im)),
+                               exact_phase=exact_phase)
             differ += sum(a != b for a, b in zip(
                 row, (res.phi_grav, res.p_down, res.visibility,
                       res.residual)))
@@ -477,6 +482,31 @@ def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
             assert sorted(calls) == want
 
 
+@pytest.mark.parametrize("exact_phase,beta,want", [
+    (True, None, ["math.cos"]),
+    (False, None, ["np.cos"]),
+    (False, 0.0, ["math.cos"]),     # the plain closing's delta is 0j too
+])
+def test_a_warm_thermal_run_takes_one_cos(discussion, monkeypatch,
+                                          exact_phase, beta, want):
+    """A warm thermal run takes one cos: math's where delta = 0j, for the
+    alpha = 0 run that every draw reads, and numpy's, over the draws, where
+    the preset's plain closing leaves delta != 0j."""
+    thermal = ThermalSample(10.0, 42, 2000)
+    run_protocol(discussion, thermal, exact_phase=exact_phase, beta=beta)
+    calls = []
+
+    def counting(name, f):
+        def op(x):
+            calls.append(name)
+            return f(x)
+        return op
+    monkeypatch.setattr(math, "cos", counting("math.cos", math.cos))
+    monkeypatch.setattr(np, "cos", counting("np.cos", np.cos))
+    run_protocol(discussion, thermal, exact_phase=exact_phase, beta=beta)
+    assert calls == want
+
+
 def _rounding_edge(scenario, beta):
     """The largest |alpha| run_protocol accepts: the phase terms, up to
     shift * reach rad, round by eps times that.  shift is the largest
@@ -538,6 +568,26 @@ def test_phase_rounding_limit_sits_at_its_amplitude(discussion):
     assert abs(res.phi_grav - ref.phi_grav) < PHASE_ROUNDING_LIMIT
     with pytest.raises(ProtocolError, match="alpha"):
         run_protocol(discussion, Coherent(1.001 * edge))
+
+
+@pytest.mark.parametrize("exact_phase", [True, False])
+def test_thermal_guard_reads_the_largest_draw(discussion, exact_phase):
+    """The rounding guard reads the draws under either closing, though the
+    exact closing gives every draw the alpha = 0 run: a run whose largest
+    draw lies just inside the edge amplitude is accepted, and one whose
+    largest draw lies just past it is refused."""
+    edge = _rounding_edge(discussion, preset_beta(discussion))
+    seed, count = 3, 50
+    draws = np.random.default_rng(seed).normal(size=(count, 2))
+    largest = float(np.hypot(draws[:, 0], draws[:, 1]).max())
+    nbar = {scale: 2.0 * (scale * edge / largest) ** 2
+            for scale in (0.999, 1.001)}
+    dist = run_protocol(discussion, ThermalSample(nbar[0.999], seed, count),
+                        exact_phase=exact_phase)
+    assert np.isfinite(dist.phi_grav_values).all()
+    with pytest.raises(ProtocolError, match="thermal nbar"):
+        run_protocol(discussion, ThermalSample(nbar[1.001], seed, count),
+                     exact_phase=exact_phase)
 
 
 def test_rejects_beta_whose_phase_rounding_exceeds_limit(discussion):
@@ -1048,25 +1098,37 @@ def test_free_fall_refusal_comes_between_the_warnings(discussion):
 
 @pytest.mark.parametrize("exact_phase", [True, False])
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_thermal_draws_are_the_normal_stream(seed, exact_phase):
+def test_thermal_draws_are_the_normal_stream(discussion, seed, exact_phase):
     """The draws come from standard_normal, which yields the bits of
-    normal(0, 1) on the same stream: a thermal run is the kernel at
+    normal(0, 1) on the same stream: a thermal run is the array kernel at
     default_rng(seed).normal(size=(count, 2)) * sqrt(nbar / 2), viewed as
-    complex, bit for bit."""
-    scenario, nbar, count, beta = unit_scenario(), 3.0, 500, 1.5
-    dist = run_protocol(scenario, ThermalSample(nbar, seed, count),
-                        exact_phase=exact_phase, force=True, beta=beta)
+    complex, bit for bit.  Where delta = 0j, under the exact closing or at
+    beta = +-0, the run reads the alpha = 0 run once, with math's cos for
+    numpy's, and still gives the array kernel's bits: on the unit trap at
+    each beta, and on the preset at its own."""
+    nbar, count = 3.0, 500
     alpha = (np.random.default_rng(seed).normal(size=(count, 2))
              * math.sqrt(nbar / 2)).view(np.complex128).ravel()
-    want = _kernel(alpha, beta, exact_phase, _set_up(scenario).couplings)
-    got = (dist.phi_grav_values, dist.p_down_values, dist.visibility_values,
-           dist.residual_values)
-    for values, expected in zip(got, want):
-        assert values.shape == (count,)
-        assert values.tobytes() == np.broadcast_to(
-            np.float64(expected), (count,)).tobytes()
-    # under the plain closing alpha reaches the fringe: the draws matter
-    assert (np.ptp(dist.p_down_values) > 1e-3) is not exact_phase
+    for scenario, beta in ((unit_scenario(), 1.5), (unit_scenario(), 0.0),
+                           (unit_scenario(), -0.0),
+                           (discussion, preset_beta(discussion))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # the preset's Lamb-Dicke
+            dist = run_protocol(scenario, ThermalSample(nbar, seed, count),
+                                exact_phase=exact_phase, force=True,
+                                beta=beta)
+        want = _kernel(alpha, beta, exact_phase, _set_up(scenario).couplings)
+        got = (dist.phi_grav_values, dist.p_down_values,
+               dist.visibility_values, dist.residual_values)
+        for values, expected in zip(got, want):
+            assert values.shape == (count,)
+            assert values.tobytes() == np.broadcast_to(
+                np.float64(expected), (count,)).tobytes(), (scenario, beta)
+        # alpha reaches the fringe, and the draws matter, only under the
+        # plain closing on the unit trap at beta != 0: at the preset,
+        # delta ~ 5e-23 moves no bit
+        assert bool(np.ptp(dist.p_down_values) > 1e-3) is (
+            not exact_phase and beta == 1.5)
 
 
 # --- the per-scenario set-up cache ---------------------------------------------

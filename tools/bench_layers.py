@@ -15,8 +15,10 @@ pinned to one thread and writes:
               ``constraint_check``, an uncached ``protocol._set_up``, an
               uncached ``protocol._closed_form`` (the kernel's alpha-free
               half), the coherent kernel on a warm closed form without and
-              with its step log, a coherent and a 2000-draw thermal
-              ``run_protocol``, and ``import catsim.cli`` in a fresh
+              with its step log, a coherent ``run_protocol``, a 2000-draw
+              thermal one under the exact closing (the alpha = 0 run read
+              once for every draw) and under the plain closing (the draws
+              through the kernel), and ``import catsim.cli`` in a fresh
               interpreter;
   speed_by_row
               for each timing, the host's speed as a share of
@@ -173,6 +175,8 @@ def layers() -> dict:
             lambda: run_protocol(scenario, Coherent(1.0 + 1.0j)),
         "protocol.run_protocol_thermal_2000":
             lambda: run_protocol(scenario, thermal),
+        "protocol.run_protocol_thermal_2000_plain":
+            lambda: run_protocol(scenario, thermal, exact_phase=False),
     })
     for call in calls.values():
         call()
