@@ -4,19 +4,19 @@ The module exists to verify the closed-form evolutions of ``gaussian``
 independently: it holds no closed forms of its own and uses numpy only.
 A state is a complex vector of number-basis amplitudes, or a (dim, n)
 block of them, one per column.  A real symmetric operator is held as its
-``Bands``, diag(d) + sum_k c_k (a^k + ad^k), a tuple record that keys the
-one eigenbasis cache, and every exp(-i t A) is applied, never built, by
-``_spectral`` in that cached real eigenbasis: a whole block at a whole
-sequence of times in one product each way.  ``evolve(bands, states,
-times)`` propagates under a Hamiltonian's bands, one ``eigh`` serving
-every time and state.  A displacement (k = 1) or squeeze (k = 2) is a
-quadrature exponential turned by R(phi) = diag(e^{i phi n}): exactly in
-the truncated basis, exp((z ad^k - z* a^k)/k) = R(phi) exp(-i (|z|/k)
-Q_k) R(phi)^dagger with phi = (arg z + pi/2)/k and Q_k = a^k + ad^k.
-Every propagation's and gate's image passes ``apply_gate``'s truncation
-check, which refuses a block for its worst column.  Global phases are
-compared through ``overlap_phase`` (the phase of <reference|state>),
-never per component.
+``Bands``: dim, u and the c_k of u (ad a + a ad) + sum_k c_k (a^k + ad^k)
+in dim levels, a tuple record that keys the module's one cache, of real
+eigenbases.  Every exp(-i t A) is applied, never built, by ``_spectral``
+in that cached eigenbasis: a whole block at a whole sequence of times in
+one product each way.  ``evolve(bands, states, times)`` propagates under
+a Hamiltonian's bands, one ``eigh`` serving every time and state.  A
+displacement (k = 1) or squeeze (k = 2) is a quadrature exponential
+turned by R(phi) = diag(e^{i phi n}): exactly in the truncated basis,
+exp((z ad^k - z* a^k)/k) = R(phi) exp(-i (|z|/k) Q_k) R(phi)^dagger with
+phi = (arg z + pi/2)/k and Q_k = a^k + ad^k.  Every propagation's and
+gate's image passes ``apply_gate``'s truncation check, which refuses a
+block for its worst column.  Global phases are compared through
+``overlap_phase`` (the phase of <reference|state>), never per component.
 """
 
 from __future__ import annotations
@@ -58,18 +58,18 @@ def apply_gate(states: np.ndarray) -> np.ndarray:
 
 
 class Bands(NamedTuple):
-    """diag(``diagonal``) + sum_k c_k (a^k + ad^k), c_k = ``couplings[k-1]``,
-    in a basis of len(``diagonal``) levels: real and symmetric by
-    construction, and immutable, so it keys the eigenbasis cache."""
-    diagonal: tuple[float, ...]
+    """``number`` (ad a + a ad) + sum_k ``couplings[k-1]`` (a^k + ad^k) in
+    ``dim`` levels, real and symmetric, and immutable: it keys the cache."""
+    dim: int
+    number: float
     couplings: tuple[float, ...]
 
     def matrix(self) -> np.ndarray:
-        """The dense array, written band by band:
-        <n-k| a^k |n> = sqrt(n) <n-k| a^(k-1) |n-1>."""
-        h = np.diag(np.array(self.diagonal, dtype=float))
-        ns = np.arange(len(h))
-        band = np.ones(len(h))
+        """The dense array: ad a + a ad is 2n + 1, but n on the top level,
+        where a ad = 0, and <n-k| a^k |n> = sqrt(n) <n-k| a^(k-1) |n-1>."""
+        ns = np.arange(self.dim)
+        h = np.diag(self.number * np.append(2.0 * ns[:-1] + 1.0, ns[-1]))
+        band = np.ones(self.dim)
         for k, c in enumerate(self.couplings, 1):
             band = np.sqrt(ns[k:]) * band[:-1]
             h[ns[:-k], ns[k:]] = h[ns[k:], ns[:-k]] = c * band
@@ -87,12 +87,12 @@ def required_dim(alpha: complex) -> int:
 
 def coherent_to_fock(alpha, dim: int) -> np.ndarray:
     """amps[n] = e^{-|a|^2/2} a^n / sqrt(n!), with the truncation rule
-    dim > 4|a|^2 + 25: a vector for one amplitude, and for a sequence of n
+    dim >= 4|a|^2 + 25: a vector for one amplitude, and for a sequence of n
     the (dim, n) block of their vectors, multiplied out along rows."""
     alphas = np.asarray(alpha, dtype=complex)
     values = alphas.reshape(-1).tolist()
     need = max(map(required_dim, values))
-    if dim <= need - 1:
+    if dim < need:
         raise TruncationError(
             f"dim={dim} too small for |alpha|={max(map(abs, values)):.3g}; "
             f"need at least {need}")
@@ -121,9 +121,10 @@ def overlap_phase(reference: np.ndarray, states: np.ndarray):
 def _eigenbasis(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and real eigenvectors of ``bands``' matrix, read-only,
     since the cache hands them to every caller."""
-    if not all(map(math.isfinite, bands.diagonal + bands.couplings)):
+    matrix = bands.matrix()         # finite fields can still overflow in it
+    if not np.isfinite(matrix).all():
         raise ValueError("bands must be finite")    # eigh would return NaN
-    energies, vectors = np.linalg.eigh(bands.matrix())
+    energies, vectors = np.linalg.eigh(matrix)
     energies.flags.writeable = vectors.flags.writeable = False
     return energies, vectors
 
@@ -159,7 +160,7 @@ def _gate(states: np.ndarray, z: complex, power: int) -> np.ndarray:
         raise ValueError(
             f"{'alpha' if power == 1 else 'z'} must be finite, got {z!r}")
     dim = len(states)
-    quadrature = Bands((0.0,) * dim, (0.0,) * (power - 1) + (1.0,))
+    quadrature = Bands(dim, 0.0, (0.0,) * (power - 1) + (1.0,))
     turn = np.exp(1j * ((cmath.phase(z) + 0.5 * math.pi) / power)
                   * np.arange(dim)).reshape((dim,) + (1,) * (states.ndim - 1))
     return turn * _spectral(turn.conj() * states, *_eigenbasis(quadrature),
@@ -177,7 +178,6 @@ def squeeze(psi: np.ndarray, z: complex) -> np.ndarray:
 
 # --- Hamiltonians and propagation ---------------------------------------------
 
-@lru_cache(maxsize=8)               # Bands are immutable: callers share them
 def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
                           dim: int) -> Bands:
     """The quench Hamiltonian, which ``gaussian.quench_linear_map`` solves.
@@ -186,13 +186,12 @@ def quadratic_hamiltonian(omega1: float, omega2: float, g1: float,
     X = a + ad, P = i(ad - a); ``g1`` is the linear coupling (e.g. the
     gravitational drive) in rad/s.  The zero-point offset, a global phase,
     is kept.  Real: (w1/4 + c)(ad a + a ad) + (c - w1/4)(a^2 + ad^2)
-    + g1 X with c = w2^2 / 4 w1, and a ad = n + 1 below the top level, 0 on it.
-    At w2 = w1 = w it is the displaced oscillator w (ad a + 1/2) + g1 X,
-    zero point included, except on the top level.
+    + g1 X with c = w2^2 / 4 w1, truncated as ``Bands.matrix`` says.  At
+    w2 = w1 = w it is the displaced oscillator w (ad a + 1/2) + g1 X, zero
+    point included, except on the top level.
     """
     c = 0.25 * omega2 ** 2 / omega1
-    both_orders = np.append(2.0 * np.arange(dim - 1) + 1.0, dim - 1.0)
-    return Bands(tuple(((0.25 * omega1 + c) * both_orders).tolist()),
+    return Bands(dim, float(0.25 * omega1 + c),
                  (float(g1), float(c - 0.25 * omega1)))
 
 

@@ -219,14 +219,14 @@ def check_quench_classical_switch() -> CheckResult:
 def check_mode_quadratic() -> CheckResult:
     """The quench's amplitude at omega2 != omega1 vs the classical
     trajectory of its Hamiltonian: with [X, P] = 2i, <a> = (X + iP)/2 moves
-    as a mass 1/w1 in a trap w2 under gravity g_E = 2 g1 w1."""
-    (omega1, omega2, g1), a0 = _QUENCH, 0.7 - 0.2j
+    as a mass 1/w1 in a trap w2 under gravity g_E = 2 g1 w1 (here w1 != 1)."""
+    (omega1, omega2, g1), a0 = (1.3, 0.5, 0.14), 0.7 - 0.2j
     start = classical.PhaseSpacePoint(2.0 * a0.real, 2.0 * a0.imag)
     worst = 0.0
     for t in (0.01, 0.4, 1.0):
         end = classical.evolve_harmonic_gravity(
             start, 1.0 / omega1, omega2, 2.0 * g1 * omega1, t)
-        amplitude, _ = gaussian.evolve_quench(a0, *_QUENCH, t)
+        amplitude, _ = gaussian.evolve_quench(a0, omega1, omega2, g1, t)
         worst = max(worst, abs(amplitude - complex(end.x, end.p) / 2.0))
     return _result("mode_quadratic", worst, 1e-10,
                    "amplitude vs the classical trajectory of the quench")

@@ -18,10 +18,15 @@ def test_coherent_state_norm_and_occupation():
 
 
 def test_required_dim_rule():
+    """dim = 4|alpha|^2 + 25 is the smallest basis accepted: 125 levels
+    for |alpha| = 5, and one fewer is refused."""
     assert fo.required_dim(0.0) == 25
     assert fo.required_dim(2.0) == 41
     with pytest.raises(fo.TruncationError):
         fo.coherent_to_fock(2.0, 30)
+    assert fo.coherent_to_fock(5.0, 125).shape == (125,)
+    with pytest.raises(fo.TruncationError, match="dim=124 .* least 125$"):
+        fo.coherent_to_fock(5.0, 124)
 
 
 @pytest.mark.parametrize("alpha", [
@@ -149,20 +154,35 @@ def test_gate_refuses_a_non_finite_argument(gate, name, z):
             gate(z, 20)
 
 
+def _refuses_twice(bands):
+    """evolve and the eigenbasis cache that gates read both refuse
+    ``bands``, and again on a second call: the refusal is not cached."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^bands must be finite"):
+            fo.evolve(bands, np.eye(bands.dim)[0], 1.0)
+        with pytest.raises(ValueError, match="^bands must be finite"):
+            fo._eigenbasis(bands)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_propagator_refuses_non_finite_bands(bad):
-    """A NaN or infinite entry on the diagonal or in either coupling is
-    refused by evolve and by the eigenbasis cache that gates read, and
-    again on a second call: the refusal is not cached."""
+    """A NaN or infinite number term or coupling is refused."""
     finite = fo.quadratic_hamiltonian(1.0, 0.5, 0.2, 4)
-    for bands in (finite._replace(diagonal=(0.0, bad, 1.0, 2.0)),
+    for bands in (finite._replace(number=bad),
                   finite._replace(couplings=(bad, 0.1)),
                   finite._replace(couplings=(0.1, bad))):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="^bands must be finite"):
-                fo.evolve(bands, np.eye(4)[0], 1.0)
-            with pytest.raises(ValueError, match="^bands must be finite"):
-                fo._eigenbasis(bands)
+        _refuses_twice(bands)
+
+
+def test_propagator_refuses_bands_that_overflow():
+    """Finite fields can overflow in the matrix, which is what is refused:
+    a number term of 1e308 is inf from level 1 on (3e308), and a coupling
+    of 1e308 to a^2 on its second entry (sqrt(6) 1e308)."""
+    finite = fo.quadratic_hamiltonian(1.0, 0.5, 0.2, 4)
+    with np.errstate(over="ignore"):
+        for bands in (finite._replace(number=1e308),
+                      finite._replace(couplings=(0.1, 1e308))):
+            _refuses_twice(bands)
 
 
 def _series_expm(generator):
@@ -232,7 +252,7 @@ def test_propagator_caches_by_content(monkeypatch):
         calls.append(matrix.shape)
         return eigh(matrix)
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    quadrature = fo.Bands((0.0,) * 30, (1.0,))
+    quadrature = fo.Bands(30, 0.0, (1.0,))
     # D(alpha) = exp(-i |alpha| Q_1) for alpha = -i |alpha|, where phi = 0
     gated = fo.displace(psi, -0.4j)
     propagated = fo.evolve(quadrature, psi, 0.4)
@@ -327,6 +347,11 @@ def test_health_check_refuses_a_block_for_one_column(column):
     drifted[:, column] *= 1.001
     drifted[:, 3] *= 0.9999         # drifts too, but less
     with pytest.raises(fo.TruncationError, match="state norm 1.001 "):
+        fo.apply_gate(drifted)
+    drifted = block.copy()
+    drifted[:, column] *= 0.999     # the worst drift is below norm 1,
+    drifted[:, 3] *= 1.0001         # not the largest norm
+    with pytest.raises(fo.TruncationError, match="state norm 0.999 "):
         fo.apply_gate(drifted)
     filled = block.copy()
     filled[-1, column] = 1e-4       # its norm moves by 5e-9 only

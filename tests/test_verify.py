@@ -179,23 +179,32 @@ def test_mutation_drops_phase_entirely(monkeypatch):
     assert result.measured > 1e3 * result.tolerance
 
 
+class _NoZeroPoint(fock_oracle.Bands):
+    """Bands whose matrix has the number term's zero point, ``number`` on
+    every level, taken off."""
+
+    def matrix(self):
+        return super().matrix() - self.number * np.eye(self.dim)
+
+
 def test_mutation_oracle_drops_its_zero_point(monkeypatch):
     """The phase row reads the zero point of the oracle's Hamiltonian: with
     w1/4 + c taken off every diagonal entry, every propagated phase moves
     by (w1/4 + c) t and the row misses by orders of magnitude, while
-    boost_phase, which reads phases relative to alpha = 0, still passes."""
+    boost_phase, which reads phases relative to alpha = 0, still passes.
+    The mutant bands equal the true ones, so the eigenbasis cache is
+    cleared on entry, or the true eigenbases would be read, and on exit,
+    or the mutant ones would stay in it."""
     original = fock_oracle.quadratic_hamiltonian
-
-    def no_zero_point(omega1, omega2, g1, dim):
-        bands = original(omega1, omega2, g1, dim)
-        shift = 0.25 * omega1 + 0.25 * omega2 ** 2 / omega1
-        return bands._replace(diagonal=tuple(
-            entry - shift for entry in bands.diagonal))
-
-    monkeypatch.setattr(fock_oracle, "quadratic_hamiltonian", no_zero_point)
-    result = verify.check_displaced_oscillator_phase()
-    assert result.measured > 1e3 * result.tolerance
-    assert verify.check_boost_phase().passed
+    monkeypatch.setattr(fock_oracle, "quadratic_hamiltonian",
+                        lambda *args: _NoZeroPoint(*original(*args)))
+    fock_oracle._eigenbasis.cache_clear()
+    try:
+        result = verify.check_displaced_oscillator_phase()
+        assert result.measured > 1e3 * result.tolerance
+        assert verify.check_boost_phase().passed
+    finally:
+        fock_oracle._eigenbasis.cache_clear()
 
 
 @pytest.mark.parametrize("check", [verify.check_classical_period,
@@ -213,6 +222,40 @@ def test_mutation_rk4_step_second_order_error(monkeypatch, check):
 
     monkeypatch.setattr(classical, "_rk4_step", sloppy)
     assert not check().passed
+
+
+@pytest.mark.parametrize("check", [verify.check_classical_period,
+                                   verify.check_freefall_limit,
+                                   verify.check_quench_classical_switch])
+def test_mutation_rk4_momentum_only(monkeypatch, check):
+    """An RK4 oracle whose momentum is off by a relative 1e-6, its position
+    exact, is caught by every RK4 check, each by over 1e2 times its
+    tolerance: each check's momentum term is not vacuous."""
+    original = classical.ode_oracle
+
+    def momentum_off(*args, **kwargs):
+        x, p = original(*args, **kwargs)
+        return classical.PhaseSpacePoint(x, p * (1.0 + 1e-6))
+
+    monkeypatch.setattr(classical, "ode_oracle", momentum_off)
+    result = check()
+    assert result.measured > 1e2 * result.tolerance
+
+
+@pytest.mark.parametrize("mutant", [
+    # the mass w1 for 1/w1
+    lambda start, m, omega, g_E, t: (start, 1.0 / m, omega, g_E, t),
+    # the drive 2 g1 / w1 for 2 g1 w1, where m = 1/w1
+    lambda start, m, omega, g_E, t: (start, m, omega, g_E * m * m, t),
+], ids=["mass", "drive"])
+def test_mutation_mode_quadratic_reads_omega1(monkeypatch, mutant):
+    """mode_quadratic's trap has w1 != 1, so a mass or drive that takes w1
+    for 1/w1 misses by orders of magnitude."""
+    original = classical.evolve_harmonic_gravity
+    monkeypatch.setattr(classical, "evolve_harmonic_gravity",
+                        lambda *args: original(*mutant(*args)))
+    result = verify.check_mode_quadratic()
+    assert result.measured > 1e3 * result.tolerance
 
 
 def _mutant_map(S, C, keep_c2=True):
