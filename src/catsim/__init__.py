@@ -5,7 +5,7 @@ Modules:
     params       physical constants, scenario records, JSON ingestion
     classical    closed-form classical trajectories + RK4 oracle
     gaussian     coherent-state algebra and closed-form quantum evolutions,
-                 each written once (the quench and overlap the kernel runs)
+                 each written once (the quench the kernel runs)
     fock_oracle  truncated number-basis brute-force oracle, no closed forms
     protocol     the interferometric protocol as one closed-form kernel
                  over gaussian's evolutions

@@ -125,6 +125,8 @@ def _eigenbasis(bands: Bands) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(matrix).all():
         raise ValueError("bands must be finite")    # eigh would return NaN
     energies, vectors = np.linalg.eigh(matrix)
+    if not np.isfinite(energies).all():    # an eigenvalue past the float range
+        raise ValueError("bands overflow: their energies are not finite")
     energies.flags.writeable = vectors.flags.writeable = False
     return energies, vectors
 

@@ -36,15 +36,6 @@ class CoherentBranch(NamedTuple):
     weight: complex = 1.0 + 0.0j
 
 
-def displace_compose(alpha: complex, beta: complex) -> tuple[complex, float]:
-    """Compose D(alpha) D(beta) = e^{i Im(alpha beta*)} D(alpha + beta).
-
-    The first argument is the operator applied last (leftmost).  Returns
-    the composed amplitude and the phase.
-    """
-    return alpha + beta, (alpha * beta.conjugate()).imag
-
-
 def evolve_displaced_oscillator(alpha: complex, omega: float, g: float,
                                 t: float) -> tuple[complex, float]:
     """Exact evolution under H/hbar = w ad a + g (ad + a).

@@ -180,17 +180,12 @@ class PhysicalScenario(NamedTuple):
         return self.nanoparticle.mass_kg + self.atom.mass_kg
 
     def _check(self):
-        check_mass_hierarchy(self)
-
-
-def check_mass_hierarchy(scenario: PhysicalScenario) -> None:
-    """Warn if m_n/m_a falls below the heavy-particle approximation floor."""
-    ratio = scenario.nanoparticle.mass_kg / scenario.atom.mass_kg
-    if ratio < MASS_RATIO_FLOOR:
-        warnings.warn(
-            f"nanoparticle/atom mass ratio {ratio:.3g} is below "
-            f"{MASS_RATIO_FLOOR:.0e}; the heavy-particle approximation "
-            "degrades", stacklevel=4)     # past _check and __new__
+        ratio = self.nanoparticle.mass_kg / self.atom.mass_kg
+        if ratio < MASS_RATIO_FLOOR:
+            warnings.warn(
+                f"nanoparticle/atom mass ratio {ratio:.3g} is below "
+                f"{MASS_RATIO_FLOOR:.0e}; the heavy-particle approximation "
+                "degrades", stacklevel=3)     # past __new__
 
 
 def grav_coupling(mass_kg: float, omega_radps: float,

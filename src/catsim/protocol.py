@@ -4,13 +4,13 @@ The working state is a hybrid of a two-level hyperfine qubit and a
 motional coherent branch per populated level.  All motional amplitudes
 are expressed in the stiff-trap mode basis; pulses are instantaneous
 ideal maps; trap softening and release are merged into a single sudden
-quench followed by transient free fall.  ``run_protocol`` calls the
-kernel once; it runs each step in closed form on scalars at alpha = 0,
-once per (beta, closing, trap) and cached, and reads phi_grav and P_down,
-for one amplitude or an array of thermal draws, off the one form
-Im(alpha delta), delta being the residual separation of the branches.
-Where delta is 0j, under the exact closing or at beta = 0, a thermal run
-reads the alpha = 0 run once and gives it to every draw.
+quench followed by transient free fall.  ``run_protocol`` reads the
+alpha = 0 run, each step in closed form on scalars, once per (beta,
+closing, trap) and cached, and hands it to the kernel, which reads
+phi_grav and P_down, for one amplitude or an array of thermal draws, off
+the one form Im(alpha delta), delta being the residual separation of the
+branches.  Where delta is 0j, under the exact closing or at beta = 0, a
+thermal run gives the alpha = 0 run to every draw.
 A branch is its amplitude and the real theta of its weight
 e^{i theta}/sqrt(2), a sum of the steps' phases.  The kernel carries the
 branch differences, so phi_grav = -dtheta keeps its precision at any
@@ -35,7 +35,7 @@ import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import feasibility
-from .gaussian import displace_compose, evolve_quench, quench_linear_map
+from .gaussian import evolve_quench, quench_linear_map
 # the CLI catches ProtocolError and ConstraintViolation without this module
 from .params import LAMB_DICKE_FLAG, ConstraintViolation, ParameterError, \
     PhysicalScenario, ProtocolError, grav_coupling, validated, \
@@ -226,18 +226,16 @@ def run_protocol(scenario: PhysicalScenario,
         raise ProtocolError(freefall)
     if quench:
         warnings.warn(quench, stacklevel=2)
+    closed = _closed_form(beta, exact_phase, couplings)
     if thermal:
         # delta = 0j makes the form +-0: every draw reads the alpha = 0 run,
         # so the kernel runs once on 0j.  Else the draws meet the form, and
         # the visibility and residual, which have no alpha, are one value
-        _, _, _, _, _, delta, _, _ = _closed_form(beta, exact_phase, couplings)
         return ProtocolDistribution(*(
             x if isinstance(x, np.ndarray) else np.full(initial.count, x)
-            for x in _kernel(alpha if delta else 0j, beta, exact_phase,
-                             couplings)))
+            for x in _kernel(alpha if closed.delta else 0j, beta, closed)))
     log = []
-    phi, p_down, visibility, residual = _kernel(
-        alpha, beta, exact_phase, couplings, log)
+    phi, p_down, visibility, residual = _kernel(alpha, beta, closed, log)
     return ProtocolResult(phi, p_down, visibility, residual, tuple(log))
 
 
@@ -250,12 +248,27 @@ def _branch(level: str, a: complex, w: complex) -> dict:
 _C = 1 / math.sqrt(2)           # every beam-splitter amplitude
 
 
-# a scan over alpha reads one closed form per beta, so it is computed once per
-# (beta, exact_phase, couplings), immutable; 0.0 and -0.0 share a key and bits
-@functools.lru_cache(maxsize=32)
-def _closed_form(beta: float, exact_phase: bool, couplings: tuple) -> tuple:
+class _ClosedForm(NamedTuple):
     """_kernel's alpha-free half: the alpha = 0 run, whose residual
     separation delta is also the coefficient of alpha's one form."""
+    c1: complex                 # the fall's map, for the step log's gamma
+    c2: complex
+    a_u: complex                # the up branch from the fall on: d
+    fall: complex               # delta after the fall: gamma(beta)
+    dth_fall: float             # dth after the fall
+    delta: complex              # the residual separation
+    dth0: float                 # dth at the readout
+    visibility: float
+
+
+# immutable, so every caller shares it; 0.0 and -0.0 share a key and bits
+@functools.lru_cache(maxsize=32)
+def _closed_form(beta: float, exact_phase: bool,
+                 couplings: tuple) -> _ClosedForm:
+    """The _ClosedForm of (beta, closing, trap), cached: a scan over alpha
+    runs each step once per beta, on scalars, and each _kernel call computes
+    only the form, the log and the one cos.  ``couplings`` holds
+    evolve_quench's (omega1, omega2, g1, t)."""
     omega1, omega2, _, t = couplings
     c1, c2, _ = quench_linear_map(*couplings)     # for the step log's gamma
     # the opening pi/2 puts both levels at alpha = 0, and D(beta) on |down>
@@ -268,19 +281,19 @@ def _closed_form(beta: float, exact_phase: bool, couplings: tuple) -> tuple:
     beta_back = -fall if exact_phase else -beta
     dth_fall = (fall.conjugate() * a_u).imag
     # D(beta_back) on |down> = |a_u + delta>: dth gains its composition phase
-    delta, back = displace_compose(beta_back, fall)
-    dth0 = dth_fall + (back + (beta_back * a_u.conjugate()).imag)
+    delta = beta_back + fall
+    dth0 = dth_fall + ((beta_back * fall.conjugate()).imag
+                       + (beta_back * a_u.conjugate()).imag)
     # readout: the closing pi/2 gives P_down = (1 + Re(e^{i dth} <a_u|a_d>))/2
     # with <a_u|a_u + delta> = V e^{i Im(a_u* delta)}.  That phase is 0 for a
     # real beta: delta is 0j, or (c1 + c2 - 1) beta, a real multiple of a_u = d
     visibility = math.exp(-0.5 * (delta.real * delta.real
                                   + delta.imag * delta.imag))
-    return c1, c2, a_u, fall, dth_fall, delta, dth0, visibility
+    return _ClosedForm(c1, c2, a_u, fall, dth_fall, delta, dth0, visibility)
 
 
-def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
-            log: list | None = None):
-    """Steps 1-8: a cached run at alpha = 0 plus one form in alpha.
+def _kernel(alpha, beta: float, closed: _ClosedForm, log: list | None = None):
+    """Steps 1-8: the alpha = 0 run ``closed`` plus one form in alpha.
 
     The up branch (a_u, th_u), th_u the phase of its weight _C e^{i th_u},
     and the differences delta = a_d - a_u and dth = th_d - th_u run once.
@@ -297,28 +310,26 @@ def _kernel(alpha, beta: float, exact_phase: bool, couplings: tuple,
     (-beta without ``exact_phase``), makes delta exactly 0j, so every alpha
     reads one phi_grav and one P_down, bit for bit (Scala et al., PRL 111,
     180403).
-    _closed_form runs each step once per (beta, closing, trap), on
-    scalars, so a call computes only the form, the log and the one cos.
 
     ``alpha`` is a complex number or a 1-D array, told apart by its type;
     both meet the same expressions, and only the cos differs: math's for a
     complex number, numpy's for anything else, a one-draw array too.
     run_protocol passes thermal draws only where delta is not 0j.
-    ``couplings`` holds evolve_quench's (omega1, omega2, g1, t).  Returns
-    (phi_grav, p_down, visibility, residual).  ``log`` (a complex alpha
-    only) collects every step record and refuses one that is not finite,
-    at its step: the kernel's only refusal.  run_protocol's rounding guard
-    refuses a non-finite alpha or beta and bounds |beta| |alpha| (at
-    beta = 0 the form is 0), so only the log's th_u = Im(gamma(alpha)* d)
-    overflows.
+    ``closed`` is _closed_form's record at ``beta``, which comes apart:
+    0.0 and -0.0 share one entry, and step 4's log keeps ``beta``'s sign.
+    Returns (phi_grav, p_down, visibility, residual).  ``log`` (a complex
+    alpha only) collects every step record and refuses one that is not
+    finite, at its step: the kernel's only refusal.  run_protocol's
+    rounding guard refuses a non-finite alpha or beta and bounds
+    |beta| |alpha| (at beta = 0 the form is 0), so only the log's
+    th_u = Im(gamma(alpha)* d) overflows.
     """
     if isinstance(alpha, complex):
         cos, worst = math.cos, float
     else:
         import numpy as np      # a coherent run is math/cmath only
         cos, worst = np.cos, np.maximum.reduce
-    (c1, c2, a_u, fall, dth_fall, delta, dth0,
-     visibility) = _closed_form(beta, exact_phase, couplings)
+    c1, c2, a_u, fall, dth_fall, delta, dth0, visibility = closed
     re, im = alpha.real, alpha.imag
     form = delta.imag * re + delta.real * im      # Im(alpha delta)
     dth = dth0 + form

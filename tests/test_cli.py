@@ -190,6 +190,21 @@ def test_protocol_thermal_rows_independent_of_sample_count(tmp_path):
     assert not (one / "steps.jsonl").exists()
 
 
+@pytest.mark.parametrize("closing", ["--exact-phase", "--no-exact-phase"])
+def test_thermal_rows_at_any_batch_size(tmp_path, closing):
+    """A 7-draw run writes the first 7 rows of a 2000-draw run at the same
+    seed: under the exact closing every draw reads the alpha = 0 run, and
+    under the plain one the draws meet the kernel as an array."""
+    rows = []
+    for samples in ("7", "2000"):
+        _, out = run(tmp_path / samples, "protocol", "--config", "discussion",
+                     "--thermal", "10", "--samples", samples, "--seed", "5",
+                     closing)
+        rows.append((out / "summary.csv").read_bytes().splitlines())
+    assert len(rows[0]) == 8 and len(rows[1]) == 2001
+    assert rows[0] == rows[1][:8]
+
+
 def test_thermal_columns_are_results_and_summary_rows(tmp_path,
                                                       discussion):
     """A thermal run stores the kernel's four columns once; ``results`` and

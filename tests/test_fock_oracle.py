@@ -50,12 +50,11 @@ def test_overlap_matches_analytic():
     vb = fo.coherent_to_fock(b, 60)
     assert fo.overlap(va, vb) == pytest.approx(cmath.exp(
         -0.5 * (abs(a) ** 2 + abs(b) ** 2) + a.conjugate() * b), abs=1e-12)
-    _, _, a_u, _, _, delta, _, visibility = protocol._closed_form(
-        1.5, False, (*verify._QUENCH, 1.0))
-    assert visibility < 0.95
-    value = fo.overlap(fo.coherent_to_fock(a_u, 60),
-                       fo.coherent_to_fock(a_u + delta, 60))
-    assert abs(value - visibility) < 1e-12
+    closed = protocol._closed_form(1.5, False, (*verify._QUENCH, 1.0))
+    assert closed.visibility < 0.95
+    value = fo.overlap(fo.coherent_to_fock(closed.a_u, 60),
+                       fo.coherent_to_fock(closed.a_u + closed.delta, 60))
+    assert abs(value - closed.visibility) < 1e-12
 
 
 def test_ladder_operator_algebra():
@@ -183,6 +182,20 @@ def test_propagator_refuses_bands_that_overflow():
         for bands in (finite._replace(number=1e308),
                       finite._replace(couplings=(0.1, 1e308))):
             _refuses_twice(bands)
+
+
+def test_propagator_refuses_energies_that_overflow():
+    """A matrix can be finite and its spectrum not: a coupling of 1e308 to
+    a gives energies of +-inf.  That is refused as an overflow, before
+    evolve would take the NaN state for a truncation (TruncationError is a
+    ValueError, so the message is what tells them apart), and not cached."""
+    bands = fo.Bands(4, 0.3125, (1e308, 0.1))
+    assert np.isfinite(bands.matrix()).all()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^bands overflow"):
+            fo.evolve(bands, np.eye(bands.dim)[0], 1.0)
+        with pytest.raises(ValueError, match="^bands overflow"):
+            fo._eigenbasis(bands)
 
 
 def _series_expm(generator):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from catsim.gaussian import (
     branch_phase_difference,
     commute_squeeze_displacement,
-    displace_compose,
     evolve_displaced_oscillator,
     evolve_quench,
     quench_linear_map,
@@ -23,20 +22,6 @@ complexes = st.builds(
     st.floats(-3.0, 3.0, allow_nan=False),
     st.floats(-3.0, 3.0, allow_nan=False),
 )
-
-
-def test_displace_compose_rule():
-    a, b = 1.0 + 2.0j, -0.5 + 0.3j
-    gamma, phase = displace_compose(a, b)
-    assert gamma == a + b
-    assert phase == pytest.approx((a * b.conjugate()).imag, rel=1e-15)
-
-
-def test_displace_compose_antisymmetry():
-    a, b = 0.7 - 1.1j, 2.0 + 0.4j
-    _, ab = displace_compose(a, b)
-    _, ba = displace_compose(b, a)
-    assert ab == pytest.approx(-ba, rel=1e-15)
 
 
 def test_displaced_oscillator_free_evolution():

@@ -197,6 +197,15 @@ def test_mass_ratio_warning(discussion_doc):
         scenario_from_dict(doc)
 
 
+def test_mass_ratio_warning_names_the_caller(discussion):
+    """The mass-ratio warning points at the code that built the scenario,
+    past the record's constructor and check."""
+    light = discussion.nanoparticle._replace(mass_kg=1e-22)
+    with pytest.warns(UserWarning, match="mass ratio") as caught:
+        PhysicalScenario(discussion.atom, light, *discussion[2:])
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_scenario_immutable(discussion):
     with pytest.raises(Exception):
         discussion.atom.mass_kg = 0.0

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from catsim import feasibility, fock_oracle, protocol, verify
 from catsim.feasibility import constraint_check
-from catsim.gaussian import CoherentBranch, displace_compose, evolve_quench, \
-    quench_linear_map
+from catsim.gaussian import CoherentBranch, evolve_quench, quench_linear_map
 from catsim.params import (
     AtomSpec,
     ParameterError,
@@ -61,10 +60,10 @@ def preset_beta(scenario):
     return beam_amplitude(scenario, constraint_check(scenario).delta_x_m)
 
 
-def kernel_args(scenario, beta):
-    """(beta, exact_phase, couplings) as run_protocol passes them to
-    _kernel for an exact closing phase."""
-    return beta, True, _set_up(scenario).couplings
+def kernel_args(scenario, beta, exact_phase=True):
+    """(beta, closed) as run_protocol passes them to _kernel."""
+    return beta, protocol._closed_form(beta, exact_phase,
+                                       _set_up(scenario).couplings)
 
 
 def unit_scenario(t=0.02):
@@ -246,11 +245,15 @@ def test_run_protocol_matches_hand_composition(discussion):
     m = discussion.nanoparticle.mass_kg + discussion.atom.mass_kg
     g1 = grav_coupling(m, omega1, discussion.constants)
     w = 1.0 / math.sqrt(2.0)
-    opened, opening = displace_compose(beta, alpha)
+
+    def compose(a, b):
+        """D(a) D(b) = e^{i Im(a b*)} D(a + b)."""
+        return a + b, (a * b.conjugate()).imag
+    opened, opening = compose(beta, alpha)
     down, fall_d = evolve_quench(opened, omega1, omega2, g1, t)
     up, fall_u = evolve_quench(alpha, omega1, omega2, g1, t)
     c1, c2, _ = quench_linear_map(omega1, omega2, g1, t)
-    closed, closing = displace_compose(-(c1 + c2) * beta, down)
+    closed, closing = compose(-(c1 + c2) * beta, down)
     # each step multiplies the weight by its unit phase
     w_d = (w * cmath.exp(1j * opening) * cmath.exp(1j * fall_d)
            * cmath.exp(1j * closing))
@@ -327,11 +330,10 @@ def test_thermal_run_steps_only_scalars(discussion, monkeypatch):
             seen.setdefault(name, []).append(tuple(type(x) for x in args))
             return f(*args)
         return wrapped
-    for name in ("evolve_quench", "displace_compose"):
-        monkeypatch.setattr(protocol, name,
-                            recording(name, getattr(protocol, name)))
+    monkeypatch.setattr(protocol, "evolve_quench",
+                        recording("evolve_quench", protocol.evolve_quench))
     run_protocol(discussion, ThermalSample(10.0, 42, 2000))
-    assert sorted(seen) == ["displace_compose", "evolve_quench"]
+    assert list(seen) == ["evolve_quench"]
     assert len(seen["evolve_quench"]) == 2
     assert {t for calls in seen.values() for types in calls
             for t in types} <= {complex, float}
@@ -457,11 +459,11 @@ def test_recombined_amplitude_stays_finite(discussion):
 
 def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
     """The readout's visibility and fringe are the kernel's only
-    transcendentals: a cold call takes one exp, of the one number delta,
-    and one cos; a warm call reads the visibility from the cache and takes
-    only the cos, whatever the batch: math's for a complex alpha, numpy's
-    for an array."""
-    args = kernel_args(discussion, preset_beta(discussion))
+    transcendentals: a cold _closed_form and _kernel pair takes one exp, of
+    the one number delta, and one cos; a warm pair reads the visibility
+    from the cache and takes only the cos, whatever the batch: math's for
+    a complex alpha, numpy's for an array."""
+    beta = preset_beta(discussion)
     calls = []
 
     def counting(name, f):
@@ -469,7 +471,8 @@ def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
             calls.append(name)
             return f(x)
         return op
-    _kernel(1 + 1j, *args)      # caches the fall's maps, which take a cos
+    # caches the set-up and the fall's maps, which take a cos
+    _kernel(1 + 1j, *kernel_args(discussion, beta))
     monkeypatch.setattr(math, "exp", counting("exp", math.exp))
     monkeypatch.setattr(math, "cos", counting("cos", math.cos))
     monkeypatch.setattr(np, "cos", counting("cos", np.cos))
@@ -478,7 +481,7 @@ def test_kernel_runs_one_exp_and_one_cos(discussion, monkeypatch):
         protocol._closed_form.cache_clear()
         for want in (["cos", "exp"], ["cos"]):      # cold, then warm
             calls.clear()
-            _kernel(alpha, *args, log)
+            _kernel(alpha, *kernel_args(discussion, beta), log)
             assert sorted(calls) == want
 
 
@@ -740,8 +743,7 @@ def test_alpha_reaches_the_fringe_through_im_alpha_delta(t, beta,
     c1, c2, _ = quench_linear_map(*couplings)
     assert c2.real == 0.0
     assert abs(abs(c1) ** 2 - abs(c2) ** 2 - 1.0) <= 4e-16 * abs(c1) ** 2
-    _, _, _, _, _, delta, *_ = protocol._closed_form(beta, exact_phase,
-                                                     couplings)
+    delta = protocol._closed_form(beta, exact_phase, couplings).delta
     if exact_phase:
         assert delta == 0j
     beta_back = -(c1 + c2) * beta if exact_phase else -beta
@@ -1117,7 +1119,7 @@ def test_thermal_draws_are_the_normal_stream(discussion, seed, exact_phase):
             dist = run_protocol(scenario, ThermalSample(nbar, seed, count),
                                 exact_phase=exact_phase, force=True,
                                 beta=beta)
-        want = _kernel(alpha, beta, exact_phase, _set_up(scenario).couplings)
+        want = _kernel(alpha, *kernel_args(scenario, beta, exact_phase))
         got = (dist.phi_grav_values, dist.p_down_values,
                dist.visibility_values, dist.residual_values)
         for values, expected in zip(got, want):
@@ -1235,6 +1237,22 @@ def test_a_warm_run_is_a_cold_run_bit_for_bit(discussion, zeros):
     for _ in range(2):          # each key's first run fills its entry
         assert [_run_bits(discussion, *case) for case in cases] == want
     assert protocol._closed_form.cache_info().misses == 8
+
+
+def test_a_run_reads_its_closed_form_once(discussion):
+    """Every run looks its alpha-free half up once, a thermal run too, and
+    only past the rounding guard: a refused beta never keys the cache."""
+    for initial in (Coherent(1 + 1j), ThermalSample(10.0, 42, 200)):
+        for exact_phase in (True, False):
+            before = protocol._closed_form.cache_info()
+            run_protocol(discussion, initial, exact_phase=exact_phase)
+            info = protocol._closed_form.cache_info()
+            assert (info.hits + info.misses
+                    == before.hits + before.misses + 1)
+    for beta in (math.nan, math.inf, 1e6):
+        with pytest.raises(ProtocolError, match="beta"):
+            run_protocol(discussion, Coherent(0), beta=beta)
+    assert protocol._closed_form.cache_info() == info
 
 
 @pytest.mark.parametrize("exact_phase", [True, False])

@@ -207,6 +207,20 @@ def test_mutation_oracle_drops_its_zero_point(monkeypatch):
         fock_oracle._eigenbasis.cache_clear()
 
 
+@pytest.mark.parametrize("mode", [(1.3, 0.1), (0.7, 0.1)])
+def test_displaced_oscillator_rows_pass_off_unit_frequency(monkeypatch, mode):
+    """The phase row takes the oracle's zero point w t/2 off, which at
+    w = 1 is also t/2, t/(2w) and w^2 t/2: a row that took one of those
+    off instead would pass there and miss by ~0.1 rad at w = 1.3.  At
+    w = 1.3 and 0.7 the three displaced-oscillator rows still pass."""
+    monkeypatch.setattr(verify, "_MODE", mode)
+    for check in (verify.check_displaced_oscillator_fidelity,
+                  verify.check_displaced_oscillator_phase,
+                  verify.check_truncation_stability):
+        result = check()
+        assert result.passed, result
+
+
 @pytest.mark.parametrize("check", [verify.check_classical_period,
                                    verify.check_freefall_limit,
                                    verify.check_quench_classical_switch])

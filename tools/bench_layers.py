@@ -14,8 +14,8 @@ pinned to one thread and writes:
               ``scenario_from_dict`` on the preset's document,
               ``constraint_check``, an uncached ``protocol._set_up``, an
               uncached ``protocol._closed_form`` (the kernel's alpha-free
-              half), the coherent kernel on a warm closed form without and
-              with its step log, a coherent ``run_protocol``, a 2000-draw
+              half), the coherent kernel on that half, read once, without
+              and with its step log, a coherent ``run_protocol``, a 2000-draw
               thermal one under the exact closing (the alpha = 0 run read
               once for every draw) and under the plain closing (the draws
               through the kernel), and ``import catsim.cli`` in a fresh
@@ -137,7 +137,8 @@ def layers() -> dict:
     doc = json.loads((SRC_DIR / "catsim" / "presets" / "discussion.json")
                      .read_text(encoding="utf-8"))
     set_up = protocol._set_up(scenario)
-    kernel = (1.0 + 1.0j, set_up.beta, True, set_up.couplings)
+    closing = (set_up.beta, True, set_up.couplings)
+    kernel = (1.0 + 1.0j, set_up.beta, protocol._closed_form(*closing))
     dim, alphas, times = 80, (0j, 1.5, 1.5j, 1.0 - 1.0j), (0.1, 0.4, 1.0)
     bands = fock_oracle.quadratic_hamiltonian(*verify._QUENCH, dim)
     block = fock_oracle.coherent_to_fock(alphas, dim)
@@ -167,7 +168,7 @@ def layers() -> dict:
         "protocol.set_up_uncached":
             lambda: protocol._set_up.__wrapped__(scenario),
         "protocol.closed_form_uncached":
-            lambda: protocol._closed_form.__wrapped__(*kernel[1:]),
+            lambda: protocol._closed_form.__wrapped__(*closing),
         "protocol.kernel_coherent": lambda: protocol._kernel(*kernel),
         "protocol.kernel_coherent_log":
             lambda: protocol._kernel(*kernel, []),
